@@ -1,7 +1,11 @@
 """Command-line interface: one verb per artifact.
 
-Exit status: 0 on success, 1 when a verification subcommand finds a
-claimed invariant violated, 2 on usage errors.
+Exit status:
+  0  success;
+  1  a verification subcommand finds a claimed invariant violated, or a
+     computation fails (root iteration does not converge, an internal
+     consistency check fails); the failure is one ``error:`` line on stderr;
+  2  usage errors and invalid arguments.
 """
 from __future__ import annotations
 
@@ -9,8 +13,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from contextlib import nullcontext
 from fractions import Fraction
+from math import gcd
 
 from . import bounds as bounds_mod
 from . import nearmiss as nearmiss_mod
@@ -18,21 +23,6 @@ from . import ordering as ordering_mod
 from . import rationalcheck as rational_mod
 from . import roots as roots_mod
 from .polycore import cyclotomic, difference, eval_rational, poly_to_json
-
-
-@dataclass
-class RunConfig:
-    digits: int = 15
-    jobs: int | None = None
-    format: str = "text"
-    out_path: str | None = None
-    resume: bool = False
-
-    def __post_init__(self):
-        if self.digits < 1:
-            raise ValueError("digits must be >= 1")
-        if self.jobs is not None and self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
 
 
 def _parse_point(s: str) -> Fraction:
@@ -118,13 +108,17 @@ def _root_record_obj(rec: roots_mod.RootRecord, digits: int) -> dict:
     }
 
 
-def _record_line(rec: roots_mod.CoincidenceRecord, digits: int) -> str:
+def _record_obj(rec: roots_mod.CoincidenceRecord, digits: int) -> dict:
     obj = {"m": rec.m, "n": rec.n, "roots": [_root_record_obj(r, digits) for r in rec.roots]}
     if rec.max_abs_real is not None:
         obj["max_abs_real"] = rec.max_abs_real.decimal(digits)
     if rec.window_violations:
         obj["window_violations"] = list(rec.window_violations)
-    return json.dumps(obj)
+    return obj
+
+
+def _record_line(rec: roots_mod.CoincidenceRecord, digits: int) -> str:
+    return json.dumps(_record_obj(rec, digits))
 
 
 def _cmd_roots(args, out) -> int:
@@ -142,123 +136,100 @@ def _cmd_roots(args, out) -> int:
 
 
 def _cmd_scan(args, out) -> int:
-    cfg = RunConfig(digits=args.digits, jobs=args.jobs, out_path=args.out, resume=args.resume)
-    if cfg.resume and not cfg.out_path:
+    """Scan every pair up to --max-index; a fresh run is a resume from an empty cache.
+
+    Each pair's line is streamed as it finishes (appended and flushed to
+    --out), so a killed scan leaves a cache that --resume completes.  The
+    summary is computed from the merged lines alone, and --out is finally
+    rewritten sorted by (m, n), so resumed and fresh runs give the same bytes.
+    """
+    if args.resume and not args.out:
         print("scan: --resume requires --out", file=sys.stderr)
         return 2
+    if args.digits < 1:
+        raise ValueError("digits must be >= 1")
+    if args.jobs is not None and args.jobs < 1:
+        raise ValueError("jobs must be >= 1")
     M = args.max_index
-    done: dict[tuple[int, int], str] = {}
-    if cfg.resume and cfg.out_path and os.path.exists(cfg.out_path):
-        done = _load_cache(cfg.out_path)
-    if args.complex:
-        lines, summary, ok = _scan_complex_lines(M, args.coprime, cfg, done)
-    else:
-        lines, summary, ok = _scan_real_lines(M, cfg, done)
-    if cfg.out_path:
-        with open(cfg.out_path, "w") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-            fh.write(summary + "\n")
-    else:
-        for line in lines:
-            _emit(line, out)
-        _emit(summary, out)
-    return 0 if ok else 1
-
-
-def _scan_real_lines(M, cfg, done):
-    if done:
-        pairs = [
-            (m, n) for m in range(1, M + 1) for n in range(m + 1, M + 1) if (m, n) not in done
-        ]
-        fresh = {
-            (r.m, r.n): _record_line(r, cfg.digits)
-            for r in (roots_mod.real_coincidence_roots(m, n, cfg.digits) for m, n in pairs)
-        }
-        window = roots_mod.verify_root_window(M, cfg.jobs)
-        merged = {**done, **fresh}
-        lines = [merged[key] for key in sorted(merged)]
-        return lines, _window_summary(window), window.holds
-    rep = roots_mod.scan_real(M, cfg.digits, cfg.jobs)
-    lines = [_record_line(rec, cfg.digits) for rec in rep.records]
-    summary = _window_summary(
-        rep.window,
-        max_abs=rep.max_nonzero_abs,
-        min_abs=rep.min_nonzero_abs,
-        digits=cfg.digits,
-    )
-    return lines, summary, rep.window.holds
-
-
-def _complex_pair_line(rec, boundary, outside, digits) -> str:
-    obj = json.loads(_record_line(rec, digits))
-    if boundary:
-        obj["sqrt2_attained"] = True
-    if outside:
-        obj["outside"] = [o[2] for o in outside]
-    return json.dumps(obj)
-
-
-def _scan_complex_lines(M, coprime, cfg, done):
-    from math import gcd
-
+    if M < 2:
+        raise ValueError("scan requires --max-index >= 2")
     pairs = [
         (m, n)
         for m in range(1, M + 1)
         for n in range(m + 1, M + 1)
-        if not coprime or gcd(m, n) == 1
+        if not (args.complex and args.coprime) or gcd(m, n) == 1
     ]
-    if done:
-        merged: dict[tuple[int, int], str] = dict(done)
-        for m, n in pairs:
-            if (m, n) in merged:
+    cache, torn = _load_cache(args.out) if args.resume else ({}, False)
+    lines = {p: cache[p] for p in pairs if p in cache}
+    if args.complex:
+        worker, render, param = roots_mod._complex_scan_worker, _complex_line, 256
+    else:
+        worker, render, param = roots_mod._real_scan_worker, _record_line, args.digits
+    todo = [(m, n, param) for m, n in pairs if (m, n) not in lines]
+    roots_mod._warm_cyclotomic_cache(M)
+    with open(args.out, "a" if args.resume else "w") if args.out else nullcontext(out) as sink:
+        if torn:
+            sink.write("\n")
+        for result, (m, n, _) in zip(roots_mod._parallel_map(worker, todo, args.jobs), todo):
+            lines[(m, n)] = render(result, args.digits)
+            sink.write(lines[(m, n)] + "\n")
+            sink.flush()
+    merged = [lines[p] for p in pairs]
+    objs = [json.loads(line) for line in merged]
+    if args.complex:
+        summary, ok = _complex_summary(M, args.coprime, objs)
+    else:
+        summary, ok = _real_summary(M, objs, args.jobs)
+    if args.out:
+        tmp = args.out + ".tmp"
+        with open(tmp, "w") as fh:
+            fh.writelines(line + "\n" for line in merged)
+            fh.write(summary + "\n")
+        os.replace(tmp, args.out)
+    else:
+        _emit(summary, out)
+    return 0 if ok else 1
+
+
+def _complex_line(result, digits: int) -> str:
+    rec, boundary, outside = result
+    obj = _record_obj(rec, digits)
+    if boundary:
+        obj["sqrt2_attained"] = True
+    if outside:
+        # a nonreal root outside the range brings its conjugate along
+        obj["outside"] = sorted({why for _, _, why in outside})
+    return json.dumps(obj)
+
+
+def _complex_summary(M: int, coprime: bool, objs: list[dict]) -> tuple[str, bool]:
+    boundary = [[o["m"], o["n"]] for o in objs if o.get("sqrt2_attained")]
+    outside = [[o["m"], o["n"], why] for o in objs for why in o.get("outside", ())]
+    summary = {
+        "summary": "complex",
+        "max_index": M,
+        "coprime_only": coprime,
+        "boundary_upper": boundary,
+        "outside": outside,
+    }
+    return json.dumps(summary), not outside
+
+
+def _real_summary(M: int, objs: list[dict], jobs: int | None) -> tuple[str, bool]:
+    window = roots_mod.verify_root_window(M, jobs)
+    # rounding is monotone, so the extreme rendered moduli are the rendered
+    # extremes.  As in roots.scan_real, skip exact-zero roots and the root 2
+    # of {2, 6}; a nonzero root that renders as zero is a window violation.
+    moduli = []
+    for obj in objs:
+        violations = obj.get("window_violations", ())
+        for i, root in enumerate(obj["roots"]):
+            v = Fraction(root["value"])
+            exception = ((obj["m"], obj["n"]), v) == roots_mod.KNOWN_WINDOW_EXCEPTION
+            if i not in violations and (v == 0 or exception):
                 continue
-            rec, boundary, outside = roots_mod._complex_scan_worker((m, n, 256))
-            merged[(m, n)] = _complex_pair_line(rec, boundary, outside, cfg.digits)
-        lines = [merged[key] for key in sorted(merged)]
-        boundary_pairs = []
-        outside_pairs = []
-        for key in sorted(merged):
-            obj = json.loads(merged[key])
-            if obj.get("sqrt2_attained"):
-                boundary_pairs.append(list(key))
-            for why in obj.get("outside", ()):
-                outside_pairs.append([key[0], key[1], why])
-        summary = json.dumps(
-            {
-                "summary": "complex",
-                "max_index": M,
-                "coprime_only": coprime,
-                "boundary_upper": boundary_pairs,
-                "outside": outside_pairs,
-            }
-        )
-        return lines, summary, not outside_pairs
-    report = roots_mod.scan_complex(M, coprime_only=coprime, jobs=cfg.jobs)
-    boundary_set = set(report.boundary_upper)
-    outside_map: dict[tuple[int, int], list] = {}
-    for m, n, why in report.outside:
-        outside_map.setdefault((m, n), []).append((m, n, why))
-    lines = [
-        _complex_pair_line(
-            rec, (rec.m, rec.n) in boundary_set, outside_map.get((rec.m, rec.n), ()), cfg.digits
-        )
-        for rec in report.records
-    ]
-    summary = json.dumps(
-        {
-            "summary": "complex",
-            "max_index": M,
-            "coprime_only": coprime,
-            "boundary_upper": [list(p) for p in report.boundary_upper],
-            "outside": [list(p) for p in report.outside],
-        }
-    )
-    return lines, summary, not report.outside
-
-
-def _window_summary(window, max_abs=None, min_abs=None, digits=15) -> str:
-    obj = {
+            moduli.append(root["modulus"])
+    summary = {
         "summary": "real",
         "max_index": window.max_index,
         "pairs_checked": window.pairs_checked,
@@ -266,27 +237,30 @@ def _window_summary(window, max_abs=None, min_abs=None, digits=15) -> str:
         "exception_found": window.exception_found,
         "violations": [list(v) for v in window.violations],
     }
-    if max_abs is not None:
-        obj["max_nonzero_abs_root"] = max_abs.decimal(digits)
-    if min_abs is not None:
-        obj["min_nonzero_abs_root"] = min_abs.decimal(digits)
-    return json.dumps(obj)
+    if moduli:
+        summary["max_nonzero_abs_root"] = max(moduli, key=Fraction)
+        summary["min_nonzero_abs_root"] = min(moduli, key=Fraction)
+    return json.dumps(summary), window.holds
 
 
-def _load_cache(path: str) -> dict[tuple[int, int], str]:
-    done: dict[tuple[int, int], str] = {}
+def _load_cache(path: str) -> tuple[dict[tuple[int, int], str], bool]:
+    """Complete pair lines of an earlier run, and whether its last line is torn."""
+    if not os.path.exists(path):
+        return {}, False
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # interrupted write
-            if "m" in obj and "n" in obj:
-                done[(obj["m"], obj["n"])] = line
-    return done
+        text = fh.read()
+    done: dict[tuple[int, int], str] = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            continue  # interrupted write
+        if "m" in obj and "n" in obj:
+            done[(obj["m"], obj["n"])] = line
+    return done, bool(text) and not text.endswith("\n")
 
 
 def _cmd_nearmiss(args, out) -> int:
@@ -478,6 +452,9 @@ def dispatch(argv: list[str], out=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (roots_mod.RootConvergenceError, AssertionError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

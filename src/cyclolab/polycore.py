@@ -138,6 +138,15 @@ def _eval_fraction(cs, x: Fraction) -> Fraction:
     return Fraction(v, bb)
 
 
+def _eval_gaussian(cs, re: Fraction, im: Fraction) -> tuple[Fraction, Fraction]:
+    # exact Gaussian Horner: p(re + im*i) as (real part, imaginary part)
+    vr, vi = Fraction(0), Fraction(0)
+    for c in reversed(cs):
+        vr, vi = vr * re - vi * im, vr * im + vi * re
+        vr += c
+    return vr, vi
+
+
 def _eval_int_scaled(cs, a: int, b: int) -> int:
     # b^deg * p(a/b) as an exact integer (b >= 1)
     if not cs:
@@ -377,12 +386,7 @@ def eval_complex(p: IntPoly, z, precision_bits: int = 64) -> tuple[BigFloat, Big
     rlo, rhi = _as_interval(re)
     ilo, ihi = _as_interval(im)
     if rlo == rhi and ilo == ihi:
-        # exact Gaussian-rational evaluation
-        a, b = rlo, ilo
-        vr, vi = Fraction(0), Fraction(0)
-        for c in reversed(p.coeffs):
-            vr, vi = vr * a - vi * b, vr * b + vi * a
-            vr += c
+        vr, vi = _eval_gaussian(p.coeffs, rlo, ilo)
         return (BigFloat(vr, precision_bits, ZERO), BigFloat(vi, precision_bits, ZERO))
     accr, acci = (Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))
     for c in reversed(p.coeffs):
@@ -399,11 +403,7 @@ def eval_complex(p: IntPoly, z, precision_bits: int = 64) -> tuple[BigFloat, Big
 
 def eval_gaussian(p: IntPoly, re: Fraction, im: Fraction) -> tuple[Fraction, Fraction]:
     """Exact p(re + im*i) as a pair of rationals."""
-    vr, vi = Fraction(0), Fraction(0)
-    for c in reversed(p.coeffs):
-        vr, vi = vr * re - vi * im, vr * im + vi * re
-        vr += c
-    return vr, vi
+    return _eval_gaussian(p.coeffs, re, im)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,13 @@ from .certified import (
     sqrt_interval,
 )
 from .polycore import (
+    ExactDivisionError,
     IntPoly,
     _content,
     _divmod_exact,
+    _eval_gaussian,
     _eval_int_scaled,
+    _sub,
     _trim,
     cyclotomic,
     difference,
@@ -151,7 +154,7 @@ def yun_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
         raise AssertionError("gcd must divide the derivative")
     out = []
     i = 1
-    z = _sub_list(y, _derivative_list(w))
+    z = _sub(y, _derivative_list(w))
     while len(w) > 1:
         gi = _gcd_list(w, z) if z else _primitive(w)
         if len(gi) > 1:
@@ -162,16 +165,9 @@ def yun_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
                 raise AssertionError("multiplicity factor must divide exactly")
         else:
             y = z
-        z = _sub_list(y, _derivative_list(w))
+        z = _sub(y, _derivative_list(w))
         i += 1
     return out
-
-
-def _sub_list(a, b):
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _trim(out)
 
 
 # ---------------------------------------------------------------------------
@@ -618,17 +614,20 @@ def effective_jobs(jobs: int | None) -> int:
 
 
 def _parallel_map(fn, items, jobs: int | None):
+    # yields fn(item) in input order as results arrive, so callers can stream
     items = list(items)
     j = effective_jobs(jobs)
     if j <= 1 or len(items) < 8:
-        return [fn(it) for it in items]
+        yield from map(fn, items)
+        return
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
-        return [fn(it) for it in items]
+        yield from map(fn, items)
+        return
     with ctx.Pool(j) as pool:
         chunk = max(1, len(items) // (j * 8))
-        return pool.map(fn, items, chunksize=chunk)
+        yield from pool.imap(fn, items, chunksize=chunk)
 
 
 def _warm_cyclotomic_cache(M: int) -> None:
@@ -839,10 +838,7 @@ def _certified_disks(cs, precision_bits: int, budget: int = 200):
 
 
 def _residual_sq(cs, re: Fraction, im: Fraction) -> Fraction:
-    vr, vi = Fraction(0), Fraction(0)
-    for c in cs[::-1]:
-        vr, vi = vr * re - vi * im, vr * im + vi * re
-        vr += c
+    vr, vi = _eval_gaussian(cs, re, im)
     return vr * vr + vi * vi
 
 
@@ -943,7 +939,7 @@ def _sqrt2_quadratic_roots(d: IntPoly) -> list[tuple[Fraction, Fraction]]:
         quad = IntPoly([2, a, 1])
         try:
             d.div_exact(quad)
-        except Exception:
+        except ExactDivisionError:
             continue
         re = Fraction(-a, 2)
         im2 = 2 - re * re
@@ -1062,10 +1058,7 @@ def quarter_lift_check(m: int, n: int, digits: int = 12) -> bool:
         slo, shi = sqrt_interval(val.lo, int(work * 3.33) + 8)
         s = (slo + shi) / 2
         # evaluate the lifted difference at the purely imaginary point i*s
-        vr, vi = Fraction(0), Fraction(0)
-        for c in reversed(lifted.coeffs):
-            vr, vi = -vi * s, vr * s
-            vr += c
+        vr, vi = _eval_gaussian(lifted.coeffs, ZERO, s)
         res2 = vr * vr + vi * vi
         scale = Fraction(0)
         power = Fraction(1)

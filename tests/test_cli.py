@@ -1,7 +1,15 @@
 import io
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
+import pytest
+
+import cyclolab
+from cyclolab import roots as roots_mod
 from cyclolab.cli import dispatch
 
 
@@ -68,6 +76,16 @@ class TestRoots:
         kinds = [r["kind"] for r in obj["roots"]]
         assert kinds == ["complex", "complex"]
 
+    def test_convergence_failure_exits_one(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise roots_mod.RootConvergenceError("no separation")
+
+        monkeypatch.setattr(roots_mod, "complex_roots", fail)
+        code, out = run_cli(["roots", "1", "3", "--complex"])
+        assert code == 1 and out == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "no separation" in err[0]
+
 
 class TestBang:
     def test_exception(self):
@@ -127,21 +145,71 @@ class TestScan:
         assert summary["window_holds"] and summary["exception_found"]
 
     def test_resume_matches_fresh(self, tmp_path):
-        full = tmp_path / "full.jsonl"
-        part = tmp_path / "part.jsonl"
-        run_cli(["scan", "--max-index", "7", "--digits", "10", "--out", str(full)])
-        lines = full.read_text().splitlines()
-        part.write_text("\n".join(lines[:5]) + "\n")
-        code, _ = run_cli(
-            ["scan", "--max-index", "7", "--digits", "10", "--out", str(part), "--resume"]
+        argv = ["scan", "--max-index", "7", "--digits", "10"]
+        fresh = _fresh_scan(tmp_path, argv)
+        lines = fresh.splitlines(keepends=True)
+        assert _resumed_scan(tmp_path, argv, "".join(lines[:5])) == fresh
+        assert _resumed_scan(tmp_path, argv, fresh) == fresh
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--max-index", "8", "--complex", "--coprime", "--digits", "10"],
+            ["scan", "--max-index", "8", "--digits", "10", "--jobs", "2"],
+        ],
+        ids=["complex-coprime", "jobs2"],
+    )
+    def test_resume_matches_fresh_other_paths(self, tmp_path, argv):
+        fresh = _fresh_scan(tmp_path, argv)
+        lines = fresh.splitlines(keepends=True)
+        assert _resumed_scan(tmp_path, argv, "".join(lines[:3])) == fresh
+
+    def test_resume_from_torn_line(self, tmp_path):
+        argv = ["scan", "--max-index", "7", "--digits", "10"]
+        fresh = _fresh_scan(tmp_path, argv)
+        lines = fresh.splitlines(keepends=True)
+        head = "".join(lines[:5])
+        assert _resumed_scan(tmp_path, argv, head + lines[5][:20]) == fresh
+        assert _resumed_scan(tmp_path, argv, head + lines[5].rstrip("\n")) == fresh
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--max-index", "36", "--digits", "10", "--jobs", "2"],
+            ["--max-index", "16", "--complex", "--coprime", "--digits", "10", "--jobs", "1"],
+        ],
+        ids=["real-jobs2", "complex-jobs1"],
+    )
+    def test_resume_after_sigterm(self, tmp_path, argv):
+        argv = ["scan", *argv]
+        out = tmp_path / "killed.jsonl"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cyclolab.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cyclolab", *argv, "--out", str(out)],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
+        try:
+            deadline = time.monotonic() + 60
+            while not out.exists() or out.read_text().count("\n") < 20:
+                assert proc.poll() is None, "scan ended before 20 pair lines"
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            assert proc.poll() is None, "scan finished before it could be killed"
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == -signal.SIGTERM
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)  # pool workers left behind
+            except ProcessLookupError:
+                pass
+        killed = out.read_text()
+        assert killed.count("\n") >= 20 and '"summary"' not in killed
+        code, _ = run_cli([*argv, "--out", str(out), "--resume"])
         assert code == 0
-        fresh = {tuple(json.loads(l).get(k) for k in ("m", "n")) for l in lines if '"m"' in l}
-        resumed_lines = part.read_text().splitlines()
-        resumed = {
-            tuple(json.loads(l).get(k) for k in ("m", "n")) for l in resumed_lines if '"m"' in l
-        }
-        assert fresh == resumed
+        assert out.read_text() == _fresh_scan(tmp_path, argv)
 
     def test_resume_requires_out(self):
         code, _ = run_cli(["scan", "--max-index", "6", "--resume"])
@@ -153,6 +221,21 @@ class TestScan:
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary["boundary_upper"] == [[1, 3], [1, 4], [1, 5]]
         assert summary["outside"] == []
+
+
+def _fresh_scan(tmp_path, argv) -> str:
+    full = tmp_path / "full.jsonl"
+    code, out = run_cli(argv + ["--out", str(full)])
+    assert code == 0 and out == ""
+    return full.read_text()
+
+
+def _resumed_scan(tmp_path, argv, cache: str) -> str:
+    part = tmp_path / "part.jsonl"
+    part.write_text(cache)
+    code, _ = run_cli(argv + ["--out", str(part), "--resume"])
+    assert code == 0
+    return part.read_text()
 
 
 class TestUsage:
