@@ -1,18 +1,16 @@
 """Multiplicative arithmetic functions: factorization, totients, Mobius,
 inverse totients and the prime-power totient criterion.
 
-All functions are pure; the only shared state is a prime table built once
-under a lock and read-only afterwards.
+All functions are pure; the only shared state is a prime table built on
+first use and read-only afterwards.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from math import gcd, isqrt
 
 _TRIAL_LIMIT = 10 ** 6
 _PRIMES: list[int] | None = None
-_PRIMES_LOCK = threading.Lock()
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -34,9 +32,7 @@ def primes_up_to(limit: int) -> list[int]:
 def _prime_table() -> list[int]:
     global _PRIMES
     if _PRIMES is None:
-        with _PRIMES_LOCK:
-            if _PRIMES is None:
-                _PRIMES = primes_up_to(_TRIAL_LIMIT)
+        _PRIMES = primes_up_to(_TRIAL_LIMIT)
     return _PRIMES
 
 

@@ -7,7 +7,6 @@ anywhere in the package ever rests on unproven floating-point rounding.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -148,7 +147,6 @@ def significant_in_interval(lo: Fraction, hi: Fraction, sig: int) -> str | None:
 
 _LN2_CACHE: dict[int, tuple[Fraction, Fraction]] = {}
 _LOG_CACHE: dict[tuple[Fraction, int], tuple[Fraction, Fraction]] = {}
-_CACHE_LOCK = threading.Lock()
 
 
 def _outward(lo: Fraction, hi: Fraction, prec: int) -> tuple[Fraction, Fraction]:
@@ -178,14 +176,12 @@ def _atanh_enclosure(t: Fraction, prec: int) -> tuple[Fraction, Fraction]:
 
 
 def ln2_interval(prec: int) -> tuple[Fraction, Fraction]:
-    with _CACHE_LOCK:
-        hit = _LN2_CACHE.get(prec)
+    hit = _LN2_CACHE.get(prec)
     if hit is not None:
         return hit
     lo, hi = _atanh_enclosure(Fraction(1, 3), prec + 2)
     out = _outward(2 * lo, 2 * hi, prec + 2)
-    with _CACHE_LOCK:
-        _LN2_CACHE[prec] = out
+    _LN2_CACHE[prec] = out
     return out
 
 
@@ -194,8 +190,7 @@ def log_interval(y: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     if y <= 0:
         raise ValueError("log_interval requires y > 0")
     key = (y, prec)
-    with _CACHE_LOCK:
-        hit = _LOG_CACHE.get(key)
+    hit = _LOG_CACHE.get(key)
     if hit is not None:
         return hit
 
@@ -227,8 +222,7 @@ def log_interval(y: Fraction, prec: int) -> tuple[Fraction, Fraction]:
             lo, hi = ulo + k * l2hi, uhi + k * l2lo
 
     out = _outward(lo, hi, prec)
-    with _CACHE_LOCK:
-        _LOG_CACHE[key] = out
+    _LOG_CACHE[key] = out
     return out
 
 

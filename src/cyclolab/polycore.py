@@ -6,8 +6,10 @@ its squarefree radical: Phi_{mp}(x) = Phi_m(x^p) / Phi_m(x) for a new
 prime p, then a power substitution x -> x^q lifts the radical to n.  Both
 steps are exact integer computations.
 
-Evaluation comes in three flavours: exact rational, exact homogeneous
-integer, and ball (midpoint/radius) with rigorous error bounds.
+Evaluation comes in four flavours: exact rational, exact homogeneous
+integer, exact Gaussian (one integer Horner kernel on d^deg * p((a+bi)/d),
+divided out once at the end), and ball (midpoint/radius) with rigorous
+error bounds.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .arith import factorize, profile
 from .certified import BigFloat, ZERO, from_interval
@@ -138,13 +140,30 @@ def _eval_fraction(cs, x: Fraction) -> Fraction:
     return Fraction(v, bb)
 
 
-def _eval_gaussian(cs, re: Fraction, im: Fraction) -> tuple[Fraction, Fraction]:
-    # exact Gaussian Horner: p(re + im*i) as (real part, imaginary part)
-    vr, vi = Fraction(0), Fraction(0)
-    for c in reversed(cs):
-        vr, vi = vr * re - vi * im, vr * im + vi * re
-        vr += c
+def _eval_gaussian_scaled(cs, a: int, b: int, d: int) -> tuple[int, int]:
+    # d^deg * p((a + b*i)/d) as an exact Gaussian integer (d >= 1)
+    if not cs:
+        return 0, 0
+    vr, vi = cs[-1], 0
+    dd = 1
+    for i in range(len(cs) - 2, -1, -1):
+        dd *= d
+        vr, vi = vr * a - vi * b + cs[i] * dd, vr * b + vi * a
     return vr, vi
+
+
+def _gaussian_scale(re: Fraction, im: Fraction) -> tuple[int, int, int]:
+    # (a, b, d) with re + im*i = (a + b*i)/d and d the lcm of the denominators
+    d = lcm(re.denominator, im.denominator)
+    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
+
+
+def _eval_gaussian(cs, re: Fraction, im: Fraction) -> tuple[Fraction, Fraction]:
+    # exact p(re + im*i) as (real part, imaginary part)
+    a, b, d = _gaussian_scale(re, im)
+    vr, vi = _eval_gaussian_scaled(cs, a, b, d)
+    dd = d ** max(0, len(cs) - 1)
+    return Fraction(vr, dd), Fraction(vi, dd)
 
 
 def _eval_int_scaled(cs, a: int, b: int) -> int:

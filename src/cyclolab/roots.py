@@ -30,8 +30,9 @@ from .polycore import (
     IntPoly,
     _content,
     _divmod_exact,
-    _eval_gaussian,
+    _eval_gaussian_scaled,
     _eval_int_scaled,
+    _gaussian_scale,
     _sub,
     _trim,
     cyclotomic,
@@ -711,10 +712,9 @@ def scan_real(M: int, digits: int = 15, jobs: int | None = None) -> RealScanRepo
 
 def _mpf_to_fraction(x) -> Fraction:
     sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return ZERO
-    v = Fraction(man) * (Fraction(1 << exp) if exp >= 0 else Fraction(1, 1 << -exp))
-    return -v if sign else v
+    if sign:
+        man = -man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def _aberth_sweeps(cs, prec_bits: int, budget: int):
@@ -781,14 +781,18 @@ def _certified_disks(cs, precision_bits: int, budget: int = 200):
     point with a proven relative-error margin, so every radius is a true
     upper bound and the union-of-disks theorem applies.  With pairwise
     disjoint disks each one holds exactly one root.
+
+    Returns (re, im, rad, res2) per root: the dyadic center, the radius and
+    the exact squared residual |p(re + im*i)|^2.
     """
     deg = len(cs) - 1
     lead = abs(cs[-1])
     for mult in (2, 4):
         P = precision_bits * mult
         zs = _aberth_sweeps(cs, P, budget)
-        # round centers to a uniform dyadic grid; all certification below
-        # happens at the rounded points
+        # round each center component to precision_bits + 48 significant
+        # bits (a dyadic rational; exponents differ from root to root); all
+        # certification below happens at the rounded points
         keep = precision_bits + 48
         pts = []
         for z in zs:
@@ -800,46 +804,52 @@ def _certified_disks(cs, precision_bits: int, budget: int = 200):
             mpts = [mp.mpc(mp.mpf(re.numerator) / mp.mpf(re.denominator),
                            mp.mpf(im.numerator) / mp.mpf(im.denominator))
                     for re, im in pts]
-            margin = 1 - Fraction(1, 1 << max(32, P - 8 * deg.bit_length() - 16))
-            out = []
-            coincident = False
-            for i, (re, im) in enumerate(pts):
-                prod = mp.mpf(1)
-                for j in range(deg):
-                    if j != i:
-                        prod *= abs(mpts[i] - mpts[j])
-                if prod == 0:
-                    coincident = True
-                    break
-                res2 = _residual_sq(cs, re, im)
-                if res2 == 0:
-                    rad = Fraction(0)  # exact dyadic root
-                else:
-                    num_hi = sqrt_interval(res2, P)[1]
-                    den_lo = _mpf_to_fraction(prod) * margin * lead
-                    rad = deg * num_hi / den_lo
-                out.append((re, im, rad))
-        if coincident:
-            continue
-        ok = True
-        for i in range(len(out)):
-            for j in range(i + 1, len(out)):
-                dx = out[i][0] - out[j][0]
-                dy = out[i][1] - out[j][1]
-                rr = out[i][2] + out[j][2]
-                if dx * dx + dy * dy <= rr * rr:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+            # prod_i = prod_{j != i} |z_i - z_j|, j ascending.  Rounded
+            # subtraction is symmetric, so |z_i - z_j| = |z_j - z_i| bit for
+            # bit and each distance is taken once
+            prods = [mp.mpf(1)] * deg
+            for i in range(deg):
+                for j in range(i + 1, deg):
+                    dist = abs(mpts[i] - mpts[j])
+                    prods[i] *= dist
+                    prods[j] *= dist
+        if any(prod == 0 for prod in prods):
+            continue  # coincident centers
+        margin = 1 - Fraction(1, 1 << max(32, P - 8 * deg.bit_length() - 16))
+        out = []
+        for (re, im), prod in zip(pts, prods):
+            res2 = _residual_sq(cs, re, im)
+            if res2 == 0:
+                rad = Fraction(0)  # exact dyadic root
+            else:
+                num_hi = sqrt_interval(res2, P)[1]
+                den_lo = _mpf_to_fraction(prod) * margin * lead
+                rad = deg * num_hi / den_lo
+            out.append((re, im, rad, res2))
+        if _disks_disjoint(out):
             return out
     raise RootConvergenceError("simultaneous iteration failed to separate all roots")
 
 
+def _disks_disjoint(disks) -> bool:
+    # |c_i - c_j|^2 > (r_i + r_j)^2 for every pair, on integers: centers
+    # scaled to one power of two 2^K, radius r = n/d, both sides times
+    # (d_i d_j)^2 * 4^K
+    K = max(c.denominator.bit_length() for re, im, _, _ in disks for c in (re, im)) - 1
+    cen = [tuple(c.numerator << (K + 1 - c.denominator.bit_length()) for c in (re, im)) for re, im, _, _ in disks]
+    rads = [(rad.numerator, rad.denominator) for _, _, rad, _ in disks]
+    for i, ((xi, yi), (ni, di)) in enumerate(zip(cen, rads)):
+        for (xj, yj), (nj, dj) in zip(cen[i + 1:], rads[i + 1:]):
+            dx, dy, dd, rr = xi - xj, yi - yj, di * dj, ni * dj + nj * di
+            if (dx * dx + dy * dy) * dd * dd <= (rr * rr) << (2 * K):
+                return False
+    return True
+
+
 def _residual_sq(cs, re: Fraction, im: Fraction) -> Fraction:
-    vr, vi = _eval_gaussian(cs, re, im)
-    return vr * vr + vi * vi
+    a, b, d = _gaussian_scale(re, im)
+    vr, vi = _eval_gaussian_scaled(cs, a, b, d)
+    return Fraction(vr * vr + vi * vi, d ** (2 * (len(cs) - 1)))
 
 
 def complex_roots(p: IntPoly, precision_bits: int = 256) -> list[RootRecord]:
@@ -857,7 +867,7 @@ def complex_roots(p: IntPoly, precision_bits: int = 256) -> list[RootRecord]:
         if factor.degree < 1:
             continue
         cs = list(factor.coeffs)
-        for re, im, rad in _certified_disks(cs, precision_bits):
+        for re, im, rad, res2 in _certified_disks(cs, precision_bits):
             # classify realness rigorously: a disk clear of the axis is
             # certifiably nonreal; otherwise look for a sign change (or an
             # exact hit) on the real slice through the disk
@@ -885,12 +895,13 @@ def complex_roots(p: IntPoly, precision_bits: int = 256) -> list[RootRecord]:
                 m2 = re * re + im * im
             mlo, mhi = sqrt_interval(m2, prec)
             modulus = from_interval(max(ZERO, mlo - rad), mhi + rad, prec)
-            res2 = _residual_sq(cs, re, im)
             rlo, rhi = sqrt_interval(res2, prec)
+            # digits: the largest dg <= precision_bits with 2*rad < 10^-dg
             dg = 0
-            width = 2 * rad
-            while width < Fraction(1, 10 ** (dg + 1)) and dg < precision_bits:
+            width, scale = 2 * rad.numerator, 10
+            while width * scale < rad.denominator and dg < precision_bits:
                 dg += 1
+                scale *= 10
             records.append(
                 RootRecord(
                     poly_id=None,
@@ -932,20 +943,45 @@ class ComplexScanReport:
     outside: tuple[tuple[int, int, str], ...]  # certified violations of the modulus range
 
 
-def _sqrt2_quadratic_roots(d: IntPoly) -> list[tuple[Fraction, Fraction]]:
-    # exact roots of modulus sqrt(2): factors x^2 + a x + 2 with a^2 < 8
+def _sqrt2_quadratic_roots(d: IntPoly) -> list[tuple[int, Fraction, int]]:
+    # exact roots of modulus sqrt(2): factors x^2 + a x + 2 with a^2 < 8,
+    # irreducible, with roots -a/2 +- i sqrt(s), s = 2 - a^2/4.  Returns
+    # (a, s, multiplicity of the factor in d) for each one dividing d.
     out = []
     for a in (-2, -1, 0, 1, 2):
         quad = IntPoly([2, a, 1])
-        try:
-            d.div_exact(quad)
-        except ExactDivisionError:
-            continue
-        re = Fraction(-a, 2)
-        im2 = 2 - re * re
-        lo, hi = sqrt_interval(im2, 128)
-        out.append((re, (lo + hi) / 2))
+        mult, rest = 0, d
+        while True:
+            try:
+                rest = rest.div_exact(quad)
+            except ExactDivisionError:
+                break
+            mult += 1
+        if mult:
+            out.append((a, 2 - Fraction(a * a, 4), mult))
     return out
+
+
+def _attains_sqrt2(r: RootRecord, quad_roots) -> bool:
+    """Exact proof that the root certified by ``r`` has modulus sqrt(2).
+
+    It holds when the inclusion disk of ``r`` contains a root q of a factor
+    x^2 + a x + 2 whose multiplicity in the difference equals r's: that
+    irreducible factor then divides the squarefree (Yun) factor of that
+    multiplicity, which owns the disk and has exactly one root in it, so
+    the root is q.  With centre c, radius rad, q = (-a/2, sign(c_i) sqrt(s))
+    and R = (q_r - c_r)^2 + s + c_i^2 - rad^2, q lies in the disk iff
+    R <= 2 |c_i| sqrt(s), that is R <= 0 or R^2 <= 4 c_i^2 s.
+    """
+    re, im = r.value
+    cr, ci, rad = re.value, im.value, re.error_bound
+    for a, s, mult in quad_roots:
+        if mult != r.multiplicity:
+            continue
+        R = (Fraction(-a, 2) - cr) ** 2 + s + ci * ci - rad * rad
+        if R <= 0 or 4 * ci * ci * s >= R * R:
+            return True
+    return False
 
 
 def _complex_scan_worker(args):
@@ -966,13 +1002,7 @@ def _complex_scan_worker(args):
         if m2lo <= SQRT2_SQ <= m2hi:
             if quad_roots is None:
                 quad_roots = _sqrt2_quadratic_roots(d)
-            re, im = r.value
-            hit = any(
-                abs(re.value - qr) <= re.error_bound + Fraction(1, 1 << 64)
-                and abs(abs(im.value) - qi) <= im.error_bound + Fraction(1, 1 << 64)
-                for qr, qi in quad_roots
-            )
-            if hit:
+            if _attains_sqrt2(r, quad_roots):
                 boundary.append((m, n))
                 continue
         if m2hi <= INV_SQRT2_SQ:
@@ -1058,8 +1088,7 @@ def quarter_lift_check(m: int, n: int, digits: int = 12) -> bool:
         slo, shi = sqrt_interval(val.lo, int(work * 3.33) + 8)
         s = (slo + shi) / 2
         # evaluate the lifted difference at the purely imaginary point i*s
-        vr, vi = _eval_gaussian(lifted.coeffs, ZERO, s)
-        res2 = vr * vr + vi * vi
+        res2 = _residual_sq(lifted.coeffs, ZERO, s)
         scale = Fraction(0)
         power = Fraction(1)
         for c in lifted.coeffs:

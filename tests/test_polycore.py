@@ -8,6 +8,7 @@ from cyclolab.certified import BigFloat
 from cyclolab.polycore import (
     ExactDivisionError,
     IntPoly,
+    _eval_gaussian,
     _mul_school,
     compose_power,
     cyclotomic,
@@ -21,6 +22,7 @@ from cyclolab.polycore import (
     poly_from_json,
     poly_to_json,
 )
+from cyclolab.roots import _residual_sq
 
 X_MINUS_1 = IntPoly([-1, 1])
 
@@ -132,6 +134,58 @@ class TestComplexEvaluation:
         re, im = eval_complex(d, (BigFloat(Fraction(0), 64), s))
         assert re.lo <= 0 <= re.hi
         assert im.lo <= 0 <= im.hi
+
+
+def gaussian_horner_oracle(cs, re, im):
+    # plain Fraction Horner on (vr + vi i) * (re + im i) + c
+    vr, vi = Fraction(0), Fraction(0)
+    for c in reversed(cs):
+        vr, vi = vr * re - vi * im + c, vr * im + vi * re
+    return vr, vi
+
+
+# numerators of either sign (zero included) over denominators that share no
+# factor, share some, or are not powers of two
+GAUSSIAN_PARTS = st.builds(
+    Fraction,
+    st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+    st.sampled_from([1, 2, 3, 7, 8, 12, 35, 1024, 3 ** 9, 2 ** 70]),
+)
+
+
+class TestGaussianKernel:
+    @given(
+        st.lists(st.integers(min_value=-50, max_value=50), max_size=14),
+        GAUSSIAN_PARTS,
+        GAUSSIAN_PARTS,
+    )
+    def test_matches_fraction_horner(self, cs, re, im):
+        assert _eval_gaussian(cs, re, im) == gaussian_horner_oracle(cs, re, im)
+
+    @pytest.mark.parametrize(
+        "cs,re,im",
+        [
+            ([], Fraction(3, 7), Fraction(-5, 3)),
+            ([-4], Fraction(3, 7), Fraction(-5, 3)),
+            ([1, 0, 1], Fraction(0), Fraction(0)),
+            ([2, -1, 1], Fraction(-1, 2), Fraction(0)),
+            ([2, 3, -1, 5], Fraction(0), Fraction(-9, 4)),
+            ([1, 1, 1, 1, 1], Fraction(-2, 3), Fraction(5, 7)),
+        ],
+    )
+    def test_edge_cases(self, cs, re, im):
+        vr, vi = _eval_gaussian(cs, re, im)
+        assert (vr, vi) == gaussian_horner_oracle(cs, re, im)
+        assert type(vr) is Fraction and type(vi) is Fraction
+
+    @given(
+        st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=14),
+        GAUSSIAN_PARTS,
+        GAUSSIAN_PARTS,
+    )
+    def test_residual_square(self, cs, re, im):
+        vr, vi = gaussian_horner_oracle(cs, re, im)
+        assert _residual_sq(cs, re, im) == vr * vr + vi * vi
 
 
 class TestDifference:

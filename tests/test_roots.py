@@ -1,10 +1,19 @@
+import dataclasses
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cyclolab.certified import BigFloat
+from cyclolab.cli import _root_record_obj
 from cyclolab.polycore import IntPoly, cyclotomic, difference, eval_rational
 from cyclolab.roots import (
+    _attains_sqrt2,
+    _disks_disjoint,
+    _sqrt2_quadratic_roots,
     complex_roots,
     isolate_real_roots,
     quarter_lift_check,
@@ -232,6 +241,82 @@ class TestComplexRoots:
     def test_rejects_constant(self):
         with pytest.raises(ValueError):
             complex_roots(IntPoly([3]), 128)
+
+
+GOLDEN = json.loads((Path(__file__).with_name("complex_roots_golden.json")).read_text())
+
+
+class TestComplexGolden:
+    # rendered records (as the CLI prints them at 15 digits) and a digest of
+    # the exact centres, radii, moduli, residuals and digits, both captured
+    # before the integer certification kernel replaced the Fraction one
+    @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: "%d-%d-%d" % (c["m"], c["n"], c["bits"]))
+    def test_records_unchanged(self, case):
+        rs = complex_roots(difference(case["m"], case["n"]), case["bits"])
+        assert [json.dumps(_root_record_obj(r, 15)) for r in rs] == case["records"]
+        exact = repr([(r.kind, r.value, r.modulus, r.digits, r.residual, r.multiplicity) for r in rs])
+        assert hashlib.sha256(exact.encode()).hexdigest() == case["exact_sha256"]
+
+
+DYADIC = st.builds(
+    lambda n, e: Fraction(n, 1 << e), st.integers(min_value=-(1 << 20), max_value=1 << 20), st.integers(0, 24)
+)
+RADIUS = st.builds(Fraction, st.integers(min_value=0, max_value=1000), st.integers(min_value=1, max_value=10 ** 6))
+
+
+class TestDisksDisjoint:
+    @given(st.lists(st.tuples(DYADIC, DYADIC, RADIUS), min_size=1, max_size=6))
+    def test_matches_fraction_check(self, disks):
+        expected = all(
+            (xi - xj) ** 2 + (yi - yj) ** 2 > (ri + rj) ** 2
+            for i, (xi, yi, ri) in enumerate(disks)
+            for xj, yj, rj in disks[i + 1:]
+        )
+        assert _disks_disjoint([(x, y, r, None) for x, y, r in disks]) == expected
+
+    def test_touching_disks_are_not_disjoint(self):
+        # |3/4 - 0| = 1/3 + 5/12 exactly; a nudge of 2^-40 separates them
+        a = (Fraction(0), Fraction(0), Fraction(1, 3), None)
+        assert not _disks_disjoint([a, (Fraction(3, 4), Fraction(0), Fraction(5, 12), None)])
+        assert _disks_disjoint([a, (Fraction(3, 4) + Fraction(1, 1 << 40), Fraction(0), Fraction(5, 12), None)])
+
+
+class TestSqrt2Proof:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_pairs_with_one_attain(self, n):
+        d = difference(1, n)
+        quads = _sqrt2_quadratic_roots(d)
+        hits = [r for r in complex_roots(d, 256) if r.kind == "complex" and _attains_sqrt2(r, quads)]
+        assert len(hits) == 2  # a conjugate pair
+
+    def test_exact_quadratics(self):
+        # Phi_1 - Phi_6 = -(x^2 - 2x + 2): roots 1 +- i
+        assert _sqrt2_quadratic_roots(difference(1, 6)) == [(-2, Fraction(1), 1)]
+        assert _sqrt2_quadratic_roots(difference(2, 3)) == []
+
+    def test_moved_disk_refused(self):
+        d = difference(1, 4)  # roots (1 +- i sqrt 7)/2: nondyadic, radius > 0
+        quads = _sqrt2_quadratic_roots(d)
+        for r in complex_roots(d, 256):
+            re, im = r.value
+            assert re.error_bound > 0 and _attains_sqrt2(r, quads)
+            shift = 3 * re.error_bound
+            moved = dataclasses.replace(r, value=(BigFloat(re.value + shift, re.precision_bits, re.error_bound), im))
+            assert not _attains_sqrt2(moved, quads)
+
+    def test_multiplicity_mismatch_refused(self):
+        d = difference(1, 3)
+        quads = _sqrt2_quadratic_roots(d)
+        for r in complex_roots(d, 256):
+            assert _attains_sqrt2(r, quads)
+            assert not _attains_sqrt2(dataclasses.replace(r, multiplicity=2), quads)
+
+    def test_repeated_factor(self):
+        p = IntPoly([2, 0, 1]) * IntPoly([2, 0, 1]) * IntPoly([2, 1, 1])
+        quads = _sqrt2_quadratic_roots(p)
+        assert quads == [(0, Fraction(2), 2), (1, Fraction(7, 4), 1)]
+        rs = complex_roots(p, 128)
+        assert all(_attains_sqrt2(r, quads) for r in rs)
 
 
 class TestYun:
