@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Certify the root window over all index pairs up to a bound.
 
-For every pair m < n <= M this checks, with exact Sturm counts, that no
-nonzero real root of Phi_m - Phi_n lies outside 1/2 < |x| < 2, except the
-known root of the pair {2,6} at exactly 2.
+For every pair m < n <= M this checks, with Descartes certificates (exact
+Sturm counts where a certificate is inconclusive), that no nonzero real
+root of Phi_m - Phi_n lies outside 1/2 < |x| < 2, except the known root of
+the pair {2,6} at exactly 2.
 """
 import argparse
 import sys

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .arith import divisors, moebius, profile
 from .certified import BigFloat, ZERO, from_interval, log_interval, sqrt_interval
-from .polycore import cyclotomic, eval_gaussian, eval_rational
+from .polycore import _eval_gaussian_scaled, _gaussian_scale, cyclotomic, eval_rational
 
 
 @dataclass(frozen=True)
@@ -117,24 +117,25 @@ def check_real_bounds(n: int, x: Fraction) -> BoundReport:
 def check_complex_bounds(n: int, z: tuple[Fraction, Fraction]) -> BoundReport:
     """Verify (1/2)|z|^phi <= |Phi_n(z)| < 2|z|^phi for exact complex z, |z| >= 2.
 
-    Comparisons are made on squared moduli so everything stays rational.
+    Comparisons are made on squared moduli scaled to integers: with
+    z = (a + bi)/d, |Phi_n(z)|^2 and |z|^(2 phi) share the factor d^(-2 phi).
     The only equality cases are (n, z) = (1, 2) and (2, -2).
     """
     re, im = Fraction(z[0]), Fraction(z[1])
-    mod2 = re * re + im * im
-    if mod2 < 4:
+    a, b, d = _gaussian_scale(re, im)
+    mod2 = a * a + b * b
+    if mod2 < 4 * d * d:
         raise ValueError("complex bounds require |z| >= 2")
     phi = profile(n).phi
-    vr, vi = eval_gaussian(cyclotomic(n), re, im)
+    vr, vi = _eval_gaussian_scaled(cyclotomic(n).coeffs, a, b, d)
     val2 = vr * vr + vi * vi
     pow2 = mod2 ** phi
-    lower_eq = val2 * 4 == pow2
+    equality = val2 * 4 == pow2
     holds = val2 * 4 >= pow2 and val2 < 4 * pow2
-    equality = lower_eq
     if equality and (n, re, im) not in ((1, Fraction(2), Fraction(0)), (2, Fraction(-2), Fraction(0))):
         holds = False
     # report |Phi_n(z)| / |z|^phi via its exact square
-    rlo, rhi = sqrt_interval(val2 / pow2, 64)
+    rlo, rhi = sqrt_interval(Fraction(val2, pow2), 64)
     return BoundReport(
         n=n,
         point=(re, im),

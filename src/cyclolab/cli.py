@@ -6,12 +6,19 @@ Exit status:
      computation fails (root iteration does not converge, an internal
      consistency check fails); the failure is one ``error:`` line on stderr;
   2  usage errors and invalid arguments.
+
+SIGTERM terminates the worker pool of a parallel scan, then ends the
+process by SIGTERM itself (status 143 in a shell, -15 from ``subprocess``),
+without a traceback.  The lines a scan has already written to --out stay
+there for --resume.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
+import signal
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -457,7 +464,17 @@ def dispatch(argv: list[str], out=None) -> int:
         return 1
 
 
+def _on_sigterm(signum, frame) -> None:
+    # stop the pool workers first, so that none outlives the parent and
+    # fails writing to its pipe; then die of the signal as if unhandled
+    for child in multiprocessing.active_children():
+        child.terminate()
+    signal.signal(signum, signal.SIG_DFL)
+    signal.raise_signal(signum)
+
+
 def main() -> None:
+    signal.signal(signal.SIGTERM, _on_sigterm)
     sys.exit(dispatch(sys.argv[1:]))
 
 

@@ -9,7 +9,8 @@ steps are exact integer computations.
 Evaluation comes in four flavours: exact rational, exact homogeneous
 integer, exact Gaussian (one integer Horner kernel on d^deg * p((a+bi)/d),
 divided out once at the end), and ball (midpoint/radius) with rigorous
-error bounds.
+error bounds.  The Taylor shift p(x + s) behind the Descartes tests in
+``roots`` is one packed-integer Horner evaluation.
 """
 from __future__ import annotations
 
@@ -115,6 +116,26 @@ def _divmod_exact(num, den):
                     r[i + j] -= cc * dj
             r[i + dn] = 0
     return q, _trim(r)
+
+
+def _taylor_shift(cs, s: int) -> list[int]:
+    # coefficients of p(x + s), read off one packed integer: each is at most
+    # ||p||_1 * (1 + |s|)^deg in absolute value, so with 2^(B-1) above that
+    # bound they are the signed base-2^B digits of p(2^B + s); adding
+    # 2^(B-1) to every digit makes them unsigned bytes for one to_bytes
+    n = len(cs)
+    if n <= 1:
+        return list(cs)
+    bound = sum(map(abs, cs)) * (1 + abs(s)) ** (n - 1)
+    nb = (bound.bit_length() + 8) // 8  # bytes per digit, sign bit included
+    y = (1 << (8 * nb)) + s
+    v = 0
+    for c in reversed(cs):
+        v = v * y + c
+    bias = int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
+    raw = (v + bias).to_bytes(nb * n, "little")
+    half = 1 << (8 * nb - 1)
+    return [int.from_bytes(raw[i:i + nb], "little") - half for i in range(0, nb * n, nb)]
 
 
 def _content(cs) -> int:

@@ -2,15 +2,19 @@
 
 Real roots are bracketed by exact rational sign changes and counted by
 Sturm chains built from a primitive pseudo-remainder sequence; no real
-verdict depends on floating point.  Complex roots come from a
-simultaneous Aberth-Ehrlich iteration at extended precision, then every
-floating artifact is re-certified exactly: Weierstrass inclusion disks,
-residuals and moduli are all evaluated in rational arithmetic.
+verdict depends on floating point.  The root window is certified region
+by region with Descartes' rule of signs on Taylor-shifted polynomials; a
+region whose test is inconclusive is counted by a Sturm chain instead.
+Complex roots come from a simultaneous Aberth-Ehrlich iteration at
+extended precision, then every floating artifact is re-certified
+exactly: Weierstrass inclusion disks, residuals and moduli are all
+evaluated in rational arithmetic.
 """
 from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -34,6 +38,7 @@ from .polycore import (
     _eval_int_scaled,
     _gaussian_scale,
     _sub,
+    _taylor_shift,
     _trim,
     cyclotomic,
     difference,
@@ -550,39 +555,64 @@ def _is_window_exception(m: int, n: int, rec: RootRecord) -> bool:
     )
 
 
-# window counting (cheap: no isolation, just chain evaluations)
+# window counting (cheap: no isolation, Descartes certificates first)
+
+# the nonzero window endpoints -2, -1/2, 1/2, 2 as (numerator, denominator),
+# each closing one of the regions (-inf,-2], [-1/2,0), (0,1/2], [2,inf)
+_WINDOW_POINTS = ((-2, 1), (-1, 2), (1, 2), (2, 1))
+_WINDOW_OPEN = (
+    (None, Fraction(-2)),
+    (Fraction(-1, 2), Fraction(0)),
+    (Fraction(0), Fraction(1, 2)),
+    (Fraction(2), None),
+)
+
+
+def _no_positive_root(cs) -> bool:
+    # Descartes' rule of signs: coefficients that never change sign allow
+    # no root t > 0
+    return all(c >= 0 for c in cs) or all(c <= 0 for c in cs)
+
+
+def _window_counts(p: IntPoly) -> tuple[tuple[int, int, int, int], bool, int]:
+    # window_counts for any nonzero p, plus the number of regions that
+    # needed a Sturm count
+    cs = list(p.coeffs)
+    cs = cs[next(i for i, c in enumerate(cs) if c):]  # divide out x^k
+    hits = []
+    for a, b in _WINDOW_POINTS:
+        cs, hit = _strip_root_at(cs, a, b)
+        hits.append(hit)
+    # cs is now q, with no root at 0 or at an endpoint; the open regions are
+    # t > 0 under x = -(2+t), -1/(2+t), 1/(2+t), 2+t, and reversed
+    # coefficients are those of x^deg q(1/x)
+    flipped = [-c if i % 2 else c for i, c in enumerate(cs)]  # q(-x)
+    mapped = (flipped, flipped[::-1], cs[::-1], cs)
+    counts = []
+    fallbacks = 0
+    for ts, (lo, hi), hit in zip(mapped, _WINDOW_OPEN, hits):
+        inside = 0
+        if not _no_positive_root(_taylor_shift(ts, 2)):
+            # q has no root at lo or hi, so its count on (lo, hi] is the open region's
+            inside = sturm_count(IntPoly(cs), lo, hi)
+            fallbacks += 1
+        counts.append(inside + hit)
+    return tuple(counts), hits[-1], fallbacks
 
 
 def window_counts(m: int, n: int) -> tuple[tuple[int, int, int, int], bool]:
     """Exact root counts on (-inf,-2], [-1/2,0), (0,1/2], [2,inf) for Phi_m - Phi_n.
 
     Also reports whether a root sits exactly at 2 (the sanctioned
-    exception for the pair {2,6}).
+    exception for the pair {2,6}).  Counts are of distinct roots.  Exact
+    roots at -2, -1/2, 0, 1/2 and 2 are divided out first; each open
+    region is then mapped to t > 0 by x = -(2+t), -1/(2+t), 1/(2+t) or
+    2+t, and a Taylor-shifted polynomial with no sign variation proves the
+    region empty (Descartes' rule of signs).  Only a region that shows a
+    variation is counted exactly by ``sturm_count``.
     """
-    d = difference(m, n)
-    if d.degree < 1:
-        return (0, 0, 0, 0), False
-    cs = _squarefree_list(list(d.coeffs))
-    flags = {}
-    for key, (a, b) in (("-2", (-2, 1)), ("-1/2", (-1, 2)), ("0", (0, 1)), ("1/2", (1, 2)), ("2", (2, 1))):
-        cs, hit = _strip_root_at(cs, a, b)
-        flags[key] = hit
-    if len(cs) > 1:
-        chain = _sturm_chain(cs)
-        v_ninf = _variations_at_infinity(chain, True)
-        v_pinf = _variations_at_infinity(chain, False)
-        v = {key: _variations_at(chain, a, b) for key, (a, b) in
-             (("-2", (-2, 1)), ("-1/2", (-1, 2)), ("0", (0, 1)), ("1/2", (1, 2)), ("2", (2, 1)))}
-    else:
-        v_ninf = v_pinf = 0
-        v = {key: 0 for key in ("-2", "-1/2", "0", "1/2", "2")}
-    counts = (
-        (v_ninf - v["-2"]) + flags["-2"],
-        (v["-1/2"] - v["0"]) + flags["-1/2"],
-        (v["0"] - v["1/2"]) + flags["1/2"],
-        (v["2"] - v_pinf) + flags["2"],
-    )
-    return counts, flags["2"]
+    counts, at_two, _ = _window_counts(difference(m, n))
+    return counts, at_two
 
 
 @dataclass(frozen=True)
@@ -593,6 +623,7 @@ class WindowReport:
     pairs_checked: int
     violations: tuple[tuple[int, int, str, int], ...]
     exception_found: bool
+    sturm_fallbacks: int = 0  # regions whose Descartes test was inconclusive
 
     @property
     def holds(self) -> bool:
@@ -601,8 +632,7 @@ class WindowReport:
 
 def _window_worker(pair):
     m, n = pair
-    counts, at_two = window_counts(m, n)
-    return m, n, counts, at_two
+    return (m, n, *_window_counts(difference(m, n)))
 
 
 def effective_jobs(jobs: int | None) -> int:
@@ -626,7 +656,8 @@ def _parallel_map(fn, items, jobs: int | None):
     except ValueError:
         yield from map(fn, items)
         return
-    with ctx.Pool(j) as pool:
+    # workers die of SIGTERM at once, whatever handler the parent installed
+    with ctx.Pool(j, initializer=signal.signal, initargs=(signal.SIGTERM, signal.SIG_DFL)) as pool:
         chunk = max(1, len(items) // (j * 8))
         yield from pool.imap(fn, items, chunksize=chunk)
 
@@ -646,7 +677,9 @@ def verify_root_window(M: int, jobs: int | None = None) -> WindowReport:
     results = _parallel_map(_window_worker, pairs, jobs)
     violations = []
     exception_found = False
-    for m, n, counts, at_two in results:
+    fallbacks = 0
+    for m, n, counts, at_two, pair_fallbacks in results:
+        fallbacks += pair_fallbacks
         for region, c in zip(WINDOW_REGIONS, counts):
             if c == 0:
                 continue
@@ -659,6 +692,7 @@ def verify_root_window(M: int, jobs: int | None = None) -> WindowReport:
         pairs_checked=len(pairs),
         violations=tuple(violations),
         exception_found=exception_found,
+        sturm_fallbacks=fallbacks,
     )
 
 

@@ -9,7 +9,9 @@ from cyclolab.bounds import (
     g_value,
     lemma_tail_gap,
 )
-from cyclolab.polycore import cyclotomic, eval_rational
+from cyclolab.arith import profile
+from cyclolab.certified import sqrt_interval
+from cyclolab.polycore import cyclotomic, eval_gaussian, eval_rational
 
 HALF = Fraction(1, 2)
 
@@ -115,6 +117,46 @@ class TestComplexBounds:
                 continue
             rep = check_complex_bounds(n, (re, im))
             assert rep.holds, (n, re, im)
+
+
+def complex_bounds_fraction_form(n, re, im):
+    # the envelope check on normalised Fraction squares, as it was first written
+    vr, vi = eval_gaussian(cyclotomic(n), re, im)
+    val2 = vr * vr + vi * vi
+    pow2 = (re * re + im * im) ** profile(n).phi
+    equality = val2 * 4 == pow2
+    holds = val2 * 4 >= pow2 and val2 < 4 * pow2
+    if equality and (n, re, im) not in ((1, 2, 0), (2, -2, 0)):
+        holds = False
+    return holds, equality, sqrt_interval(val2 / pow2, 64)
+
+
+class TestComplexBoundsIntegerForm:
+    def test_matches_fraction_form_on_grid(self):
+        import math
+        import random
+
+        rng = random.Random(11)
+        points = [(1, Fraction(2), Fraction(0)), (2, Fraction(-2), Fraction(0)), (7, Fraction(6, 5), Fraction(8, 5)),
+                  (30, Fraction(-7, 3), Fraction(5, 7)), (1, Fraction(0), Fraction(-2))]
+        while len(points) < 80:
+            n = rng.randint(1, 300)
+            radius = rng.randint(200, 400) / 100
+            angle = 2 * math.pi * rng.random()
+            re = Fraction(int(radius * 10 ** 6 * math.cos(angle)), 10 ** 6)
+            im = Fraction(int(radius * 10 ** 6 * math.sin(angle)), 10 ** 6)
+            if re * re + im * im >= 4:
+                points.append((n, re, im))
+        for n, re, im in points:
+            rep = check_complex_bounds(n, (re, im))
+            holds, equality, (rlo, rhi) = complex_bounds_fraction_form(n, re, im)
+            assert (rep.holds, rep.equality) == (holds, equality), (n, re, im)
+            assert (rep.ratio.lo, rep.ratio.hi) == (rlo, rhi), (n, re, im)
+
+    @pytest.mark.parametrize("z", [(Fraction(3, 2), Fraction(1, 2)), (Fraction(199, 100), Fraction(0))])
+    def test_rejects_inside_disk_with_denominators(self, z):
+        with pytest.raises(ValueError):
+            check_complex_bounds(3, z)
 
 
 class TestGValue:

@@ -183,14 +183,16 @@ class TestScan:
     def test_resume_after_sigterm(self, tmp_path, argv):
         argv = ["scan", *argv]
         out = tmp_path / "killed.jsonl"
+        err = tmp_path / "killed.err"
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cyclolab.__file__)))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "cyclolab", *argv, "--out", str(out)],
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-            start_new_session=True,
-        )
+        with open(err, "w") as err_fh:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "cyclolab", *argv, "--out", str(out)],
+                env=env,
+                stdout=subprocess.DEVNULL,
+                stderr=err_fh,
+                start_new_session=True,
+            )
         try:
             deadline = time.monotonic() + 60
             while not out.exists() or out.read_text().count("\n") < 20:
@@ -200,11 +202,17 @@ class TestScan:
             assert proc.poll() is None, "scan finished before it could be killed"
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=30) == -signal.SIGTERM
+            # a pool worker that outlived the parent would write its traceback
+            # when it next sends a result; give it the time to do so
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and _group_alive(proc.pid):
+                time.sleep(0.05)
         finally:
             try:
                 os.killpg(proc.pid, signal.SIGKILL)  # pool workers left behind
             except ProcessLookupError:
                 pass
+        assert "Traceback" not in err.read_text()
         killed = out.read_text()
         assert killed.count("\n") >= 20 and '"summary"' not in killed
         code, _ = run_cli([*argv, "--out", str(out), "--resume"])
@@ -221,6 +229,14 @@ class TestScan:
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary["boundary_upper"] == [[1, 3], [1, 4], [1, 5]]
         assert summary["outside"] == []
+
+
+def _group_alive(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def _fresh_scan(tmp_path, argv) -> str:

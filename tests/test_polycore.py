@@ -10,6 +10,7 @@ from cyclolab.polycore import (
     IntPoly,
     _eval_gaussian,
     _mul_school,
+    _taylor_shift,
     compose_power,
     cyclotomic,
     derivative,
@@ -186,6 +187,56 @@ class TestGaussianKernel:
     def test_residual_square(self, cs, re, im):
         vr, vi = gaussian_horner_oracle(cs, re, im)
         assert _residual_sq(cs, re, im) == vr * vr + vi * vi
+
+
+def taylor_shift_oracle(cs, s):
+    # repeated synthetic division by (x - s): the k-th remainder is the k-th
+    # coefficient of p(x + s)
+    out = []
+    q = list(cs)
+    while q:
+        rem = 0
+        quot = []
+        for c in reversed(q):
+            rem = rem * s + c
+            quot.append(rem)
+        out.append(quot.pop())
+        q = quot[::-1]
+    return out
+
+
+WIDE_COEFFS = st.integers(min_value=-(1 << 200), max_value=1 << 200)
+DEGREE_100 = [(-1) ** (i * i // 3) * (i + 1) for i in range(101)]
+
+
+class TestTaylorShift:
+    @given(st.lists(st.integers(min_value=-99, max_value=99), max_size=101), st.integers(-4, 4))
+    def test_matches_synthetic_division(self, cs, s):
+        assert _taylor_shift(cs, s) == taylor_shift_oracle(cs, s)
+
+    @given(st.lists(WIDE_COEFFS, max_size=30), st.sampled_from([2, -2, 1, 7]))
+    def test_wide_coefficients(self, cs, s):
+        # digits of many bytes, and negative digits that exercise the bias
+        assert _taylor_shift(cs, s) == taylor_shift_oracle(cs, s)
+
+    @pytest.mark.parametrize(
+        "cs,s,expected",
+        [
+            ([], 2, []),
+            ([-7], 2, [-7]),
+            ([3, -1], 2, [1, -1]),
+            ([0, 0, 1], 2, [4, 4, 1]),
+            ([10, -6, 1], 2, [2, -2, 1]),  # x^2 - 6x + 10 at x + 2
+            ([-1] * 101, 2, taylor_shift_oracle([-1] * 101, 2)),
+            (DEGREE_100, 2, taylor_shift_oracle(DEGREE_100, 2)),
+            ([-(1 << 64), 0, 1 << 64], -2, [3 << 64, -(4 << 64), 1 << 64]),
+            # s = 0 attains the coefficient bound: 128 needs a second byte
+            ([0, 128], 0, [0, 128]),
+            ([-1, 0, 255], 0, [-1, 0, 255]),
+        ],
+    )
+    def test_edge_cases(self, cs, s, expected):
+        assert _taylor_shift(cs, s) == expected
 
 
 class TestDifference:

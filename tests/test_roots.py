@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from cyclolab import roots as roots_mod
 from cyclolab.certified import BigFloat
 from cyclolab.cli import _root_record_obj
 from cyclolab.polycore import IntPoly, cyclotomic, difference, eval_rational
@@ -14,6 +15,7 @@ from cyclolab.roots import (
     _attains_sqrt2,
     _disks_disjoint,
     _sqrt2_quadratic_roots,
+    _window_counts,
     complex_roots,
     isolate_real_roots,
     quarter_lift_check,
@@ -29,6 +31,30 @@ from cyclolab.roots import (
 )
 
 HALF = Fraction(1, 2)
+TWO = Fraction(2)
+
+
+def window_oracle(p):
+    # distinct roots on (-inf,-2], [-1/2,0), (0,1/2], [2,inf) from public
+    # Sturm counts on (lo, hi] plus exact checks at the endpoints
+    def root_at(x):
+        return int(eval_rational(p, x) == 0)
+
+    counts = (
+        sturm_count(p, None, -TWO),
+        sturm_count(p, -HALF, Fraction(0)) - root_at(0) + root_at(-HALF),
+        sturm_count(p, Fraction(0), HALF),
+        sturm_count(p, TWO, None) + root_at(TWO),
+    )
+    return counts, bool(root_at(TWO))
+
+
+def from_roots(*factors):
+    # product of (b x - a) over (a, b) in factors
+    p = IntPoly([1])
+    for a, b in factors:
+        p = p * IntPoly([-a, b])
+    return p
 
 
 def sign_sample_count(p, lo, hi, step=Fraction(1, 64)):
@@ -181,6 +207,46 @@ class TestWindow:
         report = verify_root_window(40, jobs=2)
         assert report.holds and report.exception_found
         assert report.pairs_checked == 40 * 39 // 2
+
+    def test_matches_sturm_oracle_to_40(self):
+        for n in range(2, 41):
+            for m in range(1, n):
+                assert window_counts(m, n) == window_oracle(difference(m, n)), (m, n)
+
+    def test_descartes_certifies_every_pair_to_72(self):
+        report = verify_root_window(72)
+        assert report.holds and report.exception_found
+        assert report.sturm_fallbacks == 0
+
+    def test_fallbacks_summed_over_pairs(self, monkeypatch):
+        monkeypatch.setattr(roots_mod, "_window_counts", lambda p: ((0, 0, 0, 0), False, 2))
+        assert verify_root_window(5, jobs=1).sturm_fallbacks == 2 * 10
+
+    X2_6X_10 = IntPoly([10, -6, 1])  # roots 3 +- i: variations past 2, no real root
+
+    @pytest.mark.parametrize(
+        "p,counts,fallbacks",
+        [
+            (X2_6X_10, (0, 0, 0, 0), 1),
+            (from_roots((3, 1)), (0, 0, 0, 1), 1),
+            (from_roots((-3, 1)), (1, 0, 0, 0), 1),
+            (from_roots((1, 3)), (0, 0, 1, 0), 1),
+            (from_roots((-1, 3)), (0, 1, 0, 0), 1),
+            (from_roots((3, 1), (-3, 1), (1, 3), (-1, 3)), (1, 1, 1, 1), 4),
+            # squared and cubed factors: counts are of distinct roots
+            (from_roots((3, 1), (3, 1), (-3, 1), (-3, 1), (-3, 1)) * X2_6X_10, (1, 0, 0, 1), 2),
+            (from_roots((1, 3), (1, 3), (5, 2)) * X2_6X_10 * X2_6X_10, (0, 0, 1, 1), 2),
+            # exact endpoint roots are divided out and need no fallback
+            (from_roots((2, 1), (2, 1), (-1, 2), (0, 1), (0, 1)), (0, 1, 0, 1), 0),
+            (from_roots((2, 1), (3, 1), (1, 2), (1, 5), (-2, 1)), (1, 0, 2, 2), 2),
+            # the root at 0 is divided out before the count on (-1/2, 0]
+            (from_roots((0, 1), (0, 1), (-1, 3)), (0, 1, 0, 0), 1),
+            (IntPoly([-7]), (0, 0, 0, 0), 0),
+        ],
+    )
+    def test_sturm_fallback(self, p, counts, fallbacks):
+        assert _window_counts(p) == (counts, eval_rational(p, TWO) == 0, fallbacks)
+        assert window_oracle(p) == (counts, eval_rational(p, TWO) == 0)
 
     def test_scan_real_small(self):
         rep = scan_real(10, digits=12, jobs=2)
