@@ -239,8 +239,3 @@ def sqrt_interval(y: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     lo = Fraction(r, s)
     hi = Fraction(r + 1, s)
     return lo, hi
-
-
-def sqrt_bigfloat(y: Fraction, prec: int) -> BigFloat:
-    lo, hi = sqrt_interval(y, prec)
-    return from_interval(lo, hi, prec)

@@ -18,8 +18,17 @@ from typing import NamedTuple
 
 from .arith import is_prime, primes_up_to, primorial, profile
 from .certified import BigFloat, from_interval
-from .polycore import IntPoly, difference, eval_rational
-from .roots import IsolatingInterval, isolate_real_roots, refine_root, squarefree_part, sturm_count
+from .polycore import IntPoly, _taylor_shift, difference, eval_rational
+from .roots import (
+    IsolatingInterval,
+    _descartes_in,
+    _no_positive_root,
+    _sign_at,
+    isolate_real_roots,
+    refine_root,
+    squarefree_part,
+    sturm_count,
+)
 
 
 def psi(k: int) -> IntPoly:
@@ -33,12 +42,12 @@ def alpha_root(k: int, digits: int = 15) -> BigFloat:
     """The largest real root of psi_k, certified.
 
     psi_k(2) = 1 and psi_k'(2) = 2^k - 1, so the root sits near
-    2 - 1/(2^k - 1); it is bracketed in (1, 2) and confirmed largest by an
-    exact count above the bracket.
+    2 - 1/(2^k - 1).  Descartes' rule of signs proves (2, inf) empty and
+    brackets the root alone in (0, 2); see ``_largest_real_root``.
     """
     if k < 2:
         raise ValueError("alpha_root requires k >= 2")
-    return _largest_real_root(psi(k), digits)
+    return _largest_real_root(psi(k), digits)[0]
 
 
 def reference_alpha(p: int, digits: int = 15) -> BigFloat:
@@ -46,7 +55,46 @@ def reference_alpha(p: int, digits: int = 15) -> BigFloat:
     return alpha_root(p + 1, digits)
 
 
-def _largest_real_root(poly: IntPoly, digits: int) -> BigFloat:
+def _top_bracket(cs) -> IsolatingInterval | None:
+    # an isolating interval for the largest real root when it lies in
+    # (0, 2), or None.  [2, inf) is root-free when p(2) != 0 and p(2 + t)
+    # has no sign variation; (0, 2) is then bisected rightmost first, each
+    # open piece passed over proven empty (0 variations) and its left end
+    # proven no root, until a piece shows 1 variation and a sign change
+    if _sign_at(cs, Fraction(2)) == 0 or not _no_positive_root(_taylor_shift(cs, 2)):
+        return None
+    stack = [(Fraction(0), Fraction(2))]
+    while stack:
+        lo, hi = stack.pop()
+        count = _descartes_in(cs, lo, hi)
+        slo = _sign_at(cs, lo)
+        if count == 0:
+            if slo == 0:
+                return None
+            continue
+        if count == 1 and slo:
+            shi = _sign_at(cs, hi)
+            return IsolatingInterval(lo, hi, slo, shi) if shi and shi != slo else None
+        if hi - lo < Fraction(1, 1 << 64):
+            return None  # close or multiple roots: leave them to the fallback
+        mid = (lo + hi) / 2
+        stack += [(lo, mid), (mid, hi)]
+    return None
+
+
+def _largest_real_root(poly: IntPoly, digits: int) -> tuple[BigFloat, bool]:
+    """The largest real root of poly, refined, and whether it fell back.
+
+    Descartes route: p(2) != 0, no sign variation in p(2 + t), and a
+    rightmost-first Descartes bisection of (0, 2) ending on a bracket with
+    one variation and a sign change (``_top_bracket``); the root is then
+    refined on poly itself.  Otherwise the fallback isolates every real
+    root of the squarefree part, confirms the top bracket by a Sturm count
+    above it, and refines there.
+    """
+    top = _top_bracket(list(poly.coeffs))
+    if top is not None:
+        return refine_root(poly, top, digits), False
     ivs = isolate_real_roots(poly)
     if not ivs:
         raise ValueError("polynomial has no real roots")
@@ -55,7 +103,7 @@ def _largest_real_root(poly: IntPoly, digits: int) -> BigFloat:
     if above:
         raise AssertionError("isolation missed a root above the top bracket")
     sf = squarefree_part(poly)
-    return refine_root(sf, top, digits)
+    return refine_root(sf, top, digits), True
 
 
 def find_triples(p: int, q_max: int) -> list[tuple[int, int]]:
@@ -116,7 +164,7 @@ def _triple_r(p: int, q: int) -> int:
 def near_miss_root(p: int, q: int, digits: int = 15) -> BigFloat:
     """The largest real root of Phi_pq - Phi_r, certified and refined."""
     r = _triple_r(p, q)
-    return _largest_real_root(difference(p * q, r), digits)
+    return _largest_real_root(difference(p * q, r), digits)[0]
 
 
 class PerturbationEstimate(NamedTuple):
@@ -200,23 +248,28 @@ def table1(rows: list[tuple[int, int]] | None = None, digits: int = 15) -> list[
 def limit_constants(digits: int = 13) -> tuple[BigFloat, BigFloat]:
     """(rho, sigma): the negative root of x^3 + x^2 + 2x + 1 and the (0,1)
     root of Phi_30 - Phi_4."""
-    rho = _root_in_bracket(IntPoly([1, 2, 1, 1]), Fraction(-1), Fraction(0), digits)
-    sigma = _root_in_bracket(difference(30, 4), Fraction(1, 4), Fraction(3, 4), digits)
+    rho, _ = _root_in_bracket(IntPoly([1, 2, 1, 1]), Fraction(-1), Fraction(0), digits)
+    sigma, _ = _root_in_bracket(difference(30, 4), Fraction(1, 4), Fraction(3, 4), digits)
     return rho, sigma
 
 
-def _root_in_bracket(poly: IntPoly, lo: Fraction, hi: Fraction, digits: int) -> BigFloat:
+def _root_in_bracket(poly: IntPoly, lo: Fraction, hi: Fraction, digits: int) -> tuple[BigFloat, bool]:
+    # the one root of poly in (lo, hi), refined, and whether it fell back:
+    # one Descartes variation and a sign change certify the bracket for
+    # poly itself; otherwise a Sturm count on the squarefree part decides
+    cs = list(poly.coeffs)
+    slo, shi = _sign_at(cs, lo), _sign_at(cs, hi)
+    if slo and shi and slo != shi and _descartes_in(cs, lo, hi) == 1:
+        return refine_root(poly, IsolatingInterval(lo, hi, slo, shi), digits), False
     sf = squarefree_part(poly)
     count = sturm_count(poly, lo, hi)
     if count != 1:
         raise ValueError(f"bracket ({float(lo)}, {float(hi)}] holds {count} roots, need exactly 1")
-    from .roots import _sign_at  # endpoint signs for the certified interval
-
     slo = _sign_at(list(sf.coeffs), lo)
     shi = _sign_at(list(sf.coeffs), hi)
     if slo == 0 or shi == 0 or slo == shi:
         raise ValueError("bracket endpoints must produce a sign change")
-    return refine_root(sf, IsolatingInterval(lo, hi, slo, shi), digits)
+    return refine_root(sf, IsolatingInterval(lo, hi, slo, shi), digits), True
 
 
 LIMIT_FAMILIES = ("three_p", "six_p", "thirty_p", "primorial")
@@ -237,25 +290,22 @@ def limit_family_root(family: str, param: int, digits: int = 14) -> BigFloat:
     Raises if the parameter is invalid or the family root has not yet
     entered the standard bracket around the limit.
     """
+    return _root_in_bracket(*_family_bracket(family, param), digits)[0]
+
+
+def _family_bracket(family: str, param: int) -> tuple[IntPoly, Fraction, Fraction]:
+    # the family member's polynomial and the standard bracket around its limit
     if family not in LIMIT_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if family == "primorial":
         if param < 3:
             raise ValueError("primorial family requires k >= 3")
         m = primorial(param)
-        n = 2 * m // 15
-        poly = difference(m, n)
-        lo, hi = _SIGMA_BRACKET
-    else:
-        if not is_prime(param):
-            raise ValueError("family parameter must be prime")
-        if family == "three_p":
-            poly = difference(3 * param, 4)
-            lo, hi = _RHO_BRACKET
-        elif family == "six_p":
-            poly = difference(6 * param, 4)
-            lo, hi = -_RHO_BRACKET[1], -_RHO_BRACKET[0]
-        else:
-            poly = difference(30 * param, 4 * param)
-            lo, hi = _SIGMA_BRACKET
-    return _root_in_bracket(poly, lo, hi, digits)
+        return difference(m, 2 * m // 15), *_SIGMA_BRACKET
+    if not is_prime(param):
+        raise ValueError("family parameter must be prime")
+    if family == "three_p":
+        return difference(3 * param, 4), *_RHO_BRACKET
+    if family == "six_p":
+        return difference(6 * param, 4), -_RHO_BRACKET[1], -_RHO_BRACKET[0]
+    return difference(30 * param, 4 * param), *_SIGMA_BRACKET

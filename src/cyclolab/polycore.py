@@ -311,10 +311,6 @@ def sub(p: IntPoly, q: IntPoly) -> IntPoly:
     return p - q
 
 
-def mul(p: IntPoly, q: IntPoly) -> IntPoly:
-    return p * q
-
-
 def div_exact(p: IntPoly, q: IntPoly) -> IntPoly:
     return p.div_exact(q)
 

@@ -5,6 +5,9 @@ Sturm chains built from a primitive pseudo-remainder sequence; no real
 verdict depends on floating point.  The root window is certified region
 by region with Descartes' rule of signs on Taylor-shifted polynomials; a
 region whose test is inconclusive is counted by a Sturm chain instead.
+The same rule certifies a single bracket (``_descartes_in``): 0 sign
+variations prove it empty, 1 proves it holds exactly one simple root.
+Refinement bisects on integers and recovers rational roots exactly.
 Complex roots come from a simultaneous Aberth-Ehrlich iteration at
 extended precision, then every floating artifact is re-certified
 exactly: Weierstrass inclusion disks, residuals and moduli are all
@@ -182,6 +185,30 @@ def yun_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
 
 def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
+
+
+def _variations(cs) -> int:
+    # sign changes along a coefficient list, zeros skipped
+    signs = [c > 0 for c in cs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _descartes_in(cs, lo: Fraction, hi: Fraction) -> int:
+    """Sign variations of (1+t)^d * p((lo + hi*t)/(1+t)), d = deg p.
+
+    By Descartes' rule of signs this bounds the number of roots of p in
+    the open interval (lo, hi) from above and matches it in parity: 0
+    proves the interval holds no root, 1 that it holds exactly one root,
+    and that this root is simple.  Built on integers: with lo = a/q and
+    hi = b/q, scale by q^(d-i), Taylor-shift by a, scale by (b - a)^i,
+    reverse, then Taylor-shift by 1.
+    """
+    a, b, q = _gaussian_scale(lo, hi)  # lo = a/q, hi = b/q
+    w = b - a
+    d = len(cs) - 1
+    scaled = [c * q ** (d - i) for i, c in enumerate(cs)]  # q^d p(y/q)
+    stretched = [c * w ** i for i, c in enumerate(_taylor_shift(scaled, a))]  # q^d p((a + w u)/q)
+    return _variations(_taylor_shift(stretched[::-1], 1))
 
 
 def _variations_at(chain, a: int, b: int) -> int:
@@ -386,9 +413,12 @@ def _isolate_seeded(cs, chain) -> list[tuple[Fraction, Fraction]] | None:
 def isolate_real_roots(p: IntPoly) -> list[IsolatingInterval]:
     """Disjoint sign-change intervals, one per distinct real root of p.
 
-    Multiple roots are handled by squarefree reduction first.  High-degree
-    inputs are seeded from double-precision estimates and then certified
-    exactly; on any mismatch the exact bisection route decides.
+    Multiple roots are handled by squarefree reduction first, and the
+    endpoint signs recorded are those of that squarefree part: they are
+    p's own only when p is squarefree (up to a positive constant).
+    High-degree inputs are seeded from double-precision estimates and
+    then certified exactly; on any mismatch the exact bisection route
+    decides.
     """
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -410,48 +440,47 @@ def isolate_real_roots(p: IntPoly) -> list[IsolatingInterval]:
     return out
 
 
-def _simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
-    # the rational with smallest denominator in [lo, hi] (Stern-Brocot walk)
-    fl = lo.numerator // lo.denominator
-    if Fraction(fl) == lo:
-        return Fraction(fl)
-    if fl + 1 <= hi:
-        return Fraction(fl + 1)
-    inner = _simplest_in(1 / (hi - fl), 1 / (lo - fl))
-    return fl + 1 / inner
-
-
 def refine_root(p: IntPoly, iv: IsolatingInterval, digits: int) -> BigFloat:
     """Narrow a certified interval below 10^-digits by exact bisection.
 
-    The result rounds stably at ``digits`` fractional digits.  A rational
-    root is recovered exactly (error bound zero): the simplest rational in
-    the shrinking interval is probed periodically and must eventually hit
-    any rational root.
+    ``iv`` must carry p's own signs at its endpoints (ValueError
+    otherwise).  Bisection runs on integer numerators over a denominator
+    that doubles each step, and the result rounds stably at ``digits``
+    fractional digits.  A rational root is recovered exactly (error bound
+    zero): every rational root of p is a multiple of 1/L, L = |lc(p)|, so
+    once the bracket is narrower than 1/L its one candidate multiple is
+    tested exactly, and no interval is returned before that test.
     """
     if digits < 1:
         raise ValueError("digits must be positive")
-    cs = list(p.coeffs)  # the interval certifies p's own signs
-    lo, hi, slo = iv.lo, iv.hi, iv.sign_lo
-    target = Fraction(1, 10 ** digits)
+    cs = list(p.coeffs)
+    if _sign_at(cs, iv.lo) != iv.sign_lo or _sign_at(cs, iv.hi) != iv.sign_hi:
+        raise ValueError("interval endpoint signs are not those of p")
+    lo, hi, den = _gaussian_scale(iv.lo, iv.hi)  # the bracket is (lo/den, hi/den)
+    slo = iv.sign_lo
+    lead = abs(cs[-1])
+    scale = 10 ** digits
     prec = max(24, int(digits * 3.33) + 16)
-    step = 0
+    tested = False
     while True:
-        if step % 4 == 0:
-            cand = _simplest_in(lo, hi)
-            if lo < cand < hi and _sign_at(cs, cand) == 0:
-                return BigFloat(cand, prec, ZERO)
-        if hi - lo < target and decimal_in_interval(lo, hi, digits) is not None:
-            return from_interval(lo, hi, prec)
-        mid = (lo + hi) / 2
-        sm = _sign_at(cs, mid)
+        if not tested and (hi - lo) * lead < den:
+            tested = True
+            c = -(-lo * lead // den)  # c/L, c = ceil(L * lo/den): the one multiple of 1/L left
+            if lo * lead < c * den < hi * lead and _eval_int_scaled(cs, c, lead) == 0:
+                return BigFloat(Fraction(c, lead), prec, ZERO)
+        if tested and (hi - lo) * scale < den:
+            a, b = Fraction(lo, den), Fraction(hi, den)
+            if decimal_in_interval(a, b, digits) is not None:
+                return from_interval(a, b, prec)
+        mid = lo + hi
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        sm = _sign(_eval_int_scaled(cs, mid, den))
         if sm == 0:
-            return BigFloat(mid, prec, ZERO)
+            return BigFloat(Fraction(mid, den), prec, ZERO)
         if sm == slo:
             lo = mid
         else:
             hi = mid
-        step += 1
 
 
 # ---------------------------------------------------------------------------

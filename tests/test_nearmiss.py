@@ -2,7 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from cyclolab.arith import primes_up_to
 from cyclolab.nearmiss import (
+    TABLE_ROWS,
+    _family_bracket,
+    _largest_real_root,
+    _root_in_bracket,
     alpha_root,
     delta_decompose,
     find_triples,
@@ -15,6 +20,7 @@ from cyclolab.nearmiss import (
     table1,
 )
 from cyclolab.polycore import IntPoly, cyclotomic, difference
+from test_acceptance import NEAR_MISS_LIST
 
 
 class TestPsi:
@@ -217,3 +223,68 @@ class TestLimitFamilies:
                 assert cs[i] == expect
             if p < 61:
                 assert cs[p] != (1, -1, 0)[p % 3]  # deviation starts exactly at p
+
+
+# the limit-family members of the benchmark's real-roots workload, plus
+# primorial 5
+BENCH_FAMILIES = [
+    *(("three_p", p) for p in primes_up_to(60)[2:]),
+    *(("six_p", p) for p in primes_up_to(60)[2:]),
+    *(("thirty_p", p) for p in (7, 11, 13)),
+    *(("primorial", k) for k in (3, 4, 5)),
+]
+
+
+class TestDescartesRoute:
+    # the second value each helper returns says whether it fell back from
+    # Descartes brackets to isolation and Sturm counts; digits=1 keeps the
+    # refinement short
+
+    def test_table_rows_and_references(self):
+        for p, q in TABLE_ROWS:
+            assert _largest_real_root(difference(p * q, p * q - p - q), 1)[1] is False, (p, q)
+            assert _largest_real_root(psi(p + 1), 1)[1] is False, p
+
+    def test_near_miss_list(self):
+        for p, q, _ in NEAR_MISS_LIST:
+            assert _largest_real_root(difference(p * q, p * q - p - q), 1)[1] is False, (p, q)
+
+    def test_psi(self):
+        for k in range(2, 13):
+            assert _largest_real_root(psi(k), 1)[1] is False, k
+
+    def test_limit_families(self):
+        for family, param in BENCH_FAMILIES:
+            assert _root_in_bracket(*_family_bracket(family, param), 1)[1] is False, (family, param)
+        assert _root_in_bracket(IntPoly([1, 2, 1, 1]), Fraction(-1), Fraction(0), 1)[1] is False
+        assert _root_in_bracket(difference(30, 4), Fraction(1, 4), Fraction(3, 4), 1)[1] is False
+
+    def test_bracket_fallback(self):
+        # the real root sqrt(3/10) next to the complex pair 11/20 +- i/20:
+        # (2/5, 3/5) shows 3 variations, and the Sturm count decides
+        p = IntPoly([-3, 0, 10]) * IntPoly([122, -440, 400])
+        v, fell_back = _root_in_bracket(p, Fraction(2, 5), Fraction(3, 5), 14)
+        assert fell_back and v.decimal(14) == "0.54772255750517"
+
+    def test_largest_of_several(self):
+        # roots 1/2 and +-sqrt(3): the rightmost-first bisection ends on sqrt(3)
+        v, fell_back = _largest_real_root(IntPoly([-1, 2]) * IntPoly([-3, 0, 1]), 14)
+        assert not fell_back and v.decimal(14) == "1.73205080756888"
+
+    @pytest.mark.parametrize(
+        "poly,expect",
+        [
+            # the top root 3/2 is a bisection point: (3/2, 7/4) shows no
+            # variation, but its left end is a root; also +-1/sqrt(2) and
+            # the pair 9/5 +- i/20, which makes (1, 2) show 3 variations
+            (IntPoly([-3, 2]) * IntPoly([-1, 0, 2]) * IntPoly([1297, -1440, 400]), "1.50000000000000"),
+            (IntPoly([-3, 1]) * IntPoly([-2, 0, 1]), "3.00000000000000"),  # a root above 2
+            # a root at 2, and +-1/sqrt(2), +-1/sqrt(8): (1, 2) shows no
+            # variation and (1/2, 1) one
+            (IntPoly([-2, 1]) * IntPoly([-1, 0, 2]) * IntPoly([-1, 0, 8]), "2.00000000000000"),
+            (IntPoly([-3, 0, 1]) * IntPoly([-3, 0, 1]), "1.73205080756888"),  # a double top root
+        ],
+    )
+    def test_largest_root_fallback(self, poly, expect):
+        v, fell_back = _largest_real_root(poly, 14)
+        assert fell_back and v.decimal(14) == expect

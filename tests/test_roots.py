@@ -13,6 +13,7 @@ from cyclolab.cli import _root_record_obj
 from cyclolab.polycore import IntPoly, cyclotomic, difference, eval_rational
 from cyclolab.roots import (
     _attains_sqrt2,
+    _descartes_in,
     _disks_disjoint,
     _sqrt2_quadratic_roots,
     _window_counts,
@@ -172,6 +173,108 @@ class TestRefine:
             v = refine_root(p, iv, 12)
             if iv.lo < Fraction(3, 2) < iv.hi:
                 assert v.error_bound == 0 and v.value == Fraction(3, 2)
+
+
+    def test_rejects_signs_of_another_polynomial(self):
+        # (x^2 - 2)^2 does not change sign; the intervals carry the signs
+        # of its squarefree part x^2 - 2, which refinement must refuse
+        p = IntPoly([4, 0, -4, 0, 1])
+        ivs = isolate_real_roots(p)
+        assert len(ivs) == 2
+        for iv in ivs:
+            with pytest.raises(ValueError):
+                refine_root(p, iv, 10)
+        got = [refine_root(squarefree_part(p), iv, 10).decimal(10) for iv in ivs]
+        assert got == ["-1.4142135624", "1.4142135624"]
+
+    @pytest.mark.parametrize(
+        "poly,root",
+        [
+            (IntPoly([-1, 3]), Fraction(1, 3)),
+            (IntPoly([2, 5]) * IntPoly([1, 1, 1]), Fraction(-2, 5)),
+            (IntPoly([-3, 1]) * IntPoly([-2, 0, 1]), Fraction(3)),
+            (IntPoly([-1, 10 ** 20]), Fraction(1, 10 ** 20)),  # L = 10^20 > 10^digits
+        ],
+    )
+    def test_rational_roots_exact(self, poly, root):
+        (iv,) = [iv for iv in isolate_real_roots(poly) if iv.lo < root < iv.hi]
+        v = refine_root(poly, iv, 10)
+        assert v.error_bound == 0 and v.value == root
+
+    def test_rational_root_from_wide_bracket(self):
+        # (0, 1) for 3x - 1: the candidate 1/3 is tested once the bracket
+        # (1/4, 1/2) is narrower than 1/3
+        v = refine_root(IntPoly([-1, 3]), roots_mod.IsolatingInterval(Fraction(0), Fraction(1), -1, 1), 12)
+        assert v.error_bound == 0 and v.value == Fraction(1, 3)
+
+    def test_candidate_on_lo(self):
+        # (1, 2) for x^2 - 2 halves to (1, 3/2), narrower than 1/L = 1: the
+        # candidate ceil(lo * L) / L is lo itself, no root, and bisection
+        # goes on to the irrational root
+        iv = roots_mod.IsolatingInterval(Fraction(1), Fraction(2), -1, 1)
+        v = refine_root(IntPoly([-2, 0, 1]), iv, 12)
+        assert v.error_bound > 0 and v.decimal(12) == "1.414213562373"
+
+
+def descartes_oracle(p, lo, hi):
+    # roots in the open interval (lo, hi) counted with multiplicity, from
+    # public Sturm counts on (lo, hi] of each squarefree factor
+    return sum(
+        mult * (sturm_count(f, lo, hi) - (eval_rational(f, hi) == 0))
+        for f, mult in yun_decomposition(p)
+    )
+
+
+@st.composite
+def bracket_cases(draw):
+    # a random cofactor times rational linear factors, some repeated, and a
+    # bracket with non-dyadic endpoints; degree up to 58
+    n = draw(st.integers(0, 40))
+    p = IntPoly(draw(st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1)))
+    if p.is_zero():
+        p = IntPoly([1])
+    for a, b, k in draw(st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 7), st.integers(1, 3)), max_size=6)):
+        for _ in range(k):
+            p = p * IntPoly([-a, b])
+    lo = Fraction(draw(st.integers(-27, 27)), draw(st.integers(1, 9)))
+    hi = lo + Fraction(draw(st.integers(1, 27)), draw(st.integers(1, 9)))
+    return p, lo, hi
+
+
+class TestDescartesIn:
+    @given(bracket_cases())
+    def test_against_sturm_oracle(self, case):
+        p, lo, hi = case
+        if p.degree < 1:
+            return
+        dc = _descartes_in(list(p.coeffs), lo, hi)
+        want = descartes_oracle(p, lo, hi)
+        assert dc >= want and (dc - want) % 2 == 0
+        if dc <= 1:
+            assert dc == want
+
+    def test_degree_sixty(self):
+        # Phi_61 - Phi_122 = 2 * (x + x^3 + ... + x^59) has no root but 0 in
+        # (-1, 1); Descartes sees the complex pairs near the unit circle
+        p = difference(61, 122)
+        assert p.degree == 59
+        for lo, hi in ((Fraction(-1, 3), Fraction(2, 7)), (Fraction(1, 10), Fraction(9, 10))):
+            dc = _descartes_in(list(p.coeffs), lo, hi)
+            want = descartes_oracle(p, lo, hi)
+            assert dc >= want and (dc - want) % 2 == 0
+        assert _descartes_in(list(p.coeffs), Fraction(1, 10), Fraction(9, 10)) == 0
+
+    def test_endpoint_roots_excluded(self):
+        p = from_roots((1, 3), (2, 3), (1, 1))  # roots 1/3, 2/3, 1
+        cs = list(p.coeffs)
+        assert _descartes_in(cs, Fraction(1, 3), Fraction(2, 3)) == 0
+        assert _descartes_in(cs, Fraction(1, 3), Fraction(1)) == 1
+        assert _descartes_in(cs, Fraction(0), Fraction(1)) == 2
+
+    def test_double_root_counts_two(self):
+        p = from_roots((1, 2), (1, 2))
+        assert _descartes_in(list(p.coeffs), Fraction(0), Fraction(1)) == 2
+        assert sturm_count(p, Fraction(0), Fraction(1)) == 1
 
 
 class TestCoincidenceRecords:
