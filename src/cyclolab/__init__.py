@@ -21,8 +21,6 @@ from .polycore import (
     IntPoly,
     cyclotomic,
     difference,
-    eval_complex,
-    eval_float,
     eval_homogeneous_cyclotomic,
     eval_rational,
 )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 ZERO = Fraction(0)
@@ -145,9 +146,6 @@ def significant_in_interval(lo: Fraction, hi: Fraction, sig: int) -> str | None:
 # ---------------------------------------------------------------------------
 # interval transcendentals (rigorous enclosures over Fractions)
 
-_LN2_CACHE: dict[int, tuple[Fraction, Fraction]] = {}
-_LOG_CACHE: dict[tuple[Fraction, int], tuple[Fraction, Fraction]] = {}
-
 
 def _outward(lo: Fraction, hi: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     # round an enclosure outward to dyadics so denominators stay bounded
@@ -175,24 +173,17 @@ def _atanh_enclosure(t: Fraction, prec: int) -> tuple[Fraction, Fraction]:
             return total, total + tail
 
 
+@lru_cache(maxsize=None)  # keyed by precision alone
 def ln2_interval(prec: int) -> tuple[Fraction, Fraction]:
-    hit = _LN2_CACHE.get(prec)
-    if hit is not None:
-        return hit
     lo, hi = _atanh_enclosure(Fraction(1, 3), prec + 2)
-    out = _outward(2 * lo, 2 * hi, prec + 2)
-    _LN2_CACHE[prec] = out
-    return out
+    return _outward(2 * lo, 2 * hi, prec + 2)
 
 
+@lru_cache(maxsize=1024)
 def log_interval(y: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     """Rigorous enclosure of ln(y) for rational y > 0, width < 2^-prec."""
     if y <= 0:
         raise ValueError("log_interval requires y > 0")
-    key = (y, prec)
-    hit = _LOG_CACHE.get(key)
-    if hit is not None:
-        return hit
 
     # reduce to u = y / 2^k with 2/3 <= u < 4/3
     k = y.numerator.bit_length() - y.denominator.bit_length()
@@ -221,9 +212,7 @@ def log_interval(y: Fraction, prec: int) -> tuple[Fraction, Fraction]:
         else:
             lo, hi = ulo + k * l2hi, uhi + k * l2lo
 
-    out = _outward(lo, hi, prec)
-    _LOG_CACHE[key] = out
-    return out
+    return _outward(lo, hi, prec)
 
 
 def sqrt_interval(y: Fraction, prec: int) -> tuple[Fraction, Fraction]:

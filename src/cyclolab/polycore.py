@@ -6,11 +6,10 @@ its squarefree radical: Phi_{mp}(x) = Phi_m(x^p) / Phi_m(x) for a new
 prime p, then a power substitution x -> x^q lifts the radical to n.  Both
 steps are exact integer computations.
 
-Evaluation comes in four flavours: exact rational, exact homogeneous
-integer, exact Gaussian (one integer Horner kernel on d^deg * p((a+bi)/d),
-divided out once at the end), and ball (midpoint/radius) with rigorous
-error bounds.  The Taylor shift p(x + s) behind the Descartes tests in
-``roots`` is one packed-integer Horner evaluation.
+Evaluation is exact, one evaluator per number type: rational, homogeneous
+integer, and Gaussian (one integer Horner kernel on d^deg * p((a+bi)/d),
+divided out once at the end).  The Taylor shift p(x + s) behind the
+Descartes tests in ``roots`` is one packed-integer Horner evaluation.
 """
 from __future__ import annotations
 
@@ -21,7 +20,6 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .arith import factorize, profile
-from .certified import BigFloat, ZERO, from_interval
 
 KARATSUBA_CUTOFF = 64  # schoolbook below this many coefficients
 
@@ -301,28 +299,6 @@ class IntPoly:
         return "".join(parts)
 
 
-# module-level conveniences mirroring the method surface
-
-def add(p: IntPoly, q: IntPoly) -> IntPoly:
-    return p + q
-
-
-def sub(p: IntPoly, q: IntPoly) -> IntPoly:
-    return p - q
-
-
-def div_exact(p: IntPoly, q: IntPoly) -> IntPoly:
-    return p.div_exact(q)
-
-
-def derivative(p: IntPoly) -> IntPoly:
-    return p.derivative()
-
-
-def compose_power(p: IntPoly, k: int) -> IntPoly:
-    return p.compose_power(k)
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic construction
 
@@ -378,63 +354,6 @@ def eval_homogeneous_cyclotomic(n: int, a: int, b: int) -> int:
         raise ValueError("homogeneous evaluation requires gcd(a, b) = 1")
     p = cyclotomic(n)
     return _eval_int_scaled(list(p.coeffs), a, b)
-
-
-def _as_interval(x) -> tuple[Fraction, Fraction]:
-    if isinstance(x, BigFloat):
-        return x.lo, x.hi
-    x = Fraction(x)
-    return x, x
-
-
-def _interval_add(a, b):
-    return a[0] + b[0], a[1] + b[1]
-
-
-def _interval_mul(a, b):
-    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return min(ps), max(ps)
-
-
-def eval_float(p: IntPoly, x, precision_bits: int) -> BigFloat:
-    """Ball Horner evaluation; the returned error bound is rigorous.
-
-    ``x`` may be a Fraction/int (exact, error 0 propagated exactly) or a
-    BigFloat ball, in which case interval arithmetic over exact rationals
-    encloses the image of the whole input interval.
-    """
-    if precision_bits < 24:
-        raise ValueError("precision_bits must be at least 24")
-    lo, hi = _as_interval(x)
-    if lo == hi:
-        v = eval_rational(p, lo)
-        return BigFloat(v, precision_bits, ZERO)
-    acc = (Fraction(0), Fraction(0))
-    for c in reversed(p.coeffs):
-        acc = _interval_mul(acc, (lo, hi))
-        acc = _interval_add(acc, (Fraction(c), Fraction(c)))
-    return from_interval(acc[0], acc[1], precision_bits)
-
-
-def eval_complex(p: IntPoly, z, precision_bits: int = 64) -> tuple[BigFloat, BigFloat]:
-    """Componentwise-rigorous p(z) for a complex rectangle z = (re, im)."""
-    re, im = z
-    rlo, rhi = _as_interval(re)
-    ilo, ihi = _as_interval(im)
-    if rlo == rhi and ilo == ihi:
-        vr, vi = _eval_gaussian(p.coeffs, rlo, ilo)
-        return (BigFloat(vr, precision_bits, ZERO), BigFloat(vi, precision_bits, ZERO))
-    accr, acci = (Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))
-    for c in reversed(p.coeffs):
-        t = _interval_mul(acci, (ilo, ihi))
-        nr = _interval_add(_interval_mul(accr, (rlo, rhi)), (-t[1], -t[0]))
-        ni = _interval_add(_interval_mul(accr, (ilo, ihi)), _interval_mul(acci, (rlo, rhi)))
-        accr = _interval_add(nr, (Fraction(c), Fraction(c)))
-        acci = ni
-    return (
-        from_interval(accr[0], accr[1], precision_bits),
-        from_interval(acci[0], acci[1], precision_bits),
-    )
 
 
 def eval_gaussian(p: IntPoly, re: Fraction, im: Fraction) -> tuple[Fraction, Fraction]:

@@ -1,10 +1,13 @@
 """Certified root location for difference polynomials.
 
-Real roots are bracketed by exact rational sign changes and counted by
-Sturm chains built from a primitive pseudo-remainder sequence; no real
-verdict depends on floating point.  The root window is certified region
-by region with Descartes' rule of signs on Taylor-shifted polynomials; a
-region whose test is inconclusive is counted by a Sturm chain instead.
+Real roots are isolated at every degree by one exact route: bisection of
+the Cauchy bound, each piece counted by a Sturm chain built from a
+primitive pseudo-remainder sequence, each bracket an exact rational sign
+change.  No real verdict, and no real bracket, depends on floating
+point; numpy only seeds the complex iteration.  The root window is
+certified region by region with Descartes' rule of signs on
+Taylor-shifted polynomials; a region whose test is inconclusive is
+counted by a Sturm chain instead.
 The same rule certifies a single bracket (``_descartes_in``): 0 sign
 variations prove it empty, 1 proves it holds exactly one simple root.
 Refinement bisects on integers and recovers rational roots exactly.
@@ -360,79 +363,22 @@ def _isolate_bisection(cs, chain) -> list[tuple[Fraction, Fraction]]:
     return sorted(out)
 
 
-def _float_seeds(cs) -> list[float]:
-    # double-precision root estimates for seeding; scaled to avoid overflow
-    mx = max(abs(c) for c in cs)
-    arr = np.array([c / mx for c in reversed(cs)], dtype=float)
-    try:
-        roots = np.roots(arr)
-    except Exception:
-        return []
-    return sorted(float(r.real) for r in roots if abs(r.imag) < 1e-6)
-
-
-def _isolate_seeded(cs, chain) -> list[tuple[Fraction, Fraction]] | None:
-    # candidate brackets around double-precision seeds, certified by exact
-    # sign changes; completeness confirmed by one global Sturm count
-    B = _cauchy_bound(cs)
-    total = _variations_at(chain, -B, 1) - _variations_at(chain, B, 1)
-    if total == 0:
-        return []
-    seeds = [s for s in _float_seeds(cs) if -B < s < B]
-    brackets: list[tuple[Fraction, Fraction]] = []
-    used_hi = Fraction(-B)
-    for s in seeds:
-        w = Fraction(1, 1 << 24)
-        a = Fraction(s).limit_denominator(1 << 40) - w
-        b = a + 2 * w
-        ok = False
-        for _ in range(40):
-            a2, b2 = max(a, used_hi), min(b, Fraction(B))
-            if a2 < b2 and _sign_at(cs, a2) and _sign_at(cs, b2) and _sign_at(cs, a2) != _sign_at(cs, b2):
-                a, b = a2, b2
-                ok = True
-                break
-            w *= 2
-            a -= w
-            b += w
-            if b - a > 1:
-                break
-        if ok:
-            # shrink until the bracket certifies exactly one root
-            va = _variations_at(chain, a.numerator, a.denominator)
-            vb = _variations_at(chain, b.numerator, b.denominator)
-            if va - vb != 1:
-                return None
-            brackets.append((a, b))
-            used_hi = b
-    if len(brackets) != total:
-        return None
-    return brackets
-
-
 def isolate_real_roots(p: IntPoly) -> list[IsolatingInterval]:
     """Disjoint sign-change intervals, one per distinct real root of p.
 
     Multiple roots are handled by squarefree reduction first, and the
     endpoint signs recorded are those of that squarefree part: they are
     p's own only when p is squarefree (up to a positive constant).
-    High-degree inputs are seeded from double-precision estimates and
-    then certified exactly; on any mismatch the exact bisection route
-    decides.
+    Every degree takes the same exact route: bisection of the Cauchy
+    bound [-B, B], each piece counted by the Sturm chain of that part.
     """
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
     cs = _squarefree_list(list(p.coeffs))
     if len(cs) <= 1:
         return []
-    chain = _sturm_chain(cs)
-    pairs = None
-    if len(cs) - 1 > 128:
-        pairs = _isolate_seeded(cs, chain)
-    if pairs is None:
-        pairs = _isolate_bisection(cs, chain)
     out = []
-    for a, b in pairs:
+    for a, b in _isolate_bisection(cs, _sturm_chain(cs)):
         sa, sb = _sign_at(cs, a), _sign_at(cs, b)
         if sa == 0 or sb == 0 or sa == sb:
             raise AssertionError("isolating interval lost its sign change")
@@ -1001,7 +947,6 @@ class ComplexScanReport:
     max_index: int
     coprime_only: bool
     records: tuple[CoincidenceRecord, ...]
-    histogram: tuple[tuple[str, int], ...]
     boundary_upper: tuple[tuple[int, int], ...]  # pairs attaining modulus sqrt(2) exactly
     outside: tuple[tuple[int, int, str], ...]  # certified violations of the modulus range
 
@@ -1103,19 +1048,14 @@ def scan_complex(
     records = []
     boundary: list[tuple[int, int]] = []
     outside: list[tuple[int, int, str]] = []
-    hist: dict[str, int] = {}
     for rec, b, o in results:
         records.append(rec)
         boundary.extend(b)
         outside.extend(o)
-        for r in rec.roots:
-            key = "%.2f" % (float(r.modulus.value) // 0.05 * 0.05)
-            hist[key] = hist.get(key, 0) + 1
     return ComplexScanReport(
         max_index=M,
         coprime_only=coprime_only,
         records=tuple(records),
-        histogram=tuple(sorted(hist.items())),
         boundary_upper=tuple(sorted(set(boundary))),
         outside=tuple(sorted(set(outside))),
     )

@@ -4,20 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cyclolab.arith import moebius, profile
-from cyclolab.certified import BigFloat
 from cyclolab.polycore import (
     ExactDivisionError,
     IntPoly,
     _eval_gaussian,
     _mul_school,
     _taylor_shift,
-    compose_power,
     cyclotomic,
-    derivative,
     difference,
-    div_exact,
-    eval_complex,
-    eval_float,
     eval_homogeneous_cyclotomic,
     eval_rational,
     poly_from_json,
@@ -88,53 +82,6 @@ class TestEvaluation:
             b = 1
         lhs = Fraction(eval_homogeneous_cyclotomic(n, a, b), b ** profile(n).phi)
         assert lhs == eval_rational(cyclotomic(n), Fraction(a, b))
-
-
-class TestFloatEvaluation:
-    def test_exact_point_has_zero_error(self):
-        v = eval_float(cyclotomic(1), Fraction(2), 64)
-        assert v.value == 1 and v.error_bound == 0
-
-    def test_half_point(self):
-        v = eval_float(cyclotomic(6), Fraction(1, 2), 64)
-        assert v.value == Fraction(3, 4) and v.error_bound == 0
-
-    def test_near_root_is_tiny(self):
-        d = difference(209, 179)
-        x = Fraction("1.99975454398254")
-        v = eval_float(d, x, 96)
-        scale = sum(abs(c) * x ** i for i, c in enumerate(d.coeffs))
-        assert abs(v.value) < scale * Fraction(1, 10 ** 6)
-
-    def test_ball_input_encloses_exact_values(self):
-        p = difference(15, 7)
-        ball = BigFloat(Fraction(3, 2), 64, Fraction(1, 64))
-        out = eval_float(p, ball, 64)
-        for t in (ball.lo, ball.value, ball.hi):
-            exact = eval_rational(p, t)
-            assert out.lo <= exact <= out.hi
-
-    def test_rejects_low_precision(self):
-        with pytest.raises(ValueError):
-            eval_float(cyclotomic(2), Fraction(1), 8)
-
-
-class TestComplexEvaluation:
-    def test_minus_two(self):
-        re, im = eval_complex(cyclotomic(2), (Fraction(-2), Fraction(0)))
-        assert re.value == -1 and im.value == 0 and re.error_bound == 0
-
-    def test_i_is_root_of_phi4(self):
-        re, im = eval_complex(cyclotomic(4), (Fraction(0), Fraction(1)))
-        assert re.value == 0 and im.value == 0
-
-    def test_sqrt2_ball(self):
-        # i*sqrt(2) kills x^2 + 2; enclose sqrt(2) in a ball and check 0 is inside
-        d = difference(1, 3)
-        s = BigFloat(Fraction(577, 408), 64, Fraction(1, 10 ** 5))  # contains sqrt(2)
-        re, im = eval_complex(d, (BigFloat(Fraction(0), 64), s))
-        assert re.lo <= 0 <= re.hi
-        assert im.lo <= 0 <= im.hi
 
 
 def gaussian_horner_oracle(cs, re, im):
@@ -257,19 +204,19 @@ class TestDifference:
 
 class TestArithmetic:
     def test_div_exact(self):
-        q = div_exact(IntPoly([-1, 0, 1]), IntPoly([-1, 1]))
+        q = IntPoly([-1, 0, 1]).div_exact(IntPoly([-1, 1]))
         assert q.coeffs == (1, 1)
 
     def test_div_exact_signals(self):
         with pytest.raises(ExactDivisionError):
-            div_exact(IntPoly([1, 0, 1]), IntPoly([-1, 1]))
+            IntPoly([1, 0, 1]).div_exact(IntPoly([-1, 1]))
 
     def test_compose_power(self):
-        assert compose_power(cyclotomic(3), 3).coeffs == cyclotomic(9).coeffs == (1, 0, 0, 1, 0, 0, 1)
+        assert cyclotomic(3).compose_power(3).coeffs == cyclotomic(9).coeffs == (1, 0, 0, 1, 0, 0, 1)
 
     def test_derivative_at_two(self):
         psi2 = IntPoly([-1, -1, 1])
-        assert derivative(psi2)(2) == 3
+        assert psi2.derivative()(2) == 3
 
     @given(
         st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=140),
@@ -294,7 +241,7 @@ class TestArithmetic:
         pa, pb = IntPoly(a), IntPoly(b)
         if pa.is_zero() or pb.is_zero():
             return
-        assert div_exact(pa * pb, pb).coeffs == pa.coeffs
+        assert (pa * pb).div_exact(pb).coeffs == pa.coeffs
 
 
 class TestStructuralIdentities:

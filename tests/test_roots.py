@@ -150,6 +150,21 @@ class TestIsolation:
         for iv in ivs:
             assert sturm_count(p, iv.lo, iv.hi) == 1
 
+    def test_high_degree_bisection(self):
+        # degree 180: isolation is the same exact bisection as at low degree
+        d = difference(209, 179)
+        ivs = isolate_real_roots(d)
+        assert len(ivs) == 4 == sturm_count(d, None, None)
+        for iv in ivs:
+            assert sturm_count(d, iv.lo, iv.hi) == 1
+        sq = squarefree_part(d)
+        assert [refine_root(sq, iv, 15).decimal(15) for iv in ivs] == [
+            "-1.000000000000000",
+            "-0.999282196073370",
+            "0.000000000000000",
+            "1.999754543982544",
+        ]
+
 
 class TestRefine:
     def test_known_near_miss(self):
