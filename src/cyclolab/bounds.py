@@ -4,8 +4,9 @@ For x >= 2 the normalized value Phi_n(x)/x^phi(n) is pinned between
 (x^q - 1)/x^q and x^q/(x^q - 1) (q = q(n)), on the side selected by the
 Mobius value of the radical, and always between 1/2 and 2; the same
 factor-two envelope holds for complex |z| >= 2.  On (0, 1/2] the log-ratio
-of two cyclotomic values is certified nonzero.  All comparisons are exact
-rational; logs use certified enclosures.
+of two cyclotomic values is certified nonzero.  All comparisons are exact,
+made on integers after clearing the denominators of the point; logs use
+certified enclosures.
 """
 from __future__ import annotations
 
@@ -14,7 +15,13 @@ from fractions import Fraction
 
 from .arith import divisors, moebius, profile
 from .certified import BigFloat, ZERO, from_interval, log_interval, sqrt_interval
-from .polycore import _eval_gaussian_scaled, _gaussian_scale, cyclotomic, eval_rational
+from .polycore import (
+    _eval_gaussian_scaled,
+    _gaussian_scale,
+    cyclotomic,
+    eval_homogeneous_cyclotomic,
+    eval_rational,
+)
 
 
 @dataclass(frozen=True)
@@ -80,34 +87,39 @@ def f_ratio(n: int, x: Fraction, precision_bits: int = 64) -> BigFloat:
 def check_real_bounds(n: int, x: Fraction) -> BoundReport:
     """Verify the envelope pair for real x >= 2, plus the factor-two bounds.
 
-    Equality can only occur at (n, x) = (1, 2) and is detected exactly.
+    Comparisons are made on integers: with x = a/b, the value
+    V = b^phi Phi_n(x) and the power A = a^phi = b^phi x^phi share the
+    factor b^-phi.  Equality can only occur at (n, x) = (1, 2) and is
+    detected exactly.
     """
     x = Fraction(x)
     if x < 2:
         raise ValueError("real bounds require x >= 2")
     prof = profile(n)
-    value = eval_rational(cyclotomic(n), x)
-    power = x ** prof.phi
+    a, b = x.numerator, x.denominator
+    value = eval_homogeneous_cyclotomic(n, a, b)
+    power = a ** prof.phi
     q = prof.qpart
-    xq = x ** q
+    aq, bq = a ** q, b ** q  # x^q = aq / bq
     equality = False
     if prof.mu_rad == 1:
         side = "mu_plus"
-        lower = (xq - 1) / xq * power
+        # the lower bound (x^q - 1)/x^q * x^phi, scaled by b^phi
+        lower = (aq - bq) * a ** (prof.phi - q)
         # the sharp lower bound is attained exactly when n = 1 (any x);
         # the factor-two bound is attained only at (n, x) = (1, 2)
         envelope = lower <= value < power and (value > lower or n == 1)
-        equality = value == power / 2
-        factor_two = power / 2 <= value and (not equality or (n == 1 and x == 2))
+        equality = 2 * value == power
+        factor_two = power <= 2 * value and (not equality or (n == 1 and x == 2))
         holds = envelope and factor_two
     else:
         side = "mu_minus"
-        upper = xq / (xq - 1) * power
-        holds = power < value < upper and value < 2 * power
+        # the upper bound x^q/(x^q - 1) * x^phi, cross-multiplied
+        holds = power < value < 2 * power and value * (aq - bq) < aq * power
     return BoundReport(
         n=n,
         point=x,
-        ratio=BigFloat(value / power, 64, ZERO),
+        ratio=BigFloat(Fraction(value, power), 64, ZERO),
         side=side,
         holds=holds,
         equality=equality,
@@ -199,13 +211,17 @@ def g_value(m: int, n: int, x: Fraction, precision_bits: int = 64) -> BigFloat:
 
 
 def _exact_ratio_sign(m: int, n: int, x: Fraction) -> int:
-    a = eval_rational(cyclotomic(m), x)
-    b = eval_rational(cyclotomic(n), x)
-    if a <= 0 or b <= 0:
+    # Phi_k(a/b) = V_k / b^phi(k), so Phi_m(x) - Phi_n(x) has the sign of
+    # V_m b^phi(n) - V_n b^phi(m)
+    a, b = x.numerator, x.denominator
+    vm = eval_homogeneous_cyclotomic(m, a, b)
+    vn = eval_homogeneous_cyclotomic(n, a, b)
+    if vm <= 0 or vn <= 0:
         raise AssertionError("cyclotomic values on (0, 1/2] must be positive for n > 1")
-    if a == b:
+    lhs, rhs = vm * b ** profile(n).phi, vn * b ** profile(m).phi
+    if lhs == rhs:
         raise AssertionError("unexpected exact coincidence on (0, 1/2]")
-    return 1 if a > b else -1
+    return 1 if lhs > rhs else -1
 
 
 def real_bounds_grid(n_max: int, xs: list[Fraction]):

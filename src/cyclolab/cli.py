@@ -29,7 +29,8 @@ from . import nearmiss as nearmiss_mod
 from . import ordering as ordering_mod
 from . import rationalcheck as rational_mod
 from . import roots as roots_mod
-from .polycore import cyclotomic, difference, eval_rational, poly_to_json
+from .arith import profile
+from .polycore import cyclotomic, difference, eval_homogeneous_cyclotomic, poly_to_json
 
 
 def _parse_point(s: str) -> Fraction:
@@ -58,8 +59,8 @@ def _cmd_poly(args, out) -> int:
 
 def _cmd_eval(args, out) -> int:
     x = _parse_point(args.x)
-    val = eval_rational(cyclotomic(args.n), x)
-    _emit(str(val), out)
+    val = eval_homogeneous_cyclotomic(args.n, x.numerator, x.denominator)
+    _emit(str(Fraction(val, x.denominator ** profile(args.n).phi)), out)
     return 0
 
 

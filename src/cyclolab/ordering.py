@@ -18,20 +18,6 @@ LESS = -1
 GREATER = 1
 
 
-@dataclass(frozen=True)
-class OrderKey:
-    """Totient plus coefficient vector; all the data the comparators use."""
-
-    n: int
-    phi: int
-    coeffs: tuple[int, ...]
-
-
-def order_key(n: int) -> OrderKey:
-    p = cyclotomic(n)
-    return OrderKey(n=n, phi=p.degree, coeffs=p.coeffs)
-
-
 def compare_large(m: int, n: int) -> int:
     """-1 if Phi_m < Phi_n at every x > 2, +1 for the reverse."""
     if m == n:

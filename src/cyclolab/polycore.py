@@ -1,15 +1,24 @@
 """Dense exact polynomials over arbitrary-precision integers.
 
 Coefficients are stored lowest power first; the zero polynomial is the
-empty tuple.  Construction of the n-th cyclotomic polynomial goes through
-its squarefree radical: Phi_{mp}(x) = Phi_m(x^p) / Phi_m(x) for a new
-prime p, then a power substitution x -> x^q lifts the radical to n.  Both
-steps are exact integer computations.
+empty tuple.  Both the coefficients and the exact values of the n-th
+cyclotomic polynomial come from the Moebius product over the divisors of
+the squarefree radical r = rad(n), with q = n/r:
 
-Evaluation is exact, one evaluator per number type: rational, homogeneous
-integer, and Gaussian (one integer Horner kernel on d^deg * p((a+bi)/d),
-divided out once at the end).  The Taylor shift p(x + s) behind the
-Descartes tests in ``roots`` is one packed-integer Horner evaluation.
+    Phi_n(x) = prod_{e | r} (x^(eq) - 1)^mu(r/e).
+
+Coefficients: Phi_r is that product expanded as a power series to degree
+phi(r), one linear pass per divisor (Arnold & Monagan, "Calculating
+cyclotomic polynomials", Math. Comp. 80, 2011), and the substitution
+x -> x^q lifts it to Phi_n.  Homogeneous values b^phi(n) * Phi_n(a/b)
+need no coefficients: the product is taken on the integers a^(eq) - b^(eq)
+and divided out exactly once.
+
+Evaluation of a polynomial is exact, one evaluator per number type:
+rational, homogeneous integer, and Gaussian (one integer Horner kernel on
+d^deg * p((a+bi)/d), divided out once at the end).  The Taylor shift
+p(x + s) behind the Descartes tests in ``roots`` is one packed-integer
+Horner evaluation.
 """
 from __future__ import annotations
 
@@ -17,7 +26,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from itertools import accumulate
+from math import gcd, lcm, prod
+from operator import add, sub
 
 from .arith import factorize, profile
 
@@ -303,22 +314,40 @@ class IntPoly:
 # cyclotomic construction
 
 
+def _moebius_divisors(primes) -> list[tuple[int, int]]:
+    # (e, mu(r/e)) for every divisor e of the squarefree r = prod(primes)
+    out = [(1, 1)]
+    for p in primes:
+        out = [(e, -mu) for e, mu in out] + [(e * p, mu) for e, mu in out]
+    return out
+
+
 @lru_cache(maxsize=None)
 def _cyclotomic_squarefree(rad: int) -> tuple[int, ...]:
-    # rad is squarefree; iterate Phi_{mp}(x) = Phi_m(x^p) / Phi_m(x),
-    # ascending primes so the most expensive division comes last
+    # rad is squarefree.  For rad > 1 the mu(rad/d) sum to 0, so the signs of
+    # the factors x^d - 1 cancel and Phi_rad = prod_{d | rad} (1 - x^d)^mu(rad/d),
+    # expanded as a power series to degree N = phi(rad); a factor with d > N
+    # is 1 there.  Each multiplication by 1 - x^d is one pass subtracting the
+    # series shifted by d, each division one running sum with stride d.  The
+    # multiplications go first: the intermediate series is then Phi_rad times
+    # the factors still to divide out, with small coefficients.
     if rad == 1:
         return (-1, 1)
     primes = [p for p, _ in factorize(rad).factors]
-    cur = [1] * primes[0]  # Phi_p = 1 + x + ... + x^(p-1)
-    for p in primes[1:]:
-        comp = [0] * ((len(cur) - 1) * p + 1)
-        for i, c in enumerate(cur):
-            comp[i * p] = c
-        cur, r = _divmod_exact(comp, cur)
-        if r:
-            raise AssertionError("cyclotomic division must be exact")
-    return tuple(cur)
+    top = prod(p - 1 for p in primes)
+    cs = [1] + [0] * top
+    factors = [(d, mu) for d, mu in _moebius_divisors(primes) if d <= top]
+    for d, mu in factors:
+        if mu > 0:
+            cs[d:] = map(sub, cs[d:], cs)
+    for d, mu in factors:
+        if mu < 0 and d * d <= top:  # few long residue classes
+            for r in range(d):
+                cs[r::d] = accumulate(cs[r::d])
+        elif mu < 0:  # few long blocks, each adding the block before it
+            for i in range(d, top + 1, d):
+                cs[i:i + d] = map(add, cs[i:i + d], cs[i - d:i])
+    return tuple(cs)
 
 
 def cyclotomic(n: int) -> IntPoly:
@@ -347,13 +376,44 @@ def eval_rational(p: IntPoly, r: Fraction | int) -> Fraction:
 
 
 def eval_homogeneous_cyclotomic(n: int, a: int, b: int) -> int:
-    """b^phi(n) * Phi_n(a/b) as an exact integer; requires gcd(a,b)=1, b>=1."""
+    """b^phi(n) * Phi_n(a/b) as an exact integer; requires gcd(a,b)=1, b>=1.
+
+    No coefficients are built.  With r = rad(n) and q = n/r,
+
+        b^phi(n) * Phi_n(a/b) = prod_{e | r} (a^(eq) - b^(eq))^mu(r/e),
+
+    since the exponents e*q*mu(r/e) of b sum to phi(n): one integer product
+    over the e with mu = +1, divided exactly by the one over mu = -1.  A
+    factor vanishes only at a/b = 1 or -1, where x^k - 1 has the simple root
+    x = a with derivative k*a; that factor is replaced by k*a and counted,
+    and the value is 0 exactly when the numerator holds more of them.
+    """
     if b < 1:
         raise ValueError("homogeneous evaluation requires b >= 1")
     if gcd(a, b) != 1:
         raise ValueError("homogeneous evaluation requires gcd(a, b) = 1")
-    p = cyclotomic(n)
-    return _eval_int_scaled(list(p.coeffs), a, b)
+    if n < 1:
+        raise ValueError("cyclotomic requires n >= 1")
+    primes = [p for p, _ in factorize(n).factors]
+    q = n // prod(primes)
+    num = den = 1
+    zeros = 0
+    for e, mu in _moebius_divisors(primes):
+        k = e * q
+        f = a ** k - b ** k
+        if not f:
+            f = k * a
+            zeros += mu
+        if mu > 0:
+            num *= f
+        else:
+            den *= f
+    if zeros > 0:
+        return 0
+    value, rem = divmod(num, den)
+    if rem:
+        raise AssertionError("cyclotomic value quotient must be exact")
+    return value
 
 
 def eval_gaussian(p: IntPoly, re: Fraction, im: Fraction) -> tuple[Fraction, Fraction]:
@@ -370,8 +430,3 @@ def poly_to_json(p: IntPoly, n: int | None = None) -> str:
     if n is not None:
         obj = {"n": n, **obj}
     return json.dumps(obj)
-
-
-def poly_from_json(s: str) -> tuple[IntPoly, int | None]:
-    obj = json.loads(s)
-    return IntPoly([int(c) for c in obj["coeffs"]]), obj.get("n")

@@ -88,6 +88,38 @@ class TestRealBounds:
                 assert rep.equality == (n == 1 and x == 2)
 
 
+def real_bounds_fraction_form(n, x):
+    # the envelope check on Fractions and Horner values, as it was first written
+    prof = profile(n)
+    value = eval_rational(cyclotomic(n), x)
+    power = x ** prof.phi
+    xq = x ** prof.qpart
+    equality = False
+    if prof.mu_rad == 1:
+        side = "mu_plus"
+        lower = (xq - 1) / xq * power
+        envelope = lower <= value < power and (value > lower or n == 1)
+        equality = value == power / 2
+        factor_two = power / 2 <= value and (not equality or (n == 1 and x == 2))
+        holds = envelope and factor_two
+    else:
+        side = "mu_minus"
+        upper = xq / (xq - 1) * power
+        holds = power < value < upper and value < 2 * power
+    return holds, equality, side, value / power
+
+
+class TestRealBoundsIntegerForm:
+    def test_matches_fraction_form_on_grid(self):
+        # (n, x) = (1, 2) is the equality case
+        xs = (Fraction(2), Fraction(5, 2), Fraction(7, 3), Fraction(3), Fraction(4), Fraction(10))
+        for n in range(1, 301):
+            for x in xs:
+                rep = check_real_bounds(n, x)
+                got = (rep.holds, rep.equality, rep.side, rep.ratio.value)
+                assert got == real_bounds_fraction_form(n, x), (n, x)
+
+
 class TestComplexBounds:
     def test_equality_minus_two(self):
         rep = check_complex_bounds(2, (Fraction(-2), Fraction(0)))

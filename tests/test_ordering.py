@@ -12,7 +12,6 @@ from cyclolab.ordering import (
     compare_large,
     compare_small,
     gap,
-    order_key,
     ordered_prefix,
     phi_class_sorted,
 )
@@ -92,13 +91,6 @@ class TestPhiClasses:
             order = phi_class_sorted(k)
             for i, j in combinations(range(len(order)), 2):
                 assert compare_large(order[i], order[j]) == LESS
-
-
-def test_order_key_fields():
-    key = order_key(12)
-    assert key.n == 12
-    assert key.phi == len(key.coeffs) - 1 == 4
-    assert key.coeffs == cyclotomic(12).coeffs
 
 
 class TestGap:

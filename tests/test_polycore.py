@@ -1,20 +1,22 @@
+import json
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cyclolab.arith import moebius, profile
+from cyclolab.arith import divisors, factorize, moebius, profile
 from cyclolab.polycore import (
     ExactDivisionError,
     IntPoly,
     _eval_gaussian,
+    _eval_int_scaled,
     _mul_school,
     _taylor_shift,
     cyclotomic,
     difference,
     eval_homogeneous_cyclotomic,
     eval_rational,
-    poly_from_json,
     poly_to_json,
 )
 from cyclolab.roots import _residual_sq
@@ -22,12 +24,22 @@ from cyclolab.roots import _residual_sq
 X_MINUS_1 = IntPoly([-1, 1])
 
 
+@lru_cache(maxsize=None)
 def cyclotomic_by_division(n):
     # independent construction: divide x^n - 1 by every lower-index factor
     poly = IntPoly([-1] + [0] * (n - 1) + [1])
     for d in range(1, n):
         if n % d == 0:
             poly = poly.div_exact(cyclotomic_by_division(d))
+    return poly
+
+
+def cyclotomic_by_prime_division(rad):
+    # second independent construction for squarefree rad, fast enough at
+    # degree 5760: Phi_(mp)(x) = Phi_m(x^p) / Phi_m(x) for each new prime p
+    poly = X_MINUS_1
+    for p, _ in factorize(rad).factors:
+        poly = poly.compose_power(p).div_exact(poly)
     return poly
 
 
@@ -44,6 +56,20 @@ class TestCyclotomic:
     def test_matches_division_oracle_sample(self):
         for n in (1, 2, 8, 12, 30, 36, 60, 100):
             assert cyclotomic(n).coeffs == cyclotomic_by_division(n).coeffs
+
+    def test_divisor_product_is_x_n_minus_1(self):
+        for n in range(1, 401):
+            prod = IntPoly([1])
+            for d in divisors(n):
+                prod = prod * cyclotomic(d)
+            assert prod.coeffs == (-1,) + (0,) * (n - 1) + (1,), n
+
+    def test_large_radicals_match_division_oracles(self):
+        # the lower-index division oracle is too slow at 30030 (about a
+        # minute); the prime-by-prime one is checked against it at 2310
+        assert cyclotomic(2310).coeffs == cyclotomic_by_division(2310).coeffs
+        assert cyclotomic_by_prime_division(2310) == cyclotomic_by_division(2310)
+        assert cyclotomic(30030).coeffs == cyclotomic_by_prime_division(30030).coeffs
 
     def test_degree_is_totient(self):
         for n in range(1, 300):
@@ -65,6 +91,19 @@ class TestEvaluation:
     @pytest.mark.parametrize("n,a,b,val", [(2, 3, 2, 5), (6, 3, 2, 7), (4, 3, 2, 13)])
     def test_homogeneous(self, n, a, b, val):
         assert eval_homogeneous_cyclotomic(n, a, b) == val
+
+    def test_homogeneous_at_unit_points_matches_horner(self):
+        # x = 1 and x = -1 make factors of the Moebius product vanish
+        for n in range(1, 301):
+            cs = cyclotomic(n).coeffs
+            for a in (-1, 0, 1):
+                assert eval_homogeneous_cyclotomic(n, a, 1) == _eval_int_scaled(cs, a, 1), (n, a)
+
+    @pytest.mark.parametrize("n", [2310, 30030])
+    def test_homogeneous_large_index_matches_horner(self, n):
+        cs = cyclotomic(n).coeffs
+        for a, b in ((-1, 1), (0, 1), (1, 1), (2, 1), (-3, 1), (3, 2), (-5, 3), (1, 7)):
+            assert eval_homogeneous_cyclotomic(n, a, b) == _eval_int_scaled(cs, a, b), (a, b)
 
     def test_homogeneous_rejects_common_factor(self):
         with pytest.raises(ValueError):
@@ -273,13 +312,10 @@ class TestStructuralIdentities:
 class TestSerialization:
     def test_roundtrip(self):
         p = cyclotomic(105)
-        s = poly_to_json(p, 105)
-        q, n = poly_from_json(s)
-        assert q.coeffs == p.coeffs and n == 105
+        obj = json.loads(poly_to_json(p, 105))
+        assert [int(c) for c in obj["coeffs"]] == list(p.coeffs) and obj["n"] == 105
 
     def test_coeffs_are_strings(self):
-        import json
-
         obj = json.loads(poly_to_json(IntPoly([1, -2]), None))
         assert obj["coeffs"] == ["1", "-2"]
         assert "n" not in obj
