@@ -2,14 +2,19 @@
 inverse totients and the prime-power totient criterion.
 
 All functions are pure; the only shared state is a prime table built on
-first use and read-only afterwards.
+first use and read-only afterwards, and the memos of ``factorize`` and
+``profile``.
+Factorization divides by the primes below 2^16 (6542 of them); a cofactor
+left above that is proved prime by ``is_prime`` or split by Pollard-Brent,
+which beats trial division there.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 
-_TRIAL_LIMIT = 10 ** 6
+_TRIAL_LIMIT = 1 << 16
 _PRIMES: list[int] | None = None
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
@@ -183,6 +188,7 @@ class ArithProfile:
     qpart: int
 
 
+@lru_cache(maxsize=4096)
 def factorize(n: int) -> Factorization:
     if n < 1:
         raise ValueError("factorize requires n >= 1")
@@ -218,6 +224,7 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(out))
 
 
+@lru_cache(maxsize=4096)
 def profile(n: int) -> ArithProfile:
     if n < 1:
         raise ValueError("profile requires n >= 1")

@@ -20,7 +20,6 @@ from .polycore import (
     _gaussian_scale,
     cyclotomic,
     eval_homogeneous_cyclotomic,
-    eval_rational,
 )
 
 
@@ -68,19 +67,21 @@ def lemma_tail_gap(x: Fraction, k: int, j_max: int = 64) -> tuple[BigFloat, BigF
 def f_ratio(n: int, x: Fraction, precision_bits: int = 64) -> BigFloat:
     """Phi_n(x) / x^phi(n), exactly.
 
-    For n > 1 this equals Phi_n(1/x) by the reciprocal property; that
-    identity is asserted as a cross-check.
+    With x = a/b this is b^phi Phi_n(a/b) / a^phi, taken from the
+    homogeneous value without coefficients.  For n > 1 it equals
+    Phi_n(1/x) by the reciprocal property; that identity is asserted as a
+    cross-check.
     """
     x = Fraction(x)
     if x == 0:
         raise ValueError("f_ratio requires x != 0")
-    p = cyclotomic(n)
     phi = profile(n).phi
-    ratio = eval_rational(p, x) / x ** phi
+    ratio = Fraction(eval_homogeneous_cyclotomic(n, x.numerator, x.denominator), x.numerator ** phi)
     if n > 1:
-        mirrored = eval_rational(p, 1 / x)
+        y = 1 / x
+        mirrored = Fraction(eval_homogeneous_cyclotomic(n, y.numerator, y.denominator), y.denominator ** phi)
         if mirrored != ratio:
-            raise AssertionError("reciprocal identity failed; corrupted coefficients")
+            raise AssertionError("reciprocal identity failed; corrupted cyclotomic values")
     return BigFloat(ratio, precision_bits, ZERO)
 
 

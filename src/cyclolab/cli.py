@@ -36,6 +36,8 @@ from .polycore import cyclotomic, difference, eval_homogeneous_cyclotomic, poly_
 def _parse_point(s: str) -> Fraction:
     if "/" in s:
         num, den = s.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in point {s!r}")
         return Fraction(int(num), int(den))
     return Fraction(s)
 

@@ -14,7 +14,9 @@ Refinement bisects on integers and recovers rational roots exactly.
 Complex roots come from a simultaneous Aberth-Ehrlich iteration at
 extended precision, then every floating artifact is re-certified
 exactly: Weierstrass inclusion disks, residuals and moduli are all
-evaluated in rational arithmetic.
+evaluated in rational arithmetic.  numpy and mpmath serve only this
+complex path and are imported on its first call, so a process that never
+asks for complex roots does not pay for loading them.
 """
 from __future__ import annotations
 
@@ -24,9 +26,6 @@ import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-
-import mpmath as mp
-import numpy as np
 
 from .certified import (
     BigFloat,
@@ -727,6 +726,9 @@ def _mpf_to_fraction(x) -> Fraction:
 
 
 def _aberth_sweeps(cs, prec_bits: int, budget: int):
+    import mpmath as mp
+    import numpy as np
+
     deg = len(cs) - 1
     mx = max(abs(c) for c in cs)
     arr = np.array([c / mx for c in reversed(cs)], dtype=float)
@@ -794,6 +796,8 @@ def _certified_disks(cs, precision_bits: int, budget: int = 200):
     Returns (re, im, rad, res2) per root: the dyadic center, the radius and
     the exact squared residual |p(re + im*i)|^2.
     """
+    import mpmath as mp
+
     deg = len(cs) - 1
     lead = abs(cs[-1])
     for mult in (2, 4):

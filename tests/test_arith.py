@@ -65,6 +65,27 @@ class TestFactorize:
         p, q = 1_000_003, 1_000_033
         assert factorize(p * q).factors == ((p, 1), (q, 1))
 
+    # primes and prime squares on each side of the trial-division bound
+    # (2^16) and of the former one (10^6), products that straddle a bound,
+    # a cube of the first prime past 2^16, and cofactors above 10^12
+    @pytest.mark.parametrize(
+        "n",
+        [
+            65521, 65537, 999983, 1_000_003,
+            65521 ** 2, 65537 ** 2, 999983 ** 2, 1_000_003 ** 2,
+            65521 * 65537, 65519 * 65543, 999983 * 1_000_003, 65537 * 999983,
+            2 ** 16, 2 ** 16 + 2, 10 ** 6,
+            3 * 65537 ** 3,
+            1_000_000_000_039, 12 * 1_000_000_000_039, 1_000_003 * 1_000_033 * 65537,
+        ],
+    )
+    def test_at_trial_bounds(self, n):
+        assert factorize(n).factors == tuple(trial_division(n))
+
+    @given(st.integers(min_value=1, max_value=10 ** 7))
+    def test_matches_trial_division_to_ten_million(self, n):
+        assert factorize(n).factors == tuple(trial_division(n))
+
 
 class TestProfile:
     def test_twelve(self):

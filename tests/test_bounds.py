@@ -59,6 +59,13 @@ class TestFRatio:
             for x in (Fraction(2), Fraction(3)):
                 assert f_ratio(n, x).value == eval_rational(cyclotomic(n), 1 / x)
 
+    def test_matches_horner_at_negative_and_fractional_points(self):
+        # the coefficient Horner value as oracle; the reciprocal cross-check
+        # must hold at negative x too (x = -1 included, where Phi_2 vanishes)
+        for n in range(1, 201):
+            for x in (Fraction(-2), Fraction(-3, 2), Fraction(5, 3), Fraction(-1, 2), Fraction(1), Fraction(-1)):
+                assert f_ratio(n, x).value == eval_rational(cyclotomic(n), x) / x ** cyclotomic(n).degree
+
 
 class TestRealBounds:
     def test_equality_case(self):

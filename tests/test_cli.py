@@ -40,6 +40,11 @@ class TestEval:
     def test_fraction_point(self):
         assert run_cli(["eval", "4", "1/2"]) == (0, "5/4\n")
 
+    def test_zero_denominator(self, capsys):
+        assert run_cli(["eval", "5", "1/0"]) == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "zero denominator" in err[0]
+
 
 class TestOrder:
     def test_class(self):
@@ -262,6 +267,35 @@ class TestUsage:
     def test_no_command(self):
         code, _ = run_cli([])
         assert code == 2
+
+
+_COLD_START = """
+import sys
+
+import cyclolab
+from cyclolab import polycore, roots
+from cyclolab.cli import dispatch
+
+
+def heavy():
+    return sorted(m for m in ("numpy", "mpmath") if m in sys.modules)
+
+
+assert heavy() == [], ("import", heavy())
+assert dispatch(["eval", "30030", "3/2"]) == 0
+assert heavy() == [], ("eval", heavy())
+roots.window_counts(6, 10)
+roots.real_coincidence_roots(6, 10, 15)
+assert heavy() == [], ("real", heavy())
+recs = roots.complex_roots(polycore.difference(3, 7))
+assert len(recs) == 4 and heavy() == ["mpmath", "numpy"]
+"""
+
+
+def test_cold_start_loads_numpy_and_mpmath_only_for_complex_roots():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cyclolab.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestJobsEnv:
