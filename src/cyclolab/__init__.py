@@ -45,7 +45,6 @@ from .roots import (
     real_coincidence_roots,
     refine_root,
     scan_complex,
-    scan_real,
     sturm_count,
     verify_root_window,
 )

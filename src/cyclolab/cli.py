@@ -228,8 +228,9 @@ def _complex_summary(M: int, coprime: bool, objs: list[dict]) -> tuple[str, bool
 def _real_summary(M: int, objs: list[dict], jobs: int | None) -> tuple[str, bool]:
     window = roots_mod.verify_root_window(M, jobs)
     # rounding is monotone, so the extreme rendered moduli are the rendered
-    # extremes.  As in roots.scan_real, skip exact-zero roots and the root 2
-    # of {2, 6}; a nonzero root that renders as zero is a window violation.
+    # extremes.  Skip exact-zero roots and the root 2 of {2, 6}, as
+    # real_coincidence_roots does; a nonzero root that renders as zero is a
+    # window violation.
     moduli = []
     for obj in objs:
         violations = obj.get("window_violations", ())

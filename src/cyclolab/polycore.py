@@ -14,11 +14,11 @@ x -> x^q lifts it to Phi_n.  Homogeneous values b^phi(n) * Phi_n(a/b)
 need no coefficients: the product is taken on the integers a^(eq) - b^(eq)
 and divided out exactly once.
 
-Evaluation of a polynomial is exact, one evaluator per number type:
-rational, homogeneous integer, and Gaussian (one integer Horner kernel on
-d^deg * p((a+bi)/d), divided out once at the end).  The Taylor shift
-p(x + s) behind the Descartes tests in ``roots`` is one packed-integer
-Horner evaluation.
+Evaluation of a polynomial is exact, one integer Horner kernel per kind
+of point: real (b^deg * p(a/b), behind integer and rational values) and
+Gaussian (d^deg * p((a+bi)/d)), each divided out once at the end.  The
+Taylor shift p(x + s) behind the Descartes tests in ``roots`` is one
+packed-integer Horner evaluation.
 """
 from __future__ import annotations
 
@@ -157,19 +157,6 @@ def _content(cs) -> int:
     return g or 1
 
 
-def _eval_fraction(cs, x: Fraction) -> Fraction:
-    # scaled integer Horner: sum c_i a^i b^(d-i), then divide by b^d
-    if not cs:
-        return Fraction(0)
-    a, b = x.numerator, x.denominator
-    v = cs[-1]
-    bb = 1
-    for i in range(len(cs) - 2, -1, -1):
-        bb *= b
-        v = v * a + cs[i] * bb
-    return Fraction(v, bb)
-
-
 def _eval_gaussian_scaled(cs, a: int, b: int, d: int) -> tuple[int, int]:
     # d^deg * p((a + b*i)/d) as an exact Gaussian integer (d >= 1)
     if not cs:
@@ -206,6 +193,11 @@ def _eval_int_scaled(cs, a: int, b: int) -> int:
         bb *= b
         v = v * a + cs[i] * bb
     return v
+
+
+def _eval_fraction(cs, x: Fraction) -> Fraction:
+    # the scaled integer Horner value b^d * p(a/b), divided by b^d once
+    return Fraction(_eval_int_scaled(cs, x.numerator, x.denominator), x.denominator ** max(0, len(cs) - 1))
 
 
 @dataclass(frozen=True)
@@ -282,11 +274,8 @@ class IntPoly:
 
     def __call__(self, x):
         if isinstance(x, int):
-            v = 0
-            for c in reversed(self.coeffs):
-                v = v * x + c
-            return v
-        return _eval_fraction(list(self.coeffs), Fraction(x))
+            return _eval_int_scaled(self.coeffs, x, 1)
+        return _eval_fraction(self.coeffs, Fraction(x))
 
     def max_abs_coeff(self) -> int:
         return max((abs(c) for c in self.coeffs), default=0)
@@ -372,7 +361,7 @@ def difference(m: int, n: int) -> IntPoly:
 
 def eval_rational(p: IntPoly, r: Fraction | int) -> Fraction:
     """Exact value p(r)."""
-    return _eval_fraction(list(p.coeffs), Fraction(r))
+    return _eval_fraction(p.coeffs, Fraction(r))
 
 
 def eval_homogeneous_cyclotomic(n: int, a: int, b: int) -> int:

@@ -1,10 +1,15 @@
 """Certified root location for difference polynomials.
 
 Real roots are isolated at every degree by one exact route: bisection of
-the Cauchy bound, each piece counted by a Sturm chain built from a
-primitive pseudo-remainder sequence, each bracket an exact rational sign
-change.  No real verdict, and no real bracket, depends on floating
-point; numpy only seeds the complex iteration.  The root window is
+the Cauchy bound, each piece counted by a Sturm chain, each bracket an
+exact rational sign change.  One primitive pseudo-remainder sequence
+(PRS) does all the gcd work: the Sturm chain of p is the PRS of (p, p'),
+its last element is gcd(p, p'), and the squarefree part is p divided by
+that element once.  The chain of a p that is not squarefree still
+counts its distinct roots between non-roots (Sturm's theorem for the
+signed remainder sequence), so no count needs a squarefree part first.
+No real verdict, and no real bracket, depends on floating point; numpy
+only seeds the complex iteration.  The root window is
 certified region by region with Descartes' rule of signs on
 Taylor-shifted polynomials; a region whose test is inconclusive is
 counted by a Sturm chain instead.
@@ -96,13 +101,15 @@ def _pseudo_rem_even(a, b):
     return _trim(a)
 
 
-def _sturm_chain(cs):
-    # primitive PRS of (p, p'); every element is a positive multiple of the
-    # textbook Sturm element, so variation counts are exactly correct
-    chain = [_primitive(list(cs))]
-    d = _trim(_primitive(_derivative_list(cs)))
-    if d:
-        chain.append(d)
+def _prs(a, b):
+    # primitive pseudo-remainder sequence of (a, b), deg a >= deg b, each
+    # remainder negated.  For b = a' every element is a positive multiple of
+    # the textbook Sturm element, so variation counts are exactly correct;
+    # for any pair the last element is gcd(a, b) up to sign
+    chain = [_primitive(a)]
+    b = _trim(_primitive(b))
+    if b:
+        chain.append(b)
     while len(chain[-1]) > 1:
         r = _pseudo_rem_even(chain[-2], chain[-1])
         if not r:
@@ -111,42 +118,37 @@ def _sturm_chain(cs):
     return chain
 
 
+def _chain_gcd(chain):
+    # the gcd a PRS ends on, leading coefficient positive; [1] if coprime
+    g = chain[-1]
+    if len(g) == 1:
+        return [1]
+    return g if g[-1] > 0 else [-c for c in g]
+
+
 def _gcd_list(a, b):
-    a = _trim(_primitive(list(a)))
-    b = _trim(_primitive(list(b)))
-    if not a:
-        return b
-    if not b:
-        return a
     if len(a) < len(b):
         a, b = b, a
-    while b and len(b) > 1:
-        r = _pseudo_rem_even(a, b)
-        a, b = b, (_primitive(r) if r else [])
-    if b:
-        return [1]  # nonzero constant remainder: coprime
-    g = a
-    if g[-1] < 0:
-        g = [-c for c in g]
-    return g
+    return _chain_gcd(_prs(a, b))
 
 
-def _squarefree_list(cs):
-    cs = _primitive(list(cs))
-    if len(cs) <= 1:
-        return cs
-    g = _gcd_list(cs, _derivative_list(cs))
-    if len(g) > 1:
-        q, r = _divmod_exact(cs, g)
-        if r:
-            raise AssertionError("squarefree reduction must divide exactly")
-        return _primitive(q)
-    return cs
+def _squarefree_of(chain):
+    # p / gcd(p, p'), read off the Sturm chain of a primitive p
+    g = _chain_gcd(chain)
+    if len(g) == 1:
+        return chain[0]
+    q, r = _divmod_exact(chain[0], g)
+    if r:
+        raise AssertionError("squarefree reduction must divide exactly")
+    return q
 
 
 def squarefree_part(p: IntPoly) -> IntPoly:
     """Primitive polynomial with the same distinct roots as p."""
-    return IntPoly(_squarefree_list(list(p.coeffs)))
+    cs = _primitive(list(p.coeffs))
+    if len(cs) <= 1:
+        return IntPoly(cs)
+    return IntPoly(_squarefree_of(_prs(cs, _derivative_list(cs))))
 
 
 def yun_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
@@ -226,18 +228,11 @@ def _variations_at(chain, a: int, b: int) -> int:
     return var
 
 
-def _variations_at_infinity(chain, negative: bool) -> int:
-    last = 0
-    var = 0
-    for cs in chain:
-        s = _sign(cs[-1])
-        if negative and (len(cs) - 1) % 2 == 1:
-            s = -s
-        if s:
-            if last and s != last:
-                var += 1
-            last = s
-    return var
+def _cauchy_bound(cs) -> int:
+    # every complex root lies strictly inside |x| < B
+    lead = abs(cs[-1])
+    mx = max(abs(c) for c in cs)
+    return 1 + (mx + lead - 1) // lead
 
 
 def _strip_root_at(cs, a: int, b: int):
@@ -254,15 +249,17 @@ def _strip_root_at(cs, a: int, b: int):
 def sturm_count(p: IntPoly, lo: Fraction | None, hi: Fraction | None) -> int:
     """Exact number of distinct real roots of p in (lo, hi].
 
-    ``None`` endpoints mean -infinity / +infinity.  The square part of p
-    is removed first; endpoints that happen to be roots are divided out
-    exactly and re-accounted, so the count is correct in every case.
+    ``None`` endpoints mean -infinity / +infinity.  Endpoints that happen
+    to be roots are divided out of p exactly and re-accounted; the count
+    is then read off the Sturm chain of what is left, which counts
+    distinct roots whether or not it is squarefree.  An infinite end is
+    replaced by -B or B, B the Cauchy bound, past which there is no root.
     """
     if p.is_zero():
         raise ValueError("sturm_count is undefined for the zero polynomial")
     if lo is not None and hi is not None and not lo < hi:
         raise ValueError("sturm_count requires lo < hi")
-    cs = _squarefree_list(list(p.coeffs))
+    cs = _primitive(list(p.coeffs))
     if len(cs) <= 1:
         return 0
     hi_root = False
@@ -272,21 +269,17 @@ def sturm_count(p: IntPoly, lo: Fraction | None, hi: Fraction | None) -> int:
     if hi is not None and len(cs) > 1:
         hi = Fraction(hi)
         cs, hi_root = _strip_root_at(cs, hi.numerator, hi.denominator)
-    extra = 1 if hi_root else 0
     if len(cs) <= 1:
-        return extra
-    chain = _sturm_chain(cs)
-    va = (
-        _variations_at_infinity(chain, True)
-        if lo is None
-        else _variations_at(chain, lo.numerator, lo.denominator)
+        return int(hi_root)
+    chain = _prs(cs, _derivative_list(cs))
+    B = _cauchy_bound(cs)
+    lo = Fraction(-B) if lo is None else lo
+    hi = Fraction(B) if hi is None else hi
+    return (
+        _variations_at(chain, lo.numerator, lo.denominator)
+        - _variations_at(chain, hi.numerator, hi.denominator)
+        + hi_root
     )
-    vb = (
-        _variations_at_infinity(chain, False)
-        if hi is None
-        else _variations_at(chain, hi.numerator, hi.denominator)
-    )
-    return va - vb + extra
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +300,6 @@ class IsolatingInterval:
             raise ValueError("isolating interval must have lo < hi")
         if self.sign_lo == 0 or self.sign_hi == 0:
             raise ValueError("endpoint signs must be nonzero")
-
-
-def _cauchy_bound(cs) -> int:
-    lead = abs(cs[-1])
-    mx = max(abs(c) for c in cs)
-    return 1 + (mx + lead - 1) // lead
 
 
 def _sign_at(cs, x: Fraction) -> int:
@@ -337,18 +324,13 @@ def _isolate_bisection(cs, chain) -> list[tuple[Fraction, Fraction]]:
             delta = (b - a) / 4
             while True:
                 l, r = mid - delta, mid + delta
-                if (
-                    _sign_at(cs, l) != 0
-                    and _sign_at(cs, r) != 0
-                    and _variations_at(chain, l.numerator, l.denominator)
-                    - _variations_at(chain, r.numerator, r.denominator)
-                    == 1
-                ):
-                    break
+                if _sign_at(cs, l) != 0 and _sign_at(cs, r) != 0:
+                    vl = _variations_at(chain, l.numerator, l.denominator)
+                    vr = _variations_at(chain, r.numerator, r.denominator)
+                    if vl - vr == 1:
+                        break
                 delta /= 2
             out.append((l, r))
-            vl = _variations_at(chain, l.numerator, l.denominator)
-            vr = _variations_at(chain, r.numerator, r.denominator)
             recurse(a, l, va, vl)
             recurse(r, b, vr, vb)
             return
@@ -365,19 +347,23 @@ def _isolate_bisection(cs, chain) -> list[tuple[Fraction, Fraction]]:
 def isolate_real_roots(p: IntPoly) -> list[IsolatingInterval]:
     """Disjoint sign-change intervals, one per distinct real root of p.
 
-    Multiple roots are handled by squarefree reduction first, and the
-    endpoint signs recorded are those of that squarefree part: they are
-    p's own only when p is squarefree (up to a positive constant).
-    Every degree takes the same exact route: bisection of the Cauchy
-    bound [-B, B], each piece counted by the Sturm chain of that part.
+    One Sturm chain of p serves twice: its last element is gcd(p, p'),
+    so one exact division gives the squarefree part, and its variation
+    counts at non-roots are distinct-root counts whether or not p is
+    squarefree.  The endpoint signs recorded are those of the squarefree
+    part: they are p's own only when p is squarefree (up to a positive
+    constant).  Every degree takes the same exact route: bisection of the
+    Cauchy bound [-B, B] of that part, each piece counted by the chain.
     """
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
-    cs = _squarefree_list(list(p.coeffs))
+    cs = _primitive(list(p.coeffs))
     if len(cs) <= 1:
         return []
+    chain = _prs(cs, _derivative_list(cs))
+    cs = _squarefree_of(chain)
     out = []
-    for a, b in _isolate_bisection(cs, _sturm_chain(cs)):
+    for a, b in _isolate_bisection(cs, chain):
         sa, sb = _sign_at(cs, a), _sign_at(cs, b)
         if sa == 0 or sb == 0 or sa == sb:
             raise AssertionError("isolating interval lost its sign change")
@@ -529,6 +515,12 @@ def _is_window_exception(m: int, n: int, rec: RootRecord) -> bool:
     )
 
 
+def _real_scan_worker(args):
+    # one pair of the real scan
+    m, n, digits = args
+    return real_coincidence_roots(m, n, digits)
+
+
 # window counting (cheap: no isolation, Descartes certificates first)
 
 # the nonzero window endpoints -2, -1/2, 1/2, 2 as (numerator, denominator),
@@ -667,50 +659,6 @@ def verify_root_window(M: int, jobs: int | None = None) -> WindowReport:
         violations=tuple(violations),
         exception_found=exception_found,
         sturm_fallbacks=fallbacks,
-    )
-
-
-@dataclass(frozen=True)
-class RealScanReport:
-    """Full real scan: certified roots for every pair plus window summary."""
-
-    max_index: int
-    records: tuple[CoincidenceRecord, ...]
-    window: WindowReport
-    max_nonzero_abs: BigFloat | None
-    min_nonzero_abs: BigFloat | None
-
-
-def _real_scan_worker(args):
-    m, n, digits = args
-    return real_coincidence_roots(m, n, digits)
-
-
-def scan_real(M: int, digits: int = 15, jobs: int | None = None) -> RealScanReport:
-    """Roots of every difference with indices up to M, certified and refined."""
-    if M < 2:
-        raise ValueError("scan_real requires M >= 2")
-    _warm_cyclotomic_cache(M)
-    window = verify_root_window(M, jobs)
-    pairs = [(m, n, digits) for m in range(1, M + 1) for n in range(m + 1, M + 1)]
-    records = tuple(_parallel_map(_real_scan_worker, pairs, jobs))
-    max_abs = min_abs = None
-    for rec in records:
-        for root in rec.roots:
-            if root.value.value == 0:
-                continue
-            if _is_window_exception(rec.m, rec.n, root):
-                continue
-            if max_abs is None or root.modulus.value > max_abs.value:
-                max_abs = root.modulus
-            if min_abs is None or root.modulus.value < min_abs.value:
-                min_abs = root.modulus
-    return RealScanReport(
-        max_index=M,
-        records=records,
-        window=window,
-        max_nonzero_abs=max_abs,
-        min_nonzero_abs=min_abs,
     )
 
 

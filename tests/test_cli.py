@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -148,6 +149,17 @@ class TestScan:
         assert code == 0
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary["window_holds"] and summary["exception_found"]
+
+    def test_real_scan_window_small(self):
+        code, out = run_cli(["scan", "--max-index", "10", "--digits", "12", "--jobs", "2"])
+        *pairs, summary = map(json.loads, out.strip().splitlines())
+        assert code == 0 and summary["window_holds"]
+        assert len(pairs) == 45 and not any(obj.get("window_violations") for obj in pairs)
+        # nothing lives in (0, 1/2]; a tiny root rendered as zero would be a violation
+        for obj in pairs:
+            for root in obj["roots"]:
+                assert not (0 < Fraction(root["value"]) <= Fraction(1, 2))
+        assert Fraction(summary["max_nonzero_abs_root"]) < 2
 
     def test_resume_matches_fresh(self, tmp_path):
         argv = ["scan", "--max-index", "7", "--digits", "10"]

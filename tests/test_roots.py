@@ -10,8 +10,12 @@ from hypothesis import given, strategies as st
 from cyclolab import roots as roots_mod
 from cyclolab.certified import BigFloat
 from cyclolab.cli import _root_record_obj
-from cyclolab.polycore import IntPoly, cyclotomic, difference, eval_rational
+from cyclolab.polycore import IntPoly, _trim, cyclotomic, difference, eval_rational
 from cyclolab.roots import (
+    _cauchy_bound,
+    _gcd_list,
+    _primitive,
+    _pseudo_rem_even,
     _attains_sqrt2,
     _descartes_in,
     _disks_disjoint,
@@ -23,7 +27,6 @@ from cyclolab.roots import (
     real_coincidence_roots,
     refine_root,
     scan_complex,
-    scan_real,
     squarefree_part,
     sturm_count,
     verify_root_window,
@@ -74,6 +77,26 @@ def sign_sample_count(p, lo, hi, step=Fraction(1, 64)):
     return count
 
 
+@st.composite
+def known_roots_cases(draw):
+    # (x^2 - 6x + 10)^j (no real root) times rational linear factors, some
+    # repeated, with their distinct roots and two ends for a count
+    roots = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4)), min_size=1, max_size=4))
+    p = IntPoly([1])
+    for _ in range(draw(st.integers(0, 2))):
+        p = p * IntPoly([10, -6, 1])
+    for a, b in roots:
+        for _ in range(draw(st.integers(1, 3))):
+            p = p * IntPoly([-a, b])
+    values = sorted({Fraction(a, b) for a, b in roots})
+    end = st.one_of(
+        st.sampled_from(("none", "above", "far_above", "below", "far_below")),
+        st.sampled_from(values),
+        st.fractions(min_value=-7, max_value=7, max_denominator=6),
+    )
+    return p, values, (draw(end), draw(end))
+
+
 class TestSturmCount:
     def test_quadratic(self):
         assert sturm_count(difference(2, 6), HALF, Fraction(5, 2)) == 1
@@ -113,6 +136,55 @@ class TestSturmCount:
         # grid sampling lower-bounds the true count; Sturm must dominate it
         lo, hi = Fraction(-3), Fraction(3)
         assert sturm_count(p, lo, hi) >= sign_sample_count(squarefree_part(p), lo, hi)
+
+
+    REPEATED = from_roots((1, 1), (1, 1), (1, 1), (-2, 1), (-2, 1), (3, 1)) * IntPoly([10, -6, 1])
+
+    @pytest.mark.parametrize(
+        "lo,hi,want",
+        [
+            (None, None, 3),
+            (None, Fraction(1), 2),  # repeated root on the closed end
+            (Fraction(1), None, 1),  # repeated root on the open end
+            (Fraction(-2), Fraction(1), 1),
+            (Fraction(1), Fraction(3), 1),
+            (Fraction(-2), Fraction(3), 2),
+            (Fraction(10 ** 6), None, 0),  # lo > B
+            (None, Fraction(-10 ** 6), 0),  # hi < -B
+        ],
+    )
+    def test_repeated_roots_and_far_ends(self, lo, hi, want):
+        assert sturm_count(self.REPEATED, lo, hi) == want
+
+    @given(known_roots_cases())
+    def test_against_known_roots(self, case):
+        p, roots, ends = case
+        B = _cauchy_bound(list(p.coeffs))
+        # ends past the Cauchy bound, on it, at roots, or anywhere
+        pick = {"none": None, "above": Fraction(B), "far_above": B + Fraction(1, 3),
+                "below": Fraction(-B), "far_below": -B - Fraction(1, 3)}
+        lo, hi = (pick[e] if isinstance(e, str) else e for e in ends)
+        if lo is not None and hi is not None and not lo < hi:
+            return
+        want = sum(1 for r in roots if (lo is None or lo < r) and (hi is None or r <= hi))
+        assert sturm_count(p, lo, hi) == want
+
+
+@st.composite
+def repeated_factor_cases(draw):
+    # a random cofactor times linear factors, at least one of them repeated,
+    # rooted at dyadic points that bisection of [-B, B] lands on
+    n = draw(st.integers(0, 6))
+    p = IntPoly(draw(st.lists(st.integers(-5, 5), min_size=n + 1, max_size=n + 1)))
+    if p.is_zero():
+        p = IntPoly([1])
+    point = st.sampled_from([(0, 1), (1, 1), (-1, 1), (2, 1), (-2, 1), (1, 2), (-1, 2), (3, 4), (-3, 2), (3, 1)])
+    factors = draw(st.lists(st.tuples(point, st.integers(1, 3)), min_size=1, max_size=4))
+    factors[0] = (factors[0][0], max(2, factors[0][1]))
+    for (a, b), k in factors:
+        for _ in range(k):
+            p = p * IntPoly([-a, b])
+    return p
 
 
 class TestIsolation:
@@ -164,6 +236,27 @@ class TestIsolation:
             "0.000000000000000",
             "1.999754543982544",
         ]
+
+
+    @given(repeated_factor_cases())
+    def test_repeated_factors_isolate_as_squarefree_part(self, p):
+        assert isolate_real_roots(p) == isolate_real_roots(squarefree_part(p))
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            # repeated rational roots; all but the third case put one exactly
+            # on a midpoint of the bisection of [-B, B]
+            from_roots((0, 1), (0, 1), (1, 1), (1, 1), (1, 1), (-1, 1), (-1, 1)),
+            from_roots((2, 1), (2, 1), (-2, 1), (-2, 1), (1, 2), (1, 2), (0, 1)),
+            from_roots((1, 2), (1, 2), (-3, 4), (-3, 4), (-3, 4)) * IntPoly([-2, 0, 1]) * IntPoly([-2, 0, 1]),
+            difference(3, 17),
+            difference(8, 16),
+        ],
+    )
+    def test_repeated_factors_at_midpoints(self, p):
+        assert squarefree_part(p).degree < p.degree
+        assert isolate_real_roots(p) == isolate_real_roots(squarefree_part(p))
 
 
 class TestRefine:
@@ -366,17 +459,6 @@ class TestWindow:
         assert _window_counts(p) == (counts, eval_rational(p, TWO) == 0, fallbacks)
         assert window_oracle(p) == (counts, eval_rational(p, TWO) == 0)
 
-    def test_scan_real_small(self):
-        rep = scan_real(10, digits=12, jobs=2)
-        assert rep.window.holds
-        # nothing lives in (0, 1/2]
-        for rec in rep.records:
-            for root in rec.roots:
-                if root.value.error_bound == 0 and root.value.value == 0:
-                    continue
-                assert not (0 < root.value.value <= HALF)
-        assert rep.max_nonzero_abs is not None and rep.max_nonzero_abs.value < 2
-
 
 class TestComplexRoots:
     def test_pure_imaginary_pair(self):
@@ -513,6 +595,55 @@ class TestYun:
     def test_squarefree_passthrough(self):
         p = difference(15, 7)
         assert yun_decomposition(p) == [(squarefree_part(p), 1)]
+
+
+def two_loop_gcd(a, b):
+    # the standalone gcd loop roots.py ran beside the Sturm chain before
+    # both came from one PRS: unnegated primitive remainders
+    a = _trim(_primitive(list(a)))
+    b = _trim(_primitive(list(b)))
+    if len(a) < len(b):
+        a, b = b, a
+    while b and len(b) > 1:
+        r = _pseudo_rem_even(a, b)
+        a, b = b, (_primitive(r) if r else [])
+    if b:
+        return [1]
+    return a if a[-1] > 0 else [-c for c in a]
+
+
+SMALL_POLY = st.lists(st.integers(-4, 4), min_size=1, max_size=6).map(IntPoly).filter(lambda p: not p.is_zero())
+
+
+class TestPRS:
+    @given(SMALL_POLY, SMALL_POLY, SMALL_POLY, st.integers(1, 3))
+    def test_gcd_matches_two_loop_oracle(self, g, u, v, k):
+        # products with a shared factor g^k
+        shared = IntPoly([1])
+        for _ in range(k):
+            shared = shared * g
+        a, b = list((shared * u).coeffs), list((shared * v).coeffs)
+        got = _gcd_list(a, b)
+        assert got == two_loop_gcd(a, b) == _gcd_list(b, a)
+        for f in (a, b):
+            IntPoly(f).div_exact(IntPoly(got))
+
+    def test_one_prs_per_call(self, monkeypatch):
+        # the gcd, the squarefree part and the counts all come from one chain
+        calls = []
+        prs = roots_mod._prs
+        monkeypatch.setattr(roots_mod, "_prs", lambda a, b: calls.append(1) or prs(a, b))
+        d = difference(7, 15)
+
+        def count(fn, *args):
+            calls.clear()
+            fn(*args)
+            return len(calls)
+
+        assert count(isolate_real_roots, d) == 1
+        assert count(sturm_count, d, None, None) == 1
+        assert count(sturm_count, d, Fraction(1), Fraction(2)) == 1
+        assert count(real_coincidence_roots, 15, 7) == 2
 
 
 class TestComplexScan:
