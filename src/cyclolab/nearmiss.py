@@ -18,16 +18,16 @@ from typing import NamedTuple
 
 from .arith import is_prime, primes_up_to, primorial, profile
 from .certified import BigFloat, from_interval
-from .polycore import IntPoly, _taylor_shift, difference, eval_rational
+from .polycore import IntPoly, _root_free_from, difference, eval_rational
 from .roots import (
     IsolatingInterval,
+    _count_on_chain,
     _descartes_in,
-    _no_positive_root,
+    _isolate_chain,
     _sign_at,
-    isolate_real_roots,
+    _squarefree_of,
+    _sturm_chain,
     refine_root,
-    squarefree_part,
-    sturm_count,
 )
 
 
@@ -57,11 +57,12 @@ def reference_alpha(p: int, digits: int = 15) -> BigFloat:
 
 def _top_bracket(cs) -> IsolatingInterval | None:
     # an isolating interval for the largest real root when it lies in
-    # (0, 2), or None.  [2, inf) is root-free when p(2) != 0 and p(2 + t)
-    # has no sign variation; (0, 2) is then bisected rightmost first, each
-    # open piece passed over proven empty (0 variations) and its left end
-    # proven no root, until a piece shows 1 variation and a sign change
-    if _sign_at(cs, Fraction(2)) == 0 or not _no_positive_root(_taylor_shift(cs, 2)):
+    # (0, 2), or None.  [2, inf) is root-free when p(2 + t) has a nonzero
+    # constant term and no sign variation; (0, 2) is then bisected
+    # rightmost first, each open piece passed over proven empty (0
+    # variations) and its left end proven no root, until a piece shows 1
+    # variation and a sign change
+    if not _root_free_from(cs, 2):
         return None
     stack = [(Fraction(0), Fraction(2))]
     while stack:
@@ -88,22 +89,22 @@ def _largest_real_root(poly: IntPoly, digits: int) -> tuple[BigFloat, bool]:
     Descartes route: p(2) != 0, no sign variation in p(2 + t), and a
     rightmost-first Descartes bisection of (0, 2) ending on a bracket with
     one variation and a sign change (``_top_bracket``); the root is then
-    refined on poly itself.  Otherwise the fallback isolates every real
-    root of the squarefree part, confirms the top bracket by a Sturm count
-    above it, and refines there.
+    refined on poly itself.  Otherwise the fallback builds the Sturm chain
+    of poly once and reads off it the squarefree part, the isolation of
+    every real root, and a count that confirms no root above the top
+    bracket; it refines there on the squarefree part.
     """
     top = _top_bracket(list(poly.coeffs))
     if top is not None:
         return refine_root(poly, top, digits), False
-    ivs = isolate_real_roots(poly)
+    chain = _sturm_chain(list(poly.coeffs))
+    sf, ivs = _isolate_chain(chain)
     if not ivs:
         raise ValueError("polynomial has no real roots")
     top = ivs[-1]
-    above = sturm_count(poly, top.hi, None)
-    if above:
+    if _count_on_chain(chain, top.hi, None):
         raise AssertionError("isolation missed a root above the top bracket")
-    sf = squarefree_part(poly)
-    return refine_root(sf, top, digits), True
+    return refine_root(IntPoly(sf), top, digits), True
 
 
 def find_triples(p: int, q_max: int) -> list[tuple[int, int]]:
@@ -256,20 +257,23 @@ def limit_constants(digits: int = 13) -> tuple[BigFloat, BigFloat]:
 def _root_in_bracket(poly: IntPoly, lo: Fraction, hi: Fraction, digits: int) -> tuple[BigFloat, bool]:
     # the one root of poly in (lo, hi), refined, and whether it fell back:
     # one Descartes variation and a sign change certify the bracket for
-    # poly itself; otherwise a Sturm count on the squarefree part decides
+    # poly itself; otherwise one Sturm chain of poly gives the squarefree
+    # part, whose endpoint signs must differ, and the count between them
     cs = list(poly.coeffs)
     slo, shi = _sign_at(cs, lo), _sign_at(cs, hi)
     if slo and shi and slo != shi and _descartes_in(cs, lo, hi) == 1:
         return refine_root(poly, IsolatingInterval(lo, hi, slo, shi), digits), False
-    sf = squarefree_part(poly)
-    count = sturm_count(poly, lo, hi)
+    chain = _sturm_chain(cs)
+    sf = _squarefree_of(chain)
+    slo, shi = _sign_at(sf, lo), _sign_at(sf, hi)
+    if slo == 0 or shi == 0:
+        raise ValueError("bracket endpoints must not be roots")
+    count = _count_on_chain(chain, lo, hi)
     if count != 1:
-        raise ValueError(f"bracket ({float(lo)}, {float(hi)}] holds {count} roots, need exactly 1")
-    slo = _sign_at(list(sf.coeffs), lo)
-    shi = _sign_at(list(sf.coeffs), hi)
-    if slo == 0 or shi == 0 or slo == shi:
+        raise ValueError(f"bracket ({float(lo)}, {float(hi)}) holds {count} roots, need exactly 1")
+    if slo == shi:
         raise ValueError("bracket endpoints must produce a sign change")
-    return refine_root(sf, IsolatingInterval(lo, hi, slo, shi), digits), True
+    return refine_root(IntPoly(sf), IsolatingInterval(lo, hi, slo, shi), digits), True
 
 
 LIMIT_FAMILIES = ("three_p", "six_p", "thirty_p", "primorial")

@@ -16,9 +16,17 @@ and divided out exactly once.
 
 Evaluation of a polynomial is exact, one integer Horner kernel per kind
 of point: real (b^deg * p(a/b), behind integer and rational values) and
-Gaussian (d^deg * p((a+bi)/d)), each divided out once at the end.  The
-Taylor shift p(x + s) behind the Descartes tests in ``roots`` is one
-packed-integer Horner evaluation.
+Gaussian (d^deg * p((a+bi)/d)), each divided out once at the end.
+
+Descartes' rule of signs in ``roots`` reads Taylor shifts off packed
+integers: the value p(2^(8 nb) + s), one Horner evaluation, has the
+coefficients of p(x + s) as its signed base-2^(8 nb) digits once nb bytes
+hold each of them.  ``_taylor_shift`` unpacks the digits, where a count of
+sign variations is needed (``_descartes_in``).  ``_packed_root_free``
+decides from the packed integer itself, with no unpacking, whether the
+constant term is nonzero and the signs never change, which proves no root
+x >= s: the root-window certificate applies it to differences of cached
+per-index values, and the near-miss search to [2, inf).
 """
 from __future__ import annotations
 
@@ -127,24 +135,75 @@ def _divmod_exact(num, den):
     return q, _trim(r)
 
 
-def _taylor_shift(cs, s: int) -> list[int]:
-    # coefficients of p(x + s), read off one packed integer: each is at most
-    # ||p||_1 * (1 + |s|)^deg in absolute value, so with 2^(B-1) above that
-    # bound they are the signed base-2^B digits of p(2^B + s); adding
-    # 2^(B-1) to every digit makes them unsigned bytes for one to_bytes
-    n = len(cs)
-    if n <= 1:
-        return list(cs)
-    bound = sum(map(abs, cs)) * (1 + abs(s)) ** (n - 1)
-    nb = (bound.bit_length() + 8) // 8  # bytes per digit, sign bit included
-    y = (1 << (8 * nb)) + s
+def _digit_bytes(bound: int) -> int:
+    # bytes per base-2^(8 nb) digit that hold any signed digit of absolute
+    # value at most bound: 2^(8 nb - 1) exceeds it, sign bit included
+    return (bound.bit_length() + 8) // 8
+
+
+def _packed(cs, y: int) -> int:
+    # p(y) by Horner; at y = 2^(8 nb) + s its signed base-2^(8 nb) digits
+    # are the coefficients of p(x + s), whenever each fits in nb bytes
     v = 0
     for c in reversed(cs):
         v = v * y + c
-    bias = int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
-    raw = (v + bias).to_bytes(nb * n, "little")
+    return v
+
+
+def _digit_bias(nb: int, n: int) -> int:
+    # 2^(8 nb - 1) in each of n digits: added to n signed digits it makes
+    # them unsigned, with no carry, and a digit is >= 0 exactly when its
+    # top byte keeps its high bit
+    return int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
+
+
+def _packed_shift(cs, s: int) -> tuple[int, int]:
+    # (p(2^(8 nb) + s), nb) for a nonempty cs: each coefficient of p(x + s)
+    # is at most ||p||_1 * (1 + |s|)^deg in absolute value, so nb bytes
+    # above that bound hold them all as signed digits
+    nb = _digit_bytes(sum(map(abs, cs)) * (1 + abs(s)) ** (len(cs) - 1))
+    return _packed(cs, (1 << 8 * nb) + s), nb
+
+
+def _taylor_shift(cs, s: int) -> list[int]:
+    # coefficients of p(x + s): the digits of the packed shift, unbiased
+    # after one to_bytes
+    n = len(cs)
+    if n <= 1:
+        return list(cs)
+    v, nb = _packed_shift(cs, s)
+    raw = (v + _digit_bias(nb, n)).to_bytes(nb * n, "little")
     half = 1 << (8 * nb - 1)
     return [int.from_bytes(raw[i:i + nb], "little") - half for i in range(0, nb * n, nb)]
+
+
+def _packed_root_free(v: int, nb: int, n: int) -> bool:
+    """Whether the polynomial packed in v has no root t >= 0 by Descartes.
+
+    v holds n signed base-2^(8 nb) digits, each below 2^(8 nb - 1) in
+    absolute value: the coefficients of a polynomial in t, read at
+    t = 2^(8 nb).  True exactly when the constant term is nonzero and the
+    nonzero coefficients never change sign, decided without unpacking:
+    v mod 2^(8 nb) is the constant term; v is negated if negative, so that
+    its top digit is positive; then every biased digit must keep the high
+    bit of its top byte.
+    """
+    if not v & ((1 << 8 * nb) - 1):
+        return False
+    raw = (abs(v) + _digit_bias(nb, n)).to_bytes(nb * n, "little")
+    return min(raw[nb - 1::nb]) >= 0x80
+
+
+def _root_free_from(cs, s: int) -> bool:
+    """Whether Descartes' rule proves p has no real root x >= s.
+
+    The test of ``_packed_root_free`` on p(s + t), the Taylor shift that
+    ``_taylor_shift`` would unpack: a nonzero constant term p(s) and no
+    sign variation.
+    """
+    if not cs:
+        return False  # the zero polynomial vanishes everywhere
+    return _packed_root_free(*_packed_shift(cs, s), len(cs))
 
 
 def _content(cs) -> int:

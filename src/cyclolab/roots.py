@@ -11,8 +11,13 @@ signed remainder sequence), so no count needs a squarefree part first.
 No real verdict, and no real bracket, depends on floating point; numpy
 only seeds the complex iteration.  The root window is
 certified region by region with Descartes' rule of signs on
-Taylor-shifted polynomials; a region whose test is inconclusive is
-counted by a Sturm chain instead.
+Taylor-shifted polynomials.  Shifts are linear, so for a pair (m, n) each
+region's shifted polynomial, packed into one integer, is a difference of
+values cached once per index, and one sign-byte scan of it
+(``polycore._packed_root_free``) decides the region.  A pair those values
+do not clear takes the exact path: endpoint roots divided out, each
+region tested again, and a region whose test is inconclusive counted by a
+Sturm chain instead.
 The same rule certifies a single bracket (``_descartes_in``): 0 sign
 variations prove it empty, 1 proves it holds exactly one simple root.
 Refinement bisects on integers and recovers rational roots exactly.
@@ -30,6 +35,7 @@ import os
 import signal
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .certified import (
@@ -43,10 +49,14 @@ from .polycore import (
     ExactDivisionError,
     IntPoly,
     _content,
+    _digit_bytes,
     _divmod_exact,
     _eval_gaussian_scaled,
     _eval_int_scaled,
     _gaussian_scale,
+    _packed,
+    _packed_root_free,
+    _root_free_from,
     _sub,
     _taylor_shift,
     _trim,
@@ -118,6 +128,12 @@ def _prs(a, b):
     return chain
 
 
+def _sturm_chain(cs):
+    # the Sturm chain of p: the PRS of (p, p'), which starts with the
+    # primitive part of p
+    return _prs(cs, _derivative_list(cs))
+
+
 def _chain_gcd(chain):
     # the gcd a PRS ends on, leading coefficient positive; [1] if coprime
     g = chain[-1]
@@ -148,7 +164,7 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     cs = _primitive(list(p.coeffs))
     if len(cs) <= 1:
         return IntPoly(cs)
-    return IntPoly(_squarefree_of(_prs(cs, _derivative_list(cs))))
+    return IntPoly(_squarefree_of(_sturm_chain(cs)))
 
 
 def yun_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
@@ -246,6 +262,19 @@ def _strip_root_at(cs, a: int, b: int):
     return _primitive(cs), hit
 
 
+def _count_on_chain(chain, lo: Fraction | None, hi: Fraction | None) -> int:
+    # distinct roots in (lo, hi) of the p a Sturm chain starts with, lo and
+    # hi not roots of p; an infinite end (None) is -B or B, B the Cauchy
+    # bound of p, which every root lies strictly inside
+    B = _cauchy_bound(chain[0])
+    lo = Fraction(-B) if lo is None else lo
+    hi = Fraction(B) if hi is None else hi
+    return (
+        _variations_at(chain, lo.numerator, lo.denominator)
+        - _variations_at(chain, hi.numerator, hi.denominator)
+    )
+
+
 def sturm_count(p: IntPoly, lo: Fraction | None, hi: Fraction | None) -> int:
     """Exact number of distinct real roots of p in (lo, hi].
 
@@ -271,15 +300,7 @@ def sturm_count(p: IntPoly, lo: Fraction | None, hi: Fraction | None) -> int:
         cs, hi_root = _strip_root_at(cs, hi.numerator, hi.denominator)
     if len(cs) <= 1:
         return int(hi_root)
-    chain = _prs(cs, _derivative_list(cs))
-    B = _cauchy_bound(cs)
-    lo = Fraction(-B) if lo is None else lo
-    hi = Fraction(B) if hi is None else hi
-    return (
-        _variations_at(chain, lo.numerator, lo.denominator)
-        - _variations_at(chain, hi.numerator, hi.denominator)
-        + hi_root
-    )
+    return _count_on_chain(_sturm_chain(cs), lo, hi) + hi_root
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +381,12 @@ def isolate_real_roots(p: IntPoly) -> list[IsolatingInterval]:
     cs = _primitive(list(p.coeffs))
     if len(cs) <= 1:
         return []
-    chain = _prs(cs, _derivative_list(cs))
+    return _isolate_chain(_sturm_chain(cs))[1]
+
+
+def _isolate_chain(chain) -> tuple[list[int], list[IsolatingInterval]]:
+    # the squarefree part of the primitive p a Sturm chain starts with, and
+    # isolate_real_roots(p), both read off that one chain
     cs = _squarefree_of(chain)
     out = []
     for a, b in _isolate_bisection(cs, chain):
@@ -368,7 +394,7 @@ def isolate_real_roots(p: IntPoly) -> list[IsolatingInterval]:
         if sa == 0 or sb == 0 or sa == sb:
             raise AssertionError("isolating interval lost its sign change")
         out.append(IsolatingInterval(a, b, sa, sb))
-    return out
+    return cs, out
 
 
 def refine_root(p: IntPoly, iv: IsolatingInterval, digits: int) -> BigFloat:
@@ -532,12 +558,16 @@ _WINDOW_OPEN = (
     (Fraction(0), Fraction(1, 2)),
     (Fraction(2), None),
 )
+_DIGIT_BUCKET = 8  # packed digit widths round up to a multiple of this many bytes
 
 
-def _no_positive_root(cs) -> bool:
-    # Descartes' rule of signs: coefficients that never change sign allow
-    # no root t > 0
-    return all(c >= 0 for c in cs) or all(c <= 0 for c in cs)
+def _region_maps(cs):
+    # the regions, in WINDOW_REGIONS order, are t >= 0 under x = -(2+t),
+    # -1/(2+t), 1/(2+t), 2+t; x -> -x flips odd coefficients, and reversed
+    # coefficients are those of x^deg p(1/x), so each map is one of these
+    # lists at x = 2+t
+    flipped = [-c if i % 2 else c for i, c in enumerate(cs)]  # p(-x)
+    return flipped, flipped[::-1], cs[::-1], cs
 
 
 def _window_counts(p: IntPoly) -> tuple[tuple[int, int, int, int], bool, int]:
@@ -549,16 +579,12 @@ def _window_counts(p: IntPoly) -> tuple[tuple[int, int, int, int], bool, int]:
     for a, b in _WINDOW_POINTS:
         cs, hit = _strip_root_at(cs, a, b)
         hits.append(hit)
-    # cs is now q, with no root at 0 or at an endpoint; the open regions are
-    # t > 0 under x = -(2+t), -1/(2+t), 1/(2+t), 2+t, and reversed
-    # coefficients are those of x^deg q(1/x)
-    flipped = [-c if i % 2 else c for i, c in enumerate(cs)]  # q(-x)
-    mapped = (flipped, flipped[::-1], cs[::-1], cs)
+    # cs is now q, with no root at 0 or at an endpoint
     counts = []
     fallbacks = 0
-    for ts, (lo, hi), hit in zip(mapped, _WINDOW_OPEN, hits):
+    for ts, (lo, hi), hit in zip(_region_maps(cs), _WINDOW_OPEN, hits):
         inside = 0
-        if not _no_positive_root(_taylor_shift(ts, 2)):
+        if not _root_free_from(ts, 2):
             # q has no root at lo or hi, so its count on (lo, hi] is the open region's
             inside = sturm_count(IntPoly(cs), lo, hi)
             fallbacks += 1
@@ -566,18 +592,70 @@ def _window_counts(p: IntPoly) -> tuple[tuple[int, int, int, int], bool, int]:
     return tuple(counts), hits[-1], fallbacks
 
 
+@lru_cache(maxsize=None)
+def _index_norms(n: int) -> tuple[int, int]:
+    # (phi(n), ||Phi_n||_1)
+    cs = cyclotomic(n).coeffs
+    return len(cs) - 1, sum(map(abs, cs))
+
+
+@lru_cache(maxsize=None)
+def _index_packed(n: int, nb: int) -> tuple[int, ...]:
+    # Phi_n(-y), y^phi Phi_n(-1/y), y^phi Phi_n(1/y) and Phi_n(y) at
+    # y = 2^(8 nb) + 2: the region maps of Phi_n, packed
+    y = (1 << 8 * nb) + 2
+    return tuple(_packed(ts, y) for ts in _region_maps(list(cyclotomic(n).coeffs)))
+
+
+def _window_clear(m: int, n: int) -> bool:
+    """Whether cached per-index values prove Phi_m - Phi_n root-free on
+    every window region, endpoints included.
+
+    Taylor shifts are linear, so with d = Phi_m - Phi_n and D = max phi the
+    shifted region polynomials d(-(2+t)), d(2+t) and (2+t)^D d(+-1/(2+t))
+    are differences of per-index ones, the inner ones padded to degree D
+    by a factor (2+t)^(D - phi), which is positive at every t >= 0 and so
+    changes no root there.  Their coefficients are at most
+    (||Phi_m||_1 + ||Phi_n||_1) * 3^D in absolute value, so at
+    y = 2^(8 nb) + 2, with nb bytes above that bound, each region's packed
+    value is one subtraction of cached ones, and ``_packed_root_free``
+    reads its verdict off that value.
+    """
+    (fm, lm), (fn, ln) = _index_norms(m), _index_norms(n)
+    D = max(fm, fn)
+    nb = _digit_bytes((lm + ln) * 3 ** D)
+    nb += -nb % _DIGIT_BUCKET  # shares the cached values among pairs
+    y = (1 << 8 * nb) + 2
+    pm, pn = y ** (D - fm), y ** (D - fn)
+    return all(
+        _packed_root_free(a * wm - b * wn, nb, D + 1)
+        for a, b, wm, wn in zip(_index_packed(m, nb), _index_packed(n, nb), (1, pm, pm, 1), (1, pn, pn, 1))
+    )
+
+
+def _pair_window(m: int, n: int) -> tuple[tuple[int, int, int, int], bool, int]:
+    # window_counts(m, n) plus its Sturm fallbacks; a pair the cached values
+    # do not clear takes the exact path
+    if _window_clear(m, n):
+        return (0, 0, 0, 0), False, 0
+    return _window_counts(difference(m, n))
+
+
 def window_counts(m: int, n: int) -> tuple[tuple[int, int, int, int], bool]:
     """Exact root counts on (-inf,-2], [-1/2,0), (0,1/2], [2,inf) for Phi_m - Phi_n.
 
     Also reports whether a root sits exactly at 2 (the sanctioned
-    exception for the pair {2,6}).  Counts are of distinct roots.  Exact
-    roots at -2, -1/2, 0, 1/2 and 2 are divided out first; each open
-    region is then mapped to t > 0 by x = -(2+t), -1/(2+t), 1/(2+t) or
-    2+t, and a Taylor-shifted polynomial with no sign variation proves the
-    region empty (Descartes' rule of signs).  Only a region that shows a
-    variation is counted exactly by ``sturm_count``.
+    exception for the pair {2,6}).  Counts are of distinct roots.  Each
+    region is mapped to t >= 0 by x = -(2+t), -1/(2+t), 1/(2+t) or 2+t,
+    and a Taylor-shifted polynomial with a nonzero constant term and no
+    sign variation proves the region empty (Descartes' rule of signs).
+    The four are first read off cached per-index values
+    (``_window_clear``).  A pair they do not clear takes the exact path:
+    roots at -2, -1/2, 0, 1/2 and 2 are divided out, each region is tested
+    again, and a region that shows a variation is counted exactly by
+    ``sturm_count``.
     """
-    counts, at_two, _ = _window_counts(difference(m, n))
+    counts, at_two, _ = _pair_window(m, n)
     return counts, at_two
 
 
@@ -598,7 +676,7 @@ class WindowReport:
 
 def _window_worker(pair):
     m, n = pair
-    return (m, n, *_window_counts(difference(m, n)))
+    return (m, n, *_pair_window(m, n))
 
 
 def effective_jobs(jobs: int | None) -> int:

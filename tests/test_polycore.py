@@ -12,6 +12,8 @@ from cyclolab.polycore import (
     _eval_gaussian,
     _eval_int_scaled,
     _mul_school,
+    _packed_root_free,
+    _root_free_from,
     _taylor_shift,
     cyclotomic,
     difference,
@@ -19,7 +21,7 @@ from cyclolab.polycore import (
     eval_rational,
     poly_to_json,
 )
-from cyclolab.roots import _residual_sq
+from cyclolab.roots import _residual_sq, _variations
 
 X_MINUS_1 = IntPoly([-1, 1])
 
@@ -223,6 +225,62 @@ class TestTaylorShift:
     )
     def test_edge_cases(self, cs, s, expected):
         assert _taylor_shift(cs, s) == expected
+
+
+# coefficients that put zeros, sign changes and digit-width boundaries into
+# the shifted polynomial: 2^(8k - 1) - 1 is the largest coefficient k bytes
+# of signed digit hold
+EDGE_COEFFS = st.sampled_from([0, 0, 1, -1, 127, -127, 128, -128, 255, (1 << 63) - 1, -(1 << 63), 1 << 64])
+KERNEL_COEFFS = st.one_of(st.integers(-99, 99), EDGE_COEFFS, WIDE_COEFFS)
+KERNEL_LISTS = st.one_of(
+    st.lists(KERNEL_COEFFS, min_size=1, max_size=40),
+    st.lists(KERNEL_COEFFS, max_size=40).map(lambda cs: [0] + cs),  # zero constant term
+    st.lists(st.integers(-(1 << 70), -1), min_size=1, max_size=40),  # all negative
+    st.lists(st.integers(0, 5), min_size=1, max_size=40),  # no variation, often zeros
+)
+
+
+@st.composite
+def packed_digits(draw):
+    # signed base-2^(8 nb) digits up to the largest that fits, packed
+    nb = draw(st.integers(1, 3))
+    top = (1 << (8 * nb - 1)) - 1
+    digit = st.one_of(st.sampled_from([0, 1, -1, top, -top]), st.integers(-top, top))
+    ds = draw(st.one_of(
+        st.lists(digit, min_size=1, max_size=12),
+        st.lists(st.sampled_from([0, top]), min_size=1, max_size=12),
+        st.lists(st.sampled_from([0, -top]), min_size=1, max_size=12),
+    ))
+    return nb, ds, sum(d << (8 * nb * i) for i, d in enumerate(ds))
+
+
+class TestPackedRootFree:
+    @given(KERNEL_LISTS)
+    def test_matches_unpacked_shift(self, cs):
+        cs2 = _taylor_shift(cs, 2)
+        assert _root_free_from(cs, 2) == (cs2[0] != 0 and _variations(cs2) == 0)
+
+    @given(packed_digits())
+    def test_digits_at_the_bound(self, case):
+        nb, ds, v = case
+        assert _packed_root_free(v, nb, len(ds)) == (ds[0] != 0 and _variations(ds) == 0)
+
+    @pytest.mark.parametrize(
+        "cs,expected",
+        [
+            ([], False),
+            ([-7], True),
+            ([0], False),
+            ([-2, 1], False),  # root at 2
+            ([-3, 1], False),  # root at 3
+            ([10, -6, 1], False),  # roots 3 +- i: (2+t)^2 - 6(2+t) + 10 = t^2 - 2t + 2
+            ([0, -2, 1], False),  # root at 2, a zero constant term
+            ([1, 0, 0, 1], True),
+            ([-1, -1, -1], True),
+        ],
+    )
+    def test_edge_cases(self, cs, expected):
+        assert _root_free_from(cs, 2) is expected
 
 
 class TestDifference:

@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from cyclolab import roots as roots_mod
+from cyclolab import nearmiss, roots as roots_mod
 from cyclolab.certified import BigFloat
 from cyclolab.cli import _root_record_obj
-from cyclolab.polycore import IntPoly, _trim, cyclotomic, difference, eval_rational
+from cyclolab.polycore import IntPoly, _taylor_shift, _trim, cyclotomic, difference, eval_rational
 from cyclolab.roots import (
     _cauchy_bound,
     _gcd_list,
@@ -20,6 +20,9 @@ from cyclolab.roots import (
     _descartes_in,
     _disks_disjoint,
     _sqrt2_quadratic_roots,
+    _pair_window,
+    _region_maps,
+    _window_clear,
     _window_counts,
     complex_roots,
     isolate_real_roots,
@@ -51,6 +54,20 @@ def window_oracle(p):
         sturm_count(p, TWO, None) + root_at(TWO),
     )
     return counts, bool(root_at(TWO))
+
+
+def unpack_signed_digits(v, nb, k):
+    # the k signed base-2^(8 nb) digits of v, lowest first, by divmod
+    base = 1 << (8 * nb)
+    out = []
+    for _ in range(k):
+        d = v % base
+        if d >= base // 2:
+            d -= base
+        out.append(d)
+        v = (v - d) // base
+    assert v == 0
+    return out
 
 
 def from_roots(*factors):
@@ -430,8 +447,41 @@ class TestWindow:
         assert report.sturm_fallbacks == 0
 
     def test_fallbacks_summed_over_pairs(self, monkeypatch):
-        monkeypatch.setattr(roots_mod, "_window_counts", lambda p: ((0, 0, 0, 0), False, 2))
+        monkeypatch.setattr(roots_mod, "_pair_window", lambda m, n: ((0, 0, 0, 0), False, 2))
         assert verify_root_window(5, jobs=1).sturm_fallbacks == 2 * 10
+
+    def test_per_index_path_matches_exact_path_to_72(self):
+        # every pair but {2, 6} is cleared by the cached per-index values,
+        # and the counts agree with the exact path's on every pair
+        for n in range(2, 73):
+            for m in range(1, n):
+                assert _window_clear(m, n) == ((m, n) != (2, 6)), (m, n)
+                assert _pair_window(m, n)[:2] == _window_counts(difference(m, n))[:2], (m, n)
+
+    def test_region_values_are_shifted_differences(self, monkeypatch):
+        # each packed region value, unpacked digit by digit, is the Taylor
+        # shift by 2 of the region map of Phi_m - Phi_n padded to degree D
+        seen = []
+        monkeypatch.setattr(roots_mod, "_packed_root_free", lambda v, nb, k: seen.append((v, nb, k)) or True)
+        for n in range(2, 41):
+            for m in range(1, n):
+                seen.clear()
+                assert _window_clear(m, n)
+                D = max(cyclotomic(m).degree, cyclotomic(n).degree)
+                cs = list(difference(m, n).coeffs)
+                cs += [0] * (D + 1 - len(cs))
+                want = [_taylor_shift(ts, 2) for ts in _region_maps(cs)]
+                assert [unpack_signed_digits(*args) for args in seen] == want, (m, n)
+
+    def test_exception_pair_takes_exact_path(self, monkeypatch):
+        calls = []
+        exact = roots_mod._window_counts
+        monkeypatch.setattr(roots_mod, "_window_counts", lambda p: calls.append(p) or exact(p))
+        assert _pair_window(2, 6) == ((0, 0, 0, 1), True, 0)
+        assert calls == [difference(2, 6)]
+        calls.clear()
+        assert _pair_window(6, 10) == ((0, 0, 0, 0), False, 0)
+        assert calls == []
 
     X2_6X_10 = IntPoly([10, -6, 1])  # roots 3 +- i: variations past 2, no real root
 
@@ -644,6 +694,13 @@ class TestPRS:
         assert count(sturm_count, d, None, None) == 1
         assert count(sturm_count, d, Fraction(1), Fraction(2)) == 1
         assert count(real_coincidence_roots, 15, 7) == 2
+        # the double root sqrt(3) of (x^2 - 3)^2 defeats both Descartes
+        # routes of nearmiss; each fallback runs one chain
+        sq = IntPoly([-3, 0, 1]) * IntPoly([-3, 0, 1])
+        assert nearmiss._largest_real_root(sq, 1)[1] is True
+        assert count(nearmiss._largest_real_root, sq, 1) == 1
+        assert nearmiss._root_in_bracket(sq, Fraction(1), Fraction(2), 1)[1] is True
+        assert count(nearmiss._root_in_bracket, sq, Fraction(1), Fraction(2), 1) == 1
 
 
 class TestComplexScan:
