@@ -20,7 +20,9 @@ region tested again, and a region whose test is inconclusive counted by a
 Sturm chain instead.
 The same rule certifies a single bracket (``_descartes_in``): 0 sign
 variations prove it empty, 1 proves it holds exactly one simple root.
-Refinement bisects on integers and recovers rational roots exactly.
+Refinement walks the bisection grid on integers by quadratic interval
+refinement, returns the bracket bisection would, and recovers rational
+roots exactly.
 Complex roots come from a simultaneous Aberth-Ehrlich iteration at
 extended precision, then every floating artifact is re-certified
 exactly: Weierstrass inclusion disks, residuals and moduli are all
@@ -172,7 +174,14 @@ def yun_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
     cs = _primitive(list(p.coeffs))
     if len(cs) <= 1:
         return []
-    g = _gcd_list(cs, _derivative_list(cs))
+    return _yun(_sturm_chain(cs))
+
+
+def _yun(chain) -> list[tuple[IntPoly, int]]:
+    # Yun's squarefree factors of the primitive p a Sturm chain starts
+    # with; the chain ends on gcd(p, p'), where Yun starts
+    cs = chain[0]
+    g = _chain_gcd(chain)
     if len(g) <= 1:
         return [(IntPoly(cs), 1)]
     w, r = _divmod_exact(cs, g)
@@ -397,47 +406,123 @@ def _isolate_chain(chain) -> tuple[list[int], list[IsolatingInterval]]:
     return cs, out
 
 
+def _first_level(a: int, den: int) -> int:
+    # the least k >= 0 with a < den * 2^k
+    if a < den:
+        return 0
+    k = a.bit_length() - den.bit_length()
+    return k + (a >= den << k)
+
+
+def _qir_cell(cs, lo: int, w: int, den: int, cell: tuple, K: int) -> tuple | Fraction:
+    """Quadratic interval refinement on the bisection grid of (lo, lo + w)/den.
+
+    Cell j of level k is ((lo 2^k + j w), (lo 2^k + (j + 1) w)) / (den 2^k).
+    ``cell`` is (k, j, flo, fhi, g): flo and fhi are p's scaled values
+    (den 2^k)^deg p(x) at its ends, of opposite signs, and g is the step
+    exponent.  The secant through them proposes a point of the 2^g
+    sub-cells of level k + g, and it and its neighbour toward the root are
+    evaluated exactly.  If their signs differ, the sub-cell between them is
+    the new cell and g doubles (Abbott, "Quadratic interval refinement for
+    real roots", 2006); otherwise one bisection step is taken and g
+    halves; with g = 1 a step is one bisection step.  Every step goes at
+    least one level down.  Returns the cell of level K, or the root itself
+    when an evaluated grid point is one.
+    """
+    deg = len(cs) - 1
+    k, j, flo, fhi, g = cell
+    slo = _sign(flo)
+    while k < K:
+        g = min(g, K - k)
+        n = 1 << g
+        base, d = (lo << k + g) + (j << g) * w, den << k + g
+        a, b = abs(flo), abs(fhi)
+        m = min(max((2 * a * n + a + b) // (2 * (a + b)), 1), n - 1)  # nearest grid point to the secant root
+        fm = _eval_int_scaled(cs, base + m * w, d)
+        if not fm:
+            return Fraction(base + m * w, d)
+        step = 1 if _sign(fm) == slo else -1  # toward the root
+        if m + step == n:
+            fn = fhi << g * deg
+        elif m + step == 0:
+            fn = flo << g * deg
+        else:
+            fn = _eval_int_scaled(cs, base + (m + step) * w, d)
+            if not fn:
+                return Fraction(base + (m + step) * w, d)
+        if _sign(fn) != _sign(fm):
+            j = (j << g) + min(m, m + step)
+            flo, fhi = (fm, fn) if step == 1 else (fn, fm)
+            k += g
+            g *= 2
+            continue
+        mid, d = (lo << k + 1) + (2 * j + 1) * w, den << k + 1
+        fm = _eval_int_scaled(cs, mid, d)
+        if not fm:
+            return Fraction(mid, d)
+        if _sign(fm) == slo:
+            j, flo, fhi = 2 * j + 1, fm, fhi << deg
+        else:
+            j, flo, fhi = 2 * j, flo << deg, fm
+        k += 1
+        g = max(1, g // 2)
+    return k, j, flo, fhi, g
+
+
 def refine_root(p: IntPoly, iv: IsolatingInterval, digits: int) -> BigFloat:
-    """Narrow a certified interval below 10^-digits by exact bisection.
+    """Narrow a certified interval below 10^-digits on the bisection grid.
 
     ``iv`` must carry p's own signs at its endpoints (ValueError
-    otherwise).  Bisection runs on integer numerators over a denominator
-    that doubles each step, and the result rounds stably at ``digits``
-    fractional digits.  A rational root is recovered exactly (error bound
-    zero): every rational root of p is a multiple of 1/L, L = |lc(p)|, so
-    once the bracket is narrower than 1/L its one candidate multiple is
-    tested exactly, and no interval is returned before that test.
+    otherwise).  The result is the one plain bisection of ``iv`` returns,
+    reached in far fewer exact evaluations, and it rounds stably at
+    ``digits`` fractional digits.  A rational root is recovered exactly
+    (error bound zero): every rational root of p is a multiple of 1/L,
+    L = |lc(p)|, so once bisection's bracket is narrower than 1/L its one
+    candidate multiple is tested exactly, and no interval is returned
+    before that test.
+
+    The cells of bisection from ``iv`` form a dyadic grid, and the levels
+    where bisection tests the candidate (kt, narrower than 1/L) and first
+    checks the rounding (K, narrower than 10^-digits too) are known up
+    front.  Quadratic interval refinement (``_qir_cell``) walks the grid
+    to kt and then to K, each cell it accepts proved by exact integer
+    signs at its ends.  The root is unique in ``iv`` and lies strictly
+    inside the cell reached at a level, which is therefore bisection's
+    cell there, and no grid point of that level or above, so no earlier
+    midpoint, is a root.  Past K, as bisection does, the walk goes down
+    one level at a time until the bracket rounds.  An evaluated grid
+    point that is a root is returned exactly, as bisection returns it: it
+    meets that point as a midpoint, unless the candidate test finds the
+    same root first.
     """
     if digits < 1:
         raise ValueError("digits must be positive")
     cs = list(p.coeffs)
-    if _sign_at(cs, iv.lo) != iv.sign_lo or _sign_at(cs, iv.hi) != iv.sign_hi:
-        raise ValueError("interval endpoint signs are not those of p")
     lo, hi, den = _gaussian_scale(iv.lo, iv.hi)  # the bracket is (lo/den, hi/den)
-    slo = iv.sign_lo
+    flo, fhi = _eval_int_scaled(cs, lo, den), _eval_int_scaled(cs, hi, den)
+    if _sign(flo) != iv.sign_lo or _sign(fhi) != iv.sign_hi:
+        raise ValueError("interval endpoint signs are not those of p")
     lead = abs(cs[-1])
-    scale = 10 ** digits
     prec = max(24, int(digits * 3.33) + 16)
-    tested = False
+    w = hi - lo
+    kt = _first_level(w * lead, den)
+    cell = _qir_cell(cs, lo, w, den, (0, 0, flo, fhi, 1), kt)
+    if isinstance(cell, Fraction):
+        return BigFloat(cell, prec, ZERO)
+    a, dt = (lo << kt) + cell[1] * w, den << kt
+    c = -(-a * lead // dt)  # c/L, c = ceil(L * a/dt): the one multiple of 1/L left
+    if a * lead < c * dt < (a + w) * lead and _eval_int_scaled(cs, c, lead) == 0:
+        return BigFloat(Fraction(c, lead), prec, ZERO)
+    level = max(kt, _first_level(w * 10 ** digits, den))
     while True:
-        if not tested and (hi - lo) * lead < den:
-            tested = True
-            c = -(-lo * lead // den)  # c/L, c = ceil(L * lo/den): the one multiple of 1/L left
-            if lo * lead < c * den < hi * lead and _eval_int_scaled(cs, c, lead) == 0:
-                return BigFloat(Fraction(c, lead), prec, ZERO)
-        if tested and (hi - lo) * scale < den:
-            a, b = Fraction(lo, den), Fraction(hi, den)
-            if decimal_in_interval(a, b, digits) is not None:
-                return from_interval(a, b, prec)
-        mid = lo + hi
-        lo, hi, den = 2 * lo, 2 * hi, 2 * den
-        sm = _sign(_eval_int_scaled(cs, mid, den))
-        if sm == 0:
-            return BigFloat(Fraction(mid, den), prec, ZERO)
-        if sm == slo:
-            lo = mid
-        else:
-            hi = mid
+        cell = _qir_cell(cs, lo, w, den, cell, level)
+        if isinstance(cell, Fraction):
+            return BigFloat(cell, prec, ZERO)
+        a, d = (lo << level) + cell[1] * w, den << level
+        x, y = Fraction(a, d), Fraction(a + w, d)
+        if decimal_in_interval(x, y, digits) is not None:
+            return from_interval(x, y, prec)
+        level += 1
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +593,15 @@ def real_coincidence_roots(m: int, n: int, digits: int = 15) -> CoincidenceRecor
     d = difference(a, b)
     records: list[RootRecord] = []
     if d.degree >= 1:
-        for factor, mult in yun_decomposition(d):
-            for iv in isolate_real_roots(factor):
-                records.append(_real_root_record((a, b), factor, iv, digits, mult))
+        chain = _sturm_chain(_primitive(list(d.coeffs)))
+        if len(chain[-1]) == 1:  # squarefree: its Sturm chain also isolates
+            chains = [(chain, 1)]
+        else:
+            chains = [(_sturm_chain(list(f.coeffs)), mult) for f, mult in _yun(chain)]
+        for chain, mult in chains:
+            factor, ivs = _isolate_chain(chain)
+            for iv in ivs:
+                records.append(_real_root_record((a, b), IntPoly(factor), iv, digits, mult))
     records.sort(key=lambda r: r.value.value)
     max_abs = None
     violations = []
@@ -602,9 +693,15 @@ def _index_norms(n: int) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def _index_packed(n: int, nb: int) -> tuple[int, ...]:
     # Phi_n(-y), y^phi Phi_n(-1/y), y^phi Phi_n(1/y) and Phi_n(y) at
-    # y = 2^(8 nb) + 2: the region maps of Phi_n, packed
+    # y = 2^(8 nb) + 2: the region maps of Phi_n, packed.  For n >= 3,
+    # Phi_n is palindromic of even degree, so y^phi Phi_n(+-1/y) =
+    # Phi_n(+-y): two values are computed, and each is held twice
     y = (1 << 8 * nb) + 2
-    return tuple(_packed(ts, y) for ts in _region_maps(list(cyclotomic(n).coeffs)))
+    maps = _region_maps(list(cyclotomic(n).coeffs))
+    if n <= 2:
+        return tuple(_packed(ts, y) for ts in maps)
+    neg, pos = _packed(maps[0], y), _packed(maps[3], y)
+    return neg, neg, pos, pos
 
 
 def _window_clear(m: int, n: int) -> bool:

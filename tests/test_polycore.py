@@ -1,17 +1,21 @@
 import json
+import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cyclolab.arith import divisors, factorize, moebius, profile
 from cyclolab.polycore import (
+    PACKED_BLOCK,
+    PACKED_HORNER_MAX,
     ExactDivisionError,
     IntPoly,
     _eval_gaussian,
     _eval_int_scaled,
     _mul_school,
+    _packed,
     _packed_root_free,
     _root_free_from,
     _taylor_shift,
@@ -225,6 +229,30 @@ class TestTaylorShift:
     )
     def test_edge_cases(self, cs, s, expected):
         assert _taylor_shift(cs, s) == expected
+
+
+def horner(cs, y):
+    v = 0
+    for c in reversed(cs):
+        v = v * y + c
+    return v
+
+
+class TestPacked:
+    @given(st.integers(0, 600), st.integers(1, 24), st.sampled_from([1, 2, 5]), st.integers(0, 2 ** 32))
+    @example(PACKED_HORNER_MAX, 8, 2, 0)
+    @example(PACKED_HORNER_MAX + 1, 8, 2, 1)
+    @example(3 * PACKED_BLOCK + 1, 16, 1, 2)
+    @example(4 * PACKED_BLOCK, 16, 5, 3)
+    @example(600, 40, 2, 4)
+    def test_halves_match_horner(self, n, nb, s, seed):
+        # lengths on both sides of the Horner crossover, odd block counts
+        # and coefficients as wide as a digit or wider
+        rng = random.Random(seed)
+        bits = rng.choice([2, 8 * nb - 1, 8 * nb + 40])
+        cs = [rng.randint(-(1 << bits), 1 << bits) for _ in range(n)]
+        y = (1 << 8 * nb) + s
+        assert _packed(cs, y) == horner(cs, y)
 
 
 # coefficients that put zeros, sign changes and digit-width boundaries into

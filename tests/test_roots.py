@@ -8,10 +8,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cyclolab import nearmiss, roots as roots_mod
-from cyclolab.certified import BigFloat
+from cyclolab.certified import BigFloat, ZERO, decimal_in_interval, from_interval
 from cyclolab.cli import _root_record_obj
-from cyclolab.polycore import IntPoly, _taylor_shift, _trim, cyclotomic, difference, eval_rational
+from cyclolab.polycore import (
+    IntPoly,
+    _eval_int_scaled,
+    _gaussian_scale,
+    _packed,
+    _taylor_shift,
+    _trim,
+    cyclotomic,
+    difference,
+    eval_rational,
+)
 from cyclolab.roots import (
+    IsolatingInterval,
     _cauchy_bound,
     _gcd_list,
     _primitive,
@@ -19,6 +30,7 @@ from cyclolab.roots import (
     _attains_sqrt2,
     _descartes_in,
     _disks_disjoint,
+    _index_packed,
     _sqrt2_quadratic_roots,
     _pair_window,
     _region_maps,
@@ -276,6 +288,102 @@ class TestIsolation:
         assert isolate_real_roots(p) == isolate_real_roots(squarefree_part(p))
 
 
+def bisection_oracle(p, iv, digits):
+    # refinement by plain bisection, one exact evaluation per level: the
+    # brackets refine_root must reproduce
+    cs = list(p.coeffs)
+    lo, hi, den = _gaussian_scale(iv.lo, iv.hi)
+    lead = abs(cs[-1])
+    prec = max(24, int(digits * 3.33) + 16)
+    tested = False
+    while True:
+        if not tested and (hi - lo) * lead < den:
+            tested = True
+            c = -(-lo * lead // den)
+            if lo * lead < c * den < hi * lead and _eval_int_scaled(cs, c, lead) == 0:
+                return BigFloat(Fraction(c, lead), prec, ZERO)
+        if tested and (hi - lo) * 10 ** digits < den:
+            a, b = Fraction(lo, den), Fraction(hi, den)
+            if decimal_in_interval(a, b, digits) is not None:
+                return from_interval(a, b, prec)
+        mid = lo + hi
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        sm = _eval_int_scaled(cs, mid, den)
+        if sm == 0:
+            return BigFloat(Fraction(mid, den), prec, ZERO)
+        if (sm > 0) == (iv.sign_lo > 0):
+            lo = mid
+        else:
+            hi = mid
+
+
+def _small_difference_brackets():
+    # every isolating interval of every squarefree factor of Phi_m - Phi_n, n <= 24
+    out = []
+    for n in range(2, 25):
+        for m in range(1, n):
+            d = difference(m, n)
+            if d.degree >= 1:
+                out += [(f, iv) for f, _ in yun_decomposition(d) for iv in isolate_real_roots(f)]
+    return out
+
+
+def _near_miss_brackets():
+    # the ten near-miss differences Phi_pq - Phi_r of degree 129-200, with
+    # the Descartes bracket near_miss_root refines
+    out = []
+    for p in (2, 3):
+        for q, r in nearmiss.find_triples(p, 200):
+            if 128 < (p - 1) * (q - 1) <= 200:
+                d = difference(p * q, r)
+                out.append((d, nearmiss._top_bracket(list(d.coeffs))))
+    return out
+
+
+def _refined(v):
+    return v.value, v.error_bound, v.precision_bits
+
+
+class TestRefineMatchesBisection:
+    @pytest.mark.parametrize("digits", [1, 15, 40])
+    def test_small_differences(self, digits):
+        cases = _small_difference_brackets()
+        assert len(cases) > 500
+        for p, iv in cases:
+            assert _refined(refine_root(p, iv, digits)) == _refined(bisection_oracle(p, iv, digits)), (p, iv)
+
+    @pytest.mark.parametrize("digits", [1, 15, 40])
+    def test_near_miss_differences(self, digits):
+        cases = _near_miss_brackets()
+        assert sorted(p.degree for p, _ in cases) == [132, 138, 140, 150, 164, 180, 192, 192, 198, 200]
+        for p, iv in cases:
+            assert _refined(refine_root(p, iv, digits)) == _refined(bisection_oracle(p, iv, digits)), p.degree
+
+    @pytest.mark.parametrize("digits", [1, 15, 40])
+    @pytest.mark.parametrize(
+        "poly,lo,hi,root",
+        [
+            # dyadic: bisection's first midpoint
+            (IntPoly([-1, 2]) * IntPoly([-3, 0, 1]), 0, 1, Fraction(1, 2)),
+            # rational, never a grid point: found by the candidate test
+            (IntPoly([-1, 3]) * IntPoly([-2, 0, 1]), 0, 1, Fraction(1, 3)),
+            # dyadic, three levels down
+            (IntPoly([-5, 8]) * IntPoly([-3, 0, 1]), 0, 1, Fraction(5, 8)),
+            # dyadic roots met at the secant's neighbour and at the midpoint
+            # of a bisection step after a failed secant step
+            (IntPoly([-13, 16]) * IntPoly([36, -24]), 0, 1, Fraction(13, 16)),
+            (IntPoly([-3, 8]) * IntPoly([8, 4, 2, -2, 4]), -3, 3, Fraction(3, 8)),
+        ],
+    )
+    def test_rational_roots(self, poly, lo, hi, root, digits):
+        signs = [1 if eval_rational(poly, x) > 0 else -1 for x in (lo, hi)]
+        assert signs[0] != signs[1]
+        iv = IsolatingInterval(Fraction(lo), Fraction(hi), *signs)
+        v = refine_root(poly, iv, digits)
+        assert _refined(v) == _refined(bisection_oracle(poly, iv, digits))
+        assert v.error_bound == 0 and v.value == root
+
+
 class TestRefine:
     def test_known_near_miss(self):
         d = difference(209, 179)
@@ -457,6 +565,19 @@ class TestWindow:
             for m in range(1, n):
                 assert _window_clear(m, n) == ((m, n) != (2, 6)), (m, n)
                 assert _pair_window(m, n)[:2] == _window_counts(difference(m, n))[:2], (m, n)
+
+    def test_inner_maps_repeat_outer_ones(self):
+        # Phi_n is palindromic of even degree for n >= 3, so
+        # y^phi Phi_n(+-1/y) = Phi_n(+-y): the cache computes and holds two
+        # values per index there, and four only for n = 1, 2
+        for n in range(3, 201):
+            neg, neg_inv, pos_inv, pos = _region_maps(list(cyclotomic(n).coeffs))
+            assert neg_inv == neg and pos_inv == pos, n
+        y = (1 << 128) + 2
+        for n in range(1, 41):
+            vals = _index_packed(n, 16)
+            assert vals == tuple(_packed(ts, y) for ts in _region_maps(list(cyclotomic(n).coeffs))), n
+            assert (vals[0] is vals[1] and vals[2] is vals[3]) == (n >= 3), n
 
     def test_region_values_are_shifted_differences(self, monkeypatch):
         # each packed region value, unpacked digit by digit, is the Taylor
@@ -693,7 +814,8 @@ class TestPRS:
         assert count(isolate_real_roots, d) == 1
         assert count(sturm_count, d, None, None) == 1
         assert count(sturm_count, d, Fraction(1), Fraction(2)) == 1
-        assert count(real_coincidence_roots, 15, 7) == 2
+        # a squarefree difference is isolated on the chain Yun starts from
+        assert count(real_coincidence_roots, 15, 7) == 1
         # the double root sqrt(3) of (x^2 - 3)^2 defeats both Descartes
         # routes of nearmiss; each fallback runs one chain
         sq = IntPoly([-3, 0, 1]) * IntPoly([-3, 0, 1])
