@@ -26,8 +26,7 @@ shared (von zur Gathen & Gerhard, "Fast algorithms for Taylor shifts and
 certain difference equations", ISSAC 1997): Horner on blocks of
 PACKED_BLOCK coefficients, then neighbouring blocks joined pairwise, so
 the large products are balanced and CPython's Karatsuba multiplication
-does the work.  Up to PACKED_HORNER_MAX coefficients plain Horner is as
-fast or faster, so it runs alone there.  ``_taylor_shift`` unpacks the
+does the work.  A list of one block is plain Horner.  ``_taylor_shift`` unpacks the
 digits, where a count of sign variations is needed (``_descartes_in``).
 ``_packed_root_free`` decides from the packed integer itself, with no
 unpacking, whether the constant term is nonzero and the signs never
@@ -48,13 +47,7 @@ from operator import add, sub
 from .arith import factorize, profile
 
 KARATSUBA_CUTOFF = 64  # schoolbook below this many coefficients
-# _packed runs plain Horner up to PACKED_HORNER_MAX coefficients and by
-# halves above it, from Horner blocks of PACKED_BLOCK.  Measured with
-# CPython 3.11 on a 2-core VM: at 64-128-bit y the two are even near 48-64
-# coefficients, at 192-256 bits halves win from about 32-48, and at 200
-# coefficients halves are 1.6-3.5x faster
-PACKED_HORNER_MAX = 48
-PACKED_BLOCK = 16
+PACKED_BLOCK = 16  # _packed evaluates blocks of this many coefficients by Horner
 
 
 class ExactDivisionError(ArithmeticError):
@@ -164,19 +157,15 @@ def _horner(cs, y: int) -> int:
 
 def _packed(cs, y: int) -> int:
     # p(y); at y = 2^(8 nb) + s its signed base-2^(8 nb) digits are the
-    # coefficients of p(x + s), whenever each fits in nb bytes.  Past
-    # PACKED_HORNER_MAX coefficients, by halves: blocks of PACKED_BLOCK by
-    # Horner, then neighbours joined as lo + y^k hi, k doubling each round
-    # (an odd block out moves up as it is)
-    if len(cs) <= PACKED_HORNER_MAX:
-        return _horner(cs, y)
-    vals = [_horner(cs[i:i + PACKED_BLOCK], y) for i in range(0, len(cs), PACKED_BLOCK)]
-    yk = y ** PACKED_BLOCK
-    while True:
+    # coefficients of p(x + s), whenever each fits in nb bytes.  By halves:
+    # blocks of PACKED_BLOCK by Horner, then neighbours joined as
+    # lo + y^k hi, k doubling each round (an odd block out moves up as it is)
+    vals = [_horner(cs[i:i + PACKED_BLOCK], y) for i in range(0, len(cs), PACKED_BLOCK)] or [0]
+    yk = 0
+    while len(vals) > 1:
+        yk = yk * yk if yk else y ** PACKED_BLOCK
         vals = [lo + hi * yk for lo, hi in zip(vals[::2], vals[1::2])] + vals[len(vals) & ~1:]
-        if len(vals) == 1:
-            return vals[0]
-        yk *= yk
+    return vals[0]
 
 
 def _digit_bias(nb: int, n: int) -> int:

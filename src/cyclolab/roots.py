@@ -424,9 +424,11 @@ def _qir_cell(cs, lo: int, w: int, den: int, cell: tuple, K: int) -> tuple | Fra
     sub-cells of level k + g, and it and its neighbour toward the root are
     evaluated exactly.  If their signs differ, the sub-cell between them is
     the new cell and g doubles (Abbott, "Quadratic interval refinement for
-    real roots", 2006); otherwise one bisection step is taken and g
-    halves; with g = 1 a step is one bisection step.  Every step goes at
-    least one level down.  Returns the cell of level K, or the root itself
+    real roots", 2006).  Otherwise g halves, and the root lies past both
+    points: the cell from one of them to the far end is taken when it is
+    a cell of the grid, and one bisection step is taken when neither is,
+    so no grid point is evaluated twice.  With g = 1 a step is one
+    bisection step.  Returns the cell of level K, or the root itself
     when an evaluated grid point is one.
     """
     deg = len(cs) - 1
@@ -456,15 +458,30 @@ def _qir_cell(cs, lo: int, w: int, den: int, cell: tuple, K: int) -> tuple | Fra
             k += g
             g *= 2
             continue
-        mid, d = (lo << k + 1) + (2 * j + 1) * w, den << k + 1
-        fm = _eval_int_scaled(cs, mid, d)
-        if not fm:
-            return Fraction(mid, d)
-        if _sign(fm) == slo:
-            j, flo, fhi = 2 * j + 1, fm, fhi << deg
+        # the root lies past both points: if 2^s sub-cells join one of them
+        # to the cell's far end, that is a cell of level k + g - s with both
+        # end values known (at g = 2 always, and whenever one is the midpoint)
+        for q, fq in ((m + step, fn), (m, fm)):
+            t = n - q if step == 1 else q
+            if t & (t - 1) == 0:
+                s = t.bit_length() - 1
+                e = g - s
+                if step == 1:
+                    j, flo, fhi = (j << e) + (q >> s), fq >> s * deg, fhi << e * deg
+                else:
+                    j, flo, fhi = j << e, flo << e * deg, fq >> s * deg
+                k += e
+                break
         else:
-            j, flo, fhi = 2 * j, flo << deg, fm
-        k += 1
+            mid, d = (lo << k + 1) + (2 * j + 1) * w, den << k + 1
+            fm = _eval_int_scaled(cs, mid, d)
+            if not fm:
+                return Fraction(mid, d)
+            if _sign(fm) == slo:
+                j, flo, fhi = 2 * j + 1, fm, fhi << deg
+            else:
+                j, flo, fhi = 2 * j, flo << deg, fm
+            k += 1
         g = max(1, g // 2)
     return k, j, flo, fhi, g
 

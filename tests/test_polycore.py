@@ -9,7 +9,6 @@ from hypothesis import example, given, strategies as st
 from cyclolab.arith import divisors, factorize, moebius, profile
 from cyclolab.polycore import (
     PACKED_BLOCK,
-    PACKED_HORNER_MAX,
     ExactDivisionError,
     IntPoly,
     _eval_gaussian,
@@ -240,13 +239,14 @@ def horner(cs, y):
 
 class TestPacked:
     @given(st.integers(0, 600), st.integers(1, 24), st.sampled_from([1, 2, 5]), st.integers(0, 2 ** 32))
-    @example(PACKED_HORNER_MAX, 8, 2, 0)
-    @example(PACKED_HORNER_MAX + 1, 8, 2, 1)
+    @example(0, 8, 2, 0)
+    @example(PACKED_BLOCK, 8, 2, 0)
+    @example(PACKED_BLOCK + 1, 8, 2, 1)
     @example(3 * PACKED_BLOCK + 1, 16, 1, 2)
     @example(4 * PACKED_BLOCK, 16, 5, 3)
     @example(600, 40, 2, 4)
     def test_halves_match_horner(self, n, nb, s, seed):
-        # lengths on both sides of the Horner crossover, odd block counts
+        # the empty list, one block and one more, odd block counts
         # and coefficients as wide as a digit or wider
         rng = random.Random(seed)
         bits = rng.choice([2, 8 * nb - 1, 8 * nb + 40])
