@@ -26,8 +26,9 @@ shared (von zur Gathen & Gerhard, "Fast algorithms for Taylor shifts and
 certain difference equations", ISSAC 1997): Horner on blocks of
 PACKED_BLOCK coefficients, then neighbouring blocks joined pairwise, so
 the large products are balanced and CPython's Karatsuba multiplication
-does the work.  A list of one block is plain Horner.  ``_taylor_shift`` unpacks the
-digits, where a count of sign variations is needed (``_descartes_in``).
+does the work; a list of one block is plain Horner.  ``_taylor_shift``
+unpacks the digits, where a count of sign variations is needed
+(``_descartes_in``).
 ``_packed_root_free`` decides from the packed integer itself, with no
 unpacking, whether the constant term is nonzero and the signs never
 change, which proves no root x >= s: the root-window certificate applies
