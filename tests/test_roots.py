@@ -685,8 +685,10 @@ GOLDEN = json.loads((Path(__file__).with_name("complex_roots_golden.json")).read
 
 class TestComplexGolden:
     # rendered records (as the CLI prints them at 15 digits) and a digest of
-    # the exact centres, radii, moduli, residuals and digits, both captured
-    # before the integer certification kernel replaced the Fraction one
+    # the exact centres, radii, moduli, residuals and digits.  The first four
+    # were captured before the integer certification kernel replaced the
+    # Fraction one; (3, 7) (a linear factor and the +-i/0 tie) and (25, 49)
+    # (a squarefree factor of degree 37) before the sweeps left mpc objects
     @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: "%d-%d-%d" % (c["m"], c["n"], c["bits"]))
     def test_records_unchanged(self, case):
         rs = complex_roots(difference(case["m"], case["n"]), case["bits"])
