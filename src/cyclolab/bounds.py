@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .arith import divisors, moebius, profile
-from .certified import BigFloat, ZERO, from_interval, log_interval, sqrt_interval
+from .certified import BigFloat, ZERO, from_interval, log_interval
 from .polycore import (
     _eval_gaussian_scaled,
     _gaussian_scale,
@@ -147,12 +148,13 @@ def check_complex_bounds(n: int, z: tuple[Fraction, Fraction]) -> BoundReport:
     holds = val2 * 4 >= pow2 and val2 < 4 * pow2
     if equality and (n, re, im) not in ((1, Fraction(2), Fraction(0)), (2, Fraction(-2), Fraction(0))):
         holds = False
-    # report |Phi_n(z)| / |z|^phi via its exact square
-    rlo, rhi = sqrt_interval(Fraction(val2, pow2), 64)
+    # report |Phi_n(z)| / |z|^phi: r = floor(2^64 sqrt(val2/pow2)) from one
+    # integer square root, without normalising the fraction
+    r = isqrt((val2 << 128) // pow2)
     return BoundReport(
         n=n,
         point=(re, im),
-        ratio=from_interval(rlo, rhi, 64),
+        ratio=from_interval(Fraction(r, 1 << 64), Fraction(r + 1, 1 << 64), 64),
         side="complex",
         holds=holds,
         equality=equality,

@@ -24,9 +24,9 @@ Refinement walks the bisection grid on integers by quadratic interval
 refinement, returns the bracket bisection would, and recovers rational
 roots exactly.
 Complex roots come from a simultaneous Aberth-Ehrlich iteration at
-extended precision, then every floating artifact is re-certified
-exactly: Weierstrass inclusion disks, residuals and moduli are all
-evaluated in rational arithmetic.  numpy and mpmath serve only this
+extended precision, run on mpmath's raw libmp values, then every
+floating artifact is re-certified exactly: Weierstrass inclusion disks,
+residuals and moduli are all evaluated in rational arithmetic.  numpy and mpmath serve only this
 complex path and are imported on its first call, so a process that never
 asks for complex roots does not pay for loading them.
 """
@@ -38,7 +38,7 @@ import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 from .certified import (
     BigFloat,
@@ -858,15 +858,17 @@ def verify_root_window(M: int, jobs: int | None = None) -> WindowReport:
 # complex roots: Aberth-Ehrlich iteration plus exact certification
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    if sign:
-        man = -man
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-
-
 def _aberth_sweeps(cs, prec_bits: int, budget: int):
-    import mpmath as mp
+    # Aberth-Ehrlich sweeps on mpmath's raw (sign, man, exp, bc) values: the
+    # libmp calls, precisions, roundings and operation order that mpc/mpf
+    # objects would make, so the iterates are the same bits.  Two calls
+    # are skipped where libmp makes them exact: adding a zero coefficient,
+    # and the multiplications by one in 1/w = (a/m, -b/m), m = a^2 + b^2.
+    from mpmath.libmp import (
+        fone, from_float, from_int, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_div, mpc_div_mpf,
+        mpc_mul, mpc_mul_mpf, mpc_sub, mpf_add, mpf_div, mpf_gt, mpf_lt, mpf_mul, mpf_neg,
+        mpf_pos, mpf_shift, round_nearest as rnd,
+    )
     import numpy as np
 
     deg = len(cs) - 1
@@ -886,42 +888,58 @@ def _aberth_sweeps(cs, prec_bits: int, budget: int):
             z += 1e-6 + 1e-6j
         spread.append(z)
 
-    with mp.workprec(prec_bits):
-        zs = [mp.mpc(z.real, z.imag) for z in spread]
-        mcs = [mp.mpf(c) for c in cs]
-        dcs = [mp.mpf(i * c) for i, c in enumerate(cs)][1:]
-        tol = mp.mpf(2) ** (-(prec_bits * 3) // 4)
-        for _ in range(budget):
-            moved = mp.mpf(0)
-            for i in range(deg):
-                z = zs[i]
-                pv = mcs[-1]
-                for c in reversed(mcs[:-1]):
-                    pv = pv * z + c
-                if pv == 0:
+    P, wp = prec_bits, prec_bits + 10
+    zero = (fzero, fzero)
+    zs = [(mpf_pos(from_float(z.real), P, rnd), mpf_pos(from_float(z.imag), P, rnd)) for z in spread]
+    # p and p' as a leading coefficient and the ones below it, highest
+    # first, with None for a zero
+    dps = [i * c for i, c in enumerate(cs)][1:]
+    pl, pcs = from_int(cs[-1], P, rnd), [from_int(c, P, rnd) if c else None for c in reversed(cs[:-1])]
+    dl, dcs = from_int(dps[-1], P, rnd), [from_int(c, P, rnd) if c else None for c in reversed(dps[:-1])]
+
+    def horner(lead, rest, z):
+        v = mpc_mul_mpf(z, lead, P, rnd)
+        for k, c in enumerate(rest):
+            if k:
+                v = mpc_mul(v, z, P, rnd)
+            if c is not None:
+                v = mpc_add_mpf(v, c, P, rnd)
+        return v
+
+    tol = mpf_shift(fone, -(prec_bits * 3) // 4)
+    for _ in range(budget):
+        moved = fzero
+        for i in range(deg):
+            z = zs[i]
+            pv = horner(pl, pcs, z)
+            if pv == zero:
+                continue
+            if deg == 1:
+                newt = mpc_div_mpf(pv, dl, P, rnd)
+            else:
+                dv = horner(dl, dcs, z)
+                if dv == zero:
+                    zs[i] = mpc_add_mpf(z, tol, P, rnd)
                     continue
-                dv = dcs[-1]
-                for c in reversed(dcs[:-1]):
-                    dv = dv * z + c
-                if dv == 0:
-                    zs[i] = z + tol
-                    continue
-                newt = pv / dv
-                ssum = mp.mpc(0)
-                for j in range(deg):
-                    if j != i:
-                        ssum += 1 / (z - zs[j])
-                den = 1 - newt * ssum
-                if den == 0:
-                    continue
-                corr = newt / den
-                zs[i] = z - corr
-                rel = abs(corr) / max(1, abs(z))
-                if rel > moved:
-                    moved = rel
-            if moved < tol:
-                break
-        return zs
+                newt = mpc_div(pv, dv, P, rnd)
+            ssum = zero
+            for j in range(deg):
+                if j != i:
+                    a, b = mpc_sub(z, zs[j], P, rnd)
+                    m = mpf_add(mpf_mul(a, a), mpf_mul(b, b), wp)
+                    ssum = mpc_add(ssum, (mpf_div(a, m, P, rnd), mpf_div(mpf_neg(b), m, P, rnd)), P, rnd)
+            den = mpc_sub((fone, fzero), mpc_mul(newt, ssum, P, rnd), P, rnd)
+            if den == zero:
+                continue
+            corr = mpc_div(newt, den, P, rnd)
+            zs[i] = mpc_sub(z, corr, P, rnd)
+            az = mpc_abs(z, P, rnd)
+            rel = mpf_div(mpc_abs(corr, P, rnd), az if mpf_gt(az, fone) else fone, P, rnd)
+            if mpf_gt(rel, moved):
+                moved = rel
+        if mpf_lt(moved, tol):
+            break
+    return zs
 
 
 def _certified_disks(cs, precision_bits: int, budget: int = 200):
@@ -933,52 +951,52 @@ def _certified_disks(cs, precision_bits: int, budget: int = 200):
     upper bound and the union-of-disks theorem applies.  With pairwise
     disjoint disks each one holds exactly one root.
 
-    Returns (re, im, rad, res2) per root: the dyadic center, the radius and
-    the exact squared residual |p(re + im*i)|^2.
+    Returns (re, im, rad, res) per root: the dyadic center, the radius and
+    an enclosure (lo, hi) of the residual |p(re + im*i)| of width
+    2^-precision_bits.
     """
-    import mpmath as mp
+    from mpmath.libmp import fone, fzero, mpc_abs, mpc_sub, mpf_mul, mpf_pos, round_nearest as rnd
 
     deg = len(cs) - 1
     lead = abs(cs[-1])
+    # each center component is rounded to precision_bits + 48 significant
+    # bits (a dyadic rational; exponents differ from root to root); all
+    # certification below happens at the rounded points
+    keep = precision_bits + 48
     for mult in (2, 4):
         P = precision_bits * mult
-        zs = _aberth_sweeps(cs, P, budget)
-        # round each center component to precision_bits + 48 significant
-        # bits (a dyadic rational; exponents differ from root to root); all
-        # certification below happens at the rounded points
-        keep = precision_bits + 48
-        pts = []
-        for z in zs:
-            with mp.workprec(keep):
-                zr = +z.real
-                zi = +z.imag
-            pts.append((_mpf_to_fraction(zr), _mpf_to_fraction(zi)))
-        with mp.workprec(P):
-            mpts = [mp.mpc(mp.mpf(re.numerator) / mp.mpf(re.denominator),
-                           mp.mpf(im.numerator) / mp.mpf(im.denominator))
-                    for re, im in pts]
-            # prod_i = prod_{j != i} |z_i - z_j|, j ascending.  Rounded
-            # subtraction is symmetric, so |z_i - z_j| = |z_j - z_i| bit for
-            # bit and each distance is taken once
-            prods = [mp.mpf(1)] * deg
-            for i in range(deg):
-                for j in range(i + 1, deg):
-                    dist = abs(mpts[i] - mpts[j])
-                    prods[i] *= dist
-                    prods[j] *= dist
-        if any(prod == 0 for prod in prods):
+        pts = [(mpf_pos(re, keep, rnd), mpf_pos(im, keep, rnd)) for re, im in _aberth_sweeps(cs, P, budget)]
+        # prod_i = prod_{j != i} |z_i - z_j|, j ascending.  Rounded
+        # subtraction is symmetric, so |z_i - z_j| = |z_j - z_i| bit for
+        # bit and each distance is taken once
+        prods = [fone] * deg
+        for i in range(deg):
+            for j in range(i + 1, deg):
+                dist = mpc_abs(mpc_sub(pts[i], pts[j], P, rnd), P, rnd)
+                prods[i] = mpf_mul(prods[i], dist, P, rnd)
+                prods[j] = mpf_mul(prods[j], dist, P, rnd)
+        if fzero in prods:
             continue  # coincident centers
-        margin = 1 - Fraction(1, 1 << max(32, P - 8 * deg.bit_length() - 16))
+        # the denominator's lower bound takes the factor 1 - 2^-k
+        k = max(32, P - 8 * deg.bit_length() - 16)
         out = []
-        for (re, im), prod in zip(pts, prods):
-            res2 = _residual_sq(cs, re, im)
-            if res2 == 0:
-                rad = Fraction(0)  # exact dyadic root
+        for ((rsign, rman, rexp, _), (isign, iman, iexp, _)), (_, pman, pexp, _) in zip(pts, prods):
+            # center (a + b*i)/2^s; the exact |p|^2 is N/2^e
+            s = max(0, -rexp, -iexp)
+            a, b = (-rman if rsign else rman) << (rexp + s), (-iman if isign else iman) << (iexp + s)
+            vr, vi = _eval_gaussian_scaled(cs, a, b, 1 << s)
+            N, e = vr * vr + vi * vi, 2 * deg * s
+            if N == 0:
+                rad, res = Fraction(0), (ZERO, ZERO)  # exact dyadic root
             else:
-                num_hi = sqrt_interval(res2, P)[1]
-                den_lo = _mpf_to_fraction(prod) * margin * lead
-                rad = deg * num_hi / den_lo
-            out.append((re, im, rad, res2))
+                # r = floor(2^P |p|), so |p| < (r + 1)/2^P, and the residual
+                # enclosure at precision_bits is floor(2^p |p|) = r >> (P - p)
+                r = isqrt((N << 2 * P) >> e)
+                num, den, sh = deg * (r + 1), pman * ((1 << k) - 1) * lead, k - P - pexp
+                rad = Fraction(num << sh, den) if sh >= 0 else Fraction(num, den << -sh)
+                rp = r >> (P - precision_bits)
+                res = (Fraction(rp, 1 << precision_bits), Fraction(rp + 1, 1 << precision_bits))
+            out.append((Fraction(a, 1 << s), Fraction(b, 1 << s), rad, res))
         if _disks_disjoint(out):
             return out
     raise RootConvergenceError("simultaneous iteration failed to separate all roots")
@@ -1020,7 +1038,7 @@ def complex_roots(p: IntPoly, precision_bits: int = 256) -> list[RootRecord]:
         if factor.degree < 1:
             continue
         cs = list(factor.coeffs)
-        for re, im, rad, res2 in _certified_disks(cs, precision_bits):
+        for re, im, rad, res in _certified_disks(cs, precision_bits):
             # classify realness rigorously: a disk clear of the axis is
             # certifiably nonreal; otherwise look for a sign change (or an
             # exact hit) on the real slice through the disk
@@ -1048,7 +1066,6 @@ def complex_roots(p: IntPoly, precision_bits: int = 256) -> list[RootRecord]:
                 m2 = re * re + im * im
             mlo, mhi = sqrt_interval(m2, prec)
             modulus = from_interval(max(ZERO, mlo - rad), mhi + rad, prec)
-            rlo, rhi = sqrt_interval(res2, prec)
             # digits: the largest dg <= precision_bits with 2*rad < 10^-dg
             dg = 0
             width, scale = 2 * rad.numerator, 10
@@ -1062,7 +1079,7 @@ def complex_roots(p: IntPoly, precision_bits: int = 256) -> list[RootRecord]:
                     value=value,
                     modulus=modulus,
                     digits=dg,
-                    residual=from_interval(rlo, rhi, prec),
+                    residual=from_interval(*res, prec),
                     multiplicity=mult,
                 )
             )

@@ -98,6 +98,14 @@ class TestGap:
     def test_values(self, n, g):
         assert gap(n) == g
 
+    def test_matches_coefficients(self):
+        # the series expansion against the gap read off the coefficients
+        for n in range(1, 2001):
+            cs = cyclotomic(n).coeffs
+            top = len(cs) - 1
+            below = max(i for i, c in enumerate(cs[:-1]) if c)
+            assert gap(n) == top - below, n
+
     def test_equals_qpart_smoke(self):
         for n in range(2, 800):
             assert gap(n) == profile(n).qpart

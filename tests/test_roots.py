@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from cyclolab import nearmiss, roots as roots_mod
 from cyclolab.certified import BigFloat, ZERO, decimal_in_interval, from_interval
-from cyclolab.cli import _root_record_obj
+from cyclolab.cli import _root_record_obj, dispatch
 from cyclolab.polycore import (
     IntPoly,
     _eval_int_scaled,
@@ -695,6 +696,46 @@ class TestComplexGolden:
         assert [json.dumps(_root_record_obj(r, 15)) for r in rs] == case["records"]
         exact = repr([(r.kind, r.value, r.modulus, r.digits, r.residual, r.multiplicity) for r in rs])
         assert hashlib.sha256(exact.encode()).hexdigest() == case["exact_sha256"]
+
+
+class TestAberthRestart:
+    # _certified_disks certifies at 2x precision, restarts at 4x when its
+    # disks overlap, and raises when both passes fail
+    def _reject(self, monkeypatch, passes):
+        # the first `passes` disjointness checks fail; with passes=None, all do
+        checks, precisions = [], []
+        disjoint, sweeps = roots_mod._disks_disjoint, roots_mod._aberth_sweeps
+
+        def gate(disks):
+            checks.append(disks)
+            return passes is not None and len(checks) > passes and disjoint(disks)
+
+        monkeypatch.setattr(roots_mod, "_disks_disjoint", gate)
+        monkeypatch.setattr(
+            roots_mod, "_aberth_sweeps", lambda cs, prec, budget: precisions.append(prec) or sweeps(cs, prec, budget)
+        )
+        return checks, precisions
+
+    def test_restart_at_four_times_precision(self, monkeypatch):
+        d = difference(1, 3)
+        expected = [json.dumps(_root_record_obj(r, 15)) for r in complex_roots(d, 256)]
+        checks, precisions = self._reject(monkeypatch, 1)
+        rs = complex_roots(d, 256)
+        assert precisions == [512, 1024] and len(checks) == 2
+        assert [json.dumps(_root_record_obj(r, 15)) for r in rs] == expected
+        # the 4x disks are the ones returned, and they are smaller
+        assert all(r4 < r2 for (_, _, r2, _), (_, _, r4, _) in zip(*checks))
+
+    def test_both_passes_rejected(self, monkeypatch, capsys):
+        checks, precisions = self._reject(monkeypatch, None)
+        with pytest.raises(roots_mod.RootConvergenceError):
+            complex_roots(difference(1, 3), 256)
+        assert precisions == [512, 1024] and len(checks) == 2
+        out = io.StringIO()
+        assert dispatch(["roots", "1", "3", "--complex"], out) == 1
+        assert out.getvalue() == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "RootConvergenceError" in err[0]
 
 
 DYADIC = st.builds(
