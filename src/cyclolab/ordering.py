@@ -13,7 +13,7 @@ from functools import cmp_to_key
 from math import prod
 
 from .arith import factorize, inverse_phi, is_prime, phi_prime_power_primes, profile
-from .polycore import _moebius_divisors, cyclotomic
+from .polycore import _product_series, cyclotomic
 
 LESS = -1
 GREATER = 1
@@ -74,31 +74,23 @@ def gap(n: int) -> int:
 
     With r = rad(n) and q = n/r the reversed polynomial is a product,
 
-        x^phi Phi_n(1/x) = prod_{e | r} (1 - x^(eq))^mu(r/e),
+        x^phi Phi_n(1/x) = prod_{e | r} (1 - x^(eq))^mu(r/e) = S(x^q),
 
-    so the top coefficients of Phi_n are the low ones of this power series.
-    It is expanded only as far as its first nonzero term after the
+    so the top coefficients of Phi_n are the low ones of the power series
+    S.  S is expanded only as far as its first nonzero term after the
     constant, doubling the length until one appears (one does by degree
-    phi, where the series ends in Phi_n(0) = +-1).
+    phi(r), where S ends in Phi_n(0) = +-1).
     """
     if n < 1:
         raise ValueError("gap requires n >= 1")
     primes = [p for p, _ in factorize(n).factors]
     q = n // prod(primes)
-    length = q
+    length = 1
     while True:
-        s = [1] + [0] * length
-        for e, mu in _moebius_divisors(primes):
-            k = e * q
-            if mu > 0:  # times 1 - x^k
-                for i in range(length, k - 1, -1):
-                    s[i] -= s[i - k]
-            else:  # over 1 - x^k: a running sum with stride k
-                for i in range(k, length + 1):
-                    s[i] += s[i - k]
+        s = _product_series(primes, length)
         for i in range(1, length + 1):
             if s[i]:
-                return i
+                return q * i
         length *= 2
 
 

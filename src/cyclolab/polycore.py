@@ -389,19 +389,13 @@ def _moebius_divisors(primes) -> list[tuple[int, int]]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic_squarefree(rad: int) -> tuple[int, ...]:
-    # rad is squarefree.  For rad > 1 the mu(rad/d) sum to 0, so the signs of
-    # the factors x^d - 1 cancel and Phi_rad = prod_{d | rad} (1 - x^d)^mu(rad/d),
-    # expanded as a power series to degree N = phi(rad); a factor with d > N
-    # is 1 there.  Each multiplication by 1 - x^d is one pass subtracting the
-    # series shifted by d, each division one running sum with stride d.  The
-    # multiplications go first: the intermediate series is then Phi_rad times
-    # the factors still to divide out, with small coefficients.
-    if rad == 1:
-        return (-1, 1)
-    primes = [p for p, _ in factorize(rad).factors]
-    top = prod(p - 1 for p in primes)
+def _product_series(primes, top: int) -> list[int]:
+    # prod_{d | r} (1 - x^d)^mu(r/d), r = prod(primes), as a power series to
+    # degree top; a factor with d > top is 1 there.  Each multiplication by
+    # 1 - x^d is one pass subtracting the series shifted by d, each division
+    # one running sum with stride d.  The multiplications go first: the
+    # intermediate series is then the product times the factors still to
+    # divide out, with small coefficients.
     cs = [1] + [0] * top
     factors = [(d, mu) for d, mu in _moebius_divisors(primes) if d <= top]
     for d, mu in factors:
@@ -414,7 +408,18 @@ def _cyclotomic_squarefree(rad: int) -> tuple[int, ...]:
         elif mu < 0:  # few long blocks, each adding the block before it
             for i in range(d, top + 1, d):
                 cs[i:i + d] = map(add, cs[i:i + d], cs[i - d:i])
-    return tuple(cs)
+    return cs
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_squarefree(rad: int) -> tuple[int, ...]:
+    # rad is squarefree.  For rad > 1 the mu(rad/d) sum to 0, so the signs of
+    # the factors x^d - 1 cancel and Phi_rad is the product series
+    # prod_{d | rad} (1 - x^d)^mu(rad/d) to degree phi(rad)
+    if rad == 1:
+        return (-1, 1)
+    primes = [p for p, _ in factorize(rad).factors]
+    return tuple(_product_series(primes, prod(p - 1 for p in primes)))
 
 
 def cyclotomic(n: int) -> IntPoly:
