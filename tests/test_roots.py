@@ -723,7 +723,7 @@ class TestAberthRestart:
         rs = complex_roots(d, 256)
         assert precisions == [512, 1024] and len(checks) == 2
         assert [json.dumps(_root_record_obj(r, 15)) for r in rs] == expected
-        # the 4x disks are the ones returned, and they are smaller
+        # the 4x pass gives every root a smaller radius
         assert all(r4 < r2 for (_, _, r2, _), (_, _, r4, _) in zip(*checks))
 
     def test_both_passes_rejected(self, monkeypatch, capsys):
