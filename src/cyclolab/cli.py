@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import signal
 import sys
@@ -470,8 +469,10 @@ def dispatch(argv: list[str], out=None) -> int:
 
 def _on_sigterm(signum, frame) -> None:
     # stop the pool workers first, so that none outlives the parent and
-    # fails writing to its pipe; then die of the signal as if unhandled
-    for child in multiprocessing.active_children():
+    # fails writing to its pipe; then die of the signal as if unhandled.
+    # Only a parallel scan loads multiprocessing, so without it there are none
+    mp = sys.modules.get("multiprocessing")
+    for child in mp.active_children() if mp else ():
         child.terminate()
     signal.signal(signum, signal.SIG_DFL)
     signal.raise_signal(signum)

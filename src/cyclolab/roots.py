@@ -24,15 +24,16 @@ Refinement walks the bisection grid on integers by quadratic interval
 refinement, returns the bracket bisection would, and recovers rational
 roots exactly.
 Complex roots come from a simultaneous Aberth-Ehrlich iteration at
-extended precision, run on mpmath's raw libmp values, then every
-floating artifact is re-certified exactly: Weierstrass inclusion disks,
-residuals and moduli are all evaluated in rational arithmetic.  numpy and mpmath serve only this
-complex path and are imported on its first call, so a process that never
-asks for complex roots does not pay for loading them.
+extended precision on ``binfloat``'s (mantissa, exponent) integer pairs,
+bit for bit mpmath's libmp arithmetic, then every floating artifact is
+re-certified exactly: Weierstrass inclusion disks, residuals and moduli
+are all evaluated in rational arithmetic.  numpy (the seeds) and
+``binfloat`` serve only this complex path and are imported on its first
+call, so a process that never asks for complex roots does not load them.
 """
 from __future__ import annotations
 
-import multiprocessing
+import itertools
 import os
 import signal
 from dataclasses import dataclass
@@ -809,6 +810,7 @@ def _parallel_map(fn, items, jobs: int | None):
     if j <= 1 or len(items) < 8:
         yield from map(fn, items)
         return
+    import multiprocessing  # here, so a run at jobs = 1 never loads it
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
@@ -859,16 +861,12 @@ def verify_root_window(M: int, jobs: int | None = None) -> WindowReport:
 
 
 def _aberth_sweeps(cs, prec_bits: int, budget: int):
-    # Aberth-Ehrlich sweeps on mpmath's raw (sign, man, exp, bc) values: the
-    # libmp calls, precisions, roundings and operation order that mpc/mpf
-    # objects would make, so the iterates are the same bits.  Two calls
-    # are skipped where libmp makes them exact: adding a zero coefficient,
+    # Aberth-Ehrlich sweeps on binfloat (m, e) pairs, bit for bit the
+    # iterates of mpmath's mpc arithmetic at prec_bits: the same
+    # operations, precisions, roundings and order.  Two operations are
+    # skipped where libmp makes them exact: adding a zero coefficient,
     # and the multiplications by one in 1/w = (a/m, -b/m), m = a^2 + b^2.
-    from mpmath.libmp import (
-        fone, from_float, from_int, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_div, mpc_div_mpf,
-        mpc_mul, mpc_mul_mpf, mpc_sub, mpf_add, mpf_div, mpf_gt, mpf_lt, mpf_mul, mpf_neg,
-        mpf_pos, mpf_shift, round_nearest as rnd,
-    )
+    from . import binfloat as bf
     import numpy as np
 
     deg = len(cs) - 1
@@ -888,56 +886,40 @@ def _aberth_sweeps(cs, prec_bits: int, budget: int):
             z += 1e-6 + 1e-6j
         spread.append(z)
 
-    P, wp = prec_bits, prec_bits + 10
-    zero = (fzero, fzero)
-    zs = [(mpf_pos(from_float(z.real), P, rnd), mpf_pos(from_float(z.imag), P, rnd)) for z in spread]
+    P = prec_bits
+    zero = (bf.ZERO, bf.ZERO)
+    zs = [(bf.from_float(z.real, P, True), bf.from_float(z.imag, P, True)) for z in spread]
     # p and p' as a leading coefficient and the ones below it, highest
     # first, with None for a zero
     dps = [i * c for i, c in enumerate(cs)][1:]
-    pl, pcs = from_int(cs[-1], P, rnd), [from_int(c, P, rnd) if c else None for c in reversed(cs[:-1])]
-    dl, dcs = from_int(dps[-1], P, rnd), [from_int(c, P, rnd) if c else None for c in reversed(dps[:-1])]
-
-    def horner(lead, rest, z):
-        v = mpc_mul_mpf(z, lead, P, rnd)
-        for k, c in enumerate(rest):
-            if k:
-                v = mpc_mul(v, z, P, rnd)
-            if c is not None:
-                v = mpc_add_mpf(v, c, P, rnd)
-        return v
-
-    tol = mpf_shift(fone, -(prec_bits * 3) // 4)
+    pl, pcs = bf.rnd(cs[-1], 0, P, True), [bf.rnd(c, 0, P, True) if c else None for c in reversed(cs[:-1])]
+    dl, dcs = bf.rnd(dps[-1], 0, P, True), [bf.rnd(c, 0, P, True) if c else None for c in reversed(dps[:-1])]
+    tol = (1, -(prec_bits * 3) // 4)
     for _ in range(budget):
-        moved = fzero
+        moved = bf.ZERO
         for i in range(deg):
             z = zs[i]
-            pv = horner(pl, pcs, z)
+            pv = bf.horner(pl, pcs, z, P)
             if pv == zero:
                 continue
             if deg == 1:
-                newt = mpc_div_mpf(pv, dl, P, rnd)
+                newt = (bf.div(pv[0], dl, P, True), bf.div(pv[1], dl, P, True))
             else:
-                dv = horner(dl, dcs, z)
+                dv = bf.horner(dl, dcs, z, P)
                 if dv == zero:
-                    zs[i] = mpc_add_mpf(z, tol, P, rnd)
+                    zs[i] = (bf.add(z[0], tol, P, True), z[1])
                     continue
-                newt = mpc_div(pv, dv, P, rnd)
-            ssum = zero
-            for j in range(deg):
-                if j != i:
-                    a, b = mpc_sub(z, zs[j], P, rnd)
-                    m = mpf_add(mpf_mul(a, a), mpf_mul(b, b), wp)
-                    ssum = mpc_add(ssum, (mpf_div(a, m, P, rnd), mpf_div(mpf_neg(b), m, P, rnd)), P, rnd)
-            den = mpc_sub((fone, fzero), mpc_mul(newt, ssum, P, rnd), P, rnd)
+                newt = bf.cdiv(pv, dv, P)
+            den = bf.csub((bf.ONE, bf.ZERO), bf.cmul(newt, bf.recip_sum(z, zs, i, P), P), P)
             if den == zero:
                 continue
-            corr = mpc_div(newt, den, P, rnd)
-            zs[i] = mpc_sub(z, corr, P, rnd)
-            az = mpc_abs(z, P, rnd)
-            rel = mpf_div(mpc_abs(corr, P, rnd), az if mpf_gt(az, fone) else fone, P, rnd)
-            if mpf_gt(rel, moved):
+            corr = bf.cdiv(newt, den, P)
+            zs[i] = bf.csub(z, corr, P)
+            az = bf.cabs(z, P)
+            rel = bf.div(bf.cabs(corr, P), az if bf.lt(bf.ONE, az) else bf.ONE, P, True)
+            if bf.lt(moved, rel):
                 moved = rel
-        if mpf_lt(moved, tol):
+        if bf.lt(moved, tol):
             break
     return zs
 
@@ -955,7 +937,7 @@ def _certified_disks(cs, precision_bits: int, budget: int = 200):
     an enclosure (lo, hi) of the residual |p(re + im*i)| of width
     2^-precision_bits.
     """
-    from mpmath.libmp import fone, fzero, mpc_abs, mpc_sub, mpf_mul, mpf_pos, round_nearest as rnd
+    from . import binfloat as bf
 
     deg = len(cs) - 1
     lead = abs(cs[-1])
@@ -965,25 +947,25 @@ def _certified_disks(cs, precision_bits: int, budget: int = 200):
     keep = precision_bits + 48
     for mult in (2, 4):
         P = precision_bits * mult
-        pts = [(mpf_pos(re, keep, rnd), mpf_pos(im, keep, rnd)) for re, im in _aberth_sweeps(cs, P, budget)]
+        pts = [(bf.rnd(*re, keep, True), bf.rnd(*im, keep, True)) for re, im in _aberth_sweeps(cs, P, budget)]
         # prod_i = prod_{j != i} |z_i - z_j|, j ascending.  Rounded
         # subtraction is symmetric, so |z_i - z_j| = |z_j - z_i| bit for
         # bit and each distance is taken once
-        prods = [fone] * deg
+        prods = [bf.ONE] * deg
         for i in range(deg):
             for j in range(i + 1, deg):
-                dist = mpc_abs(mpc_sub(pts[i], pts[j], P, rnd), P, rnd)
-                prods[i] = mpf_mul(prods[i], dist, P, rnd)
-                prods[j] = mpf_mul(prods[j], dist, P, rnd)
-        if fzero in prods:
+                dist = bf.cabs(bf.csub(pts[i], pts[j], P), P)
+                prods[i] = bf.mul(prods[i], dist, P, True)
+                prods[j] = bf.mul(prods[j], dist, P, True)
+        if bf.ZERO in prods:
             continue  # coincident centers
         # the denominator's lower bound takes the factor 1 - 2^-k
         k = max(32, P - 8 * deg.bit_length() - 16)
         out = []
-        for ((rsign, rman, rexp, _), (isign, iman, iexp, _)), (_, pman, pexp, _) in zip(pts, prods):
+        for ((rman, rexp), (iman, iexp)), (pman, pexp) in zip(pts, prods):
             # center (a + b*i)/2^s; the exact |p|^2 is N/2^e
             s = max(0, -rexp, -iexp)
-            a, b = (-rman if rsign else rman) << (rexp + s), (-iman if isign else iman) << (iexp + s)
+            a, b = rman << (rexp + s), iman << (iexp + s)
             vr, vi = _eval_gaussian_scaled(cs, a, b, 1 << s)
             N, e = vr * vr + vi * vi, 2 * deg * s
             if N == 0:
@@ -1005,12 +987,19 @@ def _certified_disks(cs, precision_bits: int, budget: int = 200):
 def _disks_disjoint(disks) -> bool:
     # |c_i - c_j|^2 > (r_i + r_j)^2 for every pair, on integers: centers
     # scaled to one power of two 2^K, radius r = n/d, both sides times
-    # (d_i d_j)^2 * 4^K
+    # (d_i d_j)^2 * 4^K.  A sweep on x tests only the pairs whose x-extents
+    # overlap, each widened by ceil(r * 2^K); the others are disjoint
     K = max(c.denominator.bit_length() for re, im, _, _ in disks for c in (re, im)) - 1
-    cen = [tuple(c.numerator << (K + 1 - c.denominator.bit_length()) for c in (re, im)) for re, im, _, _ in disks]
-    rads = [(rad.numerator, rad.denominator) for _, _, rad, _ in disks]
-    for i, ((xi, yi), (ni, di)) in enumerate(zip(cen, rads)):
-        for (xj, yj), (nj, dj) in zip(cen[i + 1:], rads[i + 1:]):
+    box = []
+    for re, im, rad, _ in disks:
+        x, y = (c.numerator << (K + 1 - c.denominator.bit_length()) for c in (re, im))
+        w = -((-rad.numerator << K) // rad.denominator)
+        box.append((x - w, x + w, x, y, rad.numerator, rad.denominator))
+    box.sort()
+    for i, (_, right, xi, yi, ni, di) in enumerate(box):
+        for left, _, xj, yj, nj, dj in itertools.islice(box, i + 1, None):
+            if left > right:
+                break
             dx, dy, dd, rr = xi - xj, yi - yj, di * dj, ni * dj + nj * di
             if (dx * dx + dy * dy) * dd * dd <= (rr * rr) << (2 * K):
                 return False
@@ -1066,25 +1055,33 @@ def complex_roots(p: IntPoly, precision_bits: int = 256) -> list[RootRecord]:
                 m2 = re * re + im * im
             mlo, mhi = sqrt_interval(m2, prec)
             modulus = from_interval(max(ZERO, mlo - rad), mhi + rad, prec)
-            # digits: the largest dg <= precision_bits with 2*rad < 10^-dg
-            dg = 0
-            width, scale = 2 * rad.numerator, 10
-            while width * scale < rad.denominator and dg < precision_bits:
-                dg += 1
-                scale *= 10
             records.append(
                 RootRecord(
                     poly_id=None,
                     kind=kind,
                     value=value,
                     modulus=modulus,
-                    digits=dg,
+                    digits=_digits(rad, precision_bits),
                     residual=from_interval(*res, prec),
                     multiplicity=mult,
                 )
             )
     records.sort(key=_root_sort_key)
     return records
+
+
+def _digits(rad: Fraction, precision_bits: int) -> int:
+    # the largest dg <= precision_bits with 2*rad < 10^-dg, else 0:
+    # estimated from bit lengths (1233/4096 ~ log10 2), then settled by
+    # exact comparisons
+    w, den, dg = 2 * rad.numerator, rad.denominator, precision_bits
+    if w:
+        dg = min(dg, max(0, (den.bit_length() - w.bit_length()) * 1233 >> 12))
+        while dg and w * 10 ** dg >= den:
+            dg -= 1
+        while dg < precision_bits and w * 10 ** (dg + 1) < den:
+            dg += 1
+    return dg
 
 
 def _root_sort_key(rec: RootRecord):

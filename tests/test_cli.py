@@ -282,6 +282,7 @@ class TestUsage:
 
 
 _COLD_START = """
+import io
 import sys
 
 import cyclolab
@@ -290,7 +291,7 @@ from cyclolab.cli import dispatch
 
 
 def heavy():
-    return sorted(m for m in ("numpy", "mpmath") if m in sys.modules)
+    return sorted(m for m in ("mpmath", "multiprocessing", "numpy") if m in sys.modules)
 
 
 assert heavy() == [], ("import", heavy())
@@ -298,13 +299,15 @@ assert dispatch(["eval", "30030", "3/2"]) == 0
 assert heavy() == [], ("eval", heavy())
 roots.window_counts(6, 10)
 roots.real_coincidence_roots(6, 10, 15)
+assert dispatch(["scan", "--max-index", "12", "--jobs", "1"], io.StringIO()) == 0
 assert heavy() == [], ("real", heavy())
 recs = roots.complex_roots(polycore.difference(3, 7))
-assert len(recs) == 4 and heavy() == ["mpmath", "numpy"]
+assert len(recs) == 4 and heavy() == ["numpy"], ("complex", heavy())
 """
 
 
-def test_cold_start_loads_numpy_and_mpmath_only_for_complex_roots():
+def test_cold_start_loads_numpy_only_for_complex_roots():
+    # mpmath is never loaded, and multiprocessing only by a parallel scan
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cyclolab.__file__)))
     proc = subprocess.run([sys.executable, "-c", _COLD_START], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -30,6 +30,7 @@ from cyclolab.roots import (
     _pseudo_rem_even,
     _attains_sqrt2,
     _descartes_in,
+    _digits,
     _disks_disjoint,
     _index_packed,
     _sqrt2_quadratic_roots,
@@ -759,6 +760,33 @@ class TestDisksDisjoint:
         a = (Fraction(0), Fraction(0), Fraction(1, 3), None)
         assert not _disks_disjoint([a, (Fraction(3, 4), Fraction(0), Fraction(5, 12), None)])
         assert _disks_disjoint([a, (Fraction(3, 4) + Fraction(1, 1 << 40), Fraction(0), Fraction(5, 12), None)])
+
+
+def digits_loop(rad, precision_bits):
+    # the loop _digits replaced: one more power of ten per digit
+    dg = 0
+    width, scale = 2 * rad.numerator, 10
+    while width * scale < rad.denominator and dg < precision_bits:
+        dg += 1
+        scale *= 10
+    return dg
+
+
+class TestDigits:
+    @given(
+        st.one_of(
+            RADIUS,
+            st.builds(Fraction, st.integers(0, 10 ** 6), st.integers(1, 1 << 1200)),
+            # 2 * rad at and beside 10^-k, where the strict bound flips
+            st.builds(lambda k, d: Fraction(1, 2 * 10 ** k + d), st.integers(0, 300), st.integers(-1, 1)),
+        ),
+        st.integers(1, 400),
+    )
+    def test_matches_loop(self, rad, precision_bits):
+        assert _digits(rad, precision_bits) == digits_loop(rad, precision_bits)
+
+    def test_zero_radius_takes_every_digit(self):
+        assert _digits(Fraction(0), 256) == 256
 
 
 class TestSqrt2Proof:
