@@ -7,6 +7,12 @@ factor-two envelope holds for complex |z| >= 2.  On (0, 1/2] the log-ratio
 of two cyclotomic values is certified nonzero.  All comparisons are exact,
 made on integers after clearing the denominators of the point; logs use
 certified enclosures.
+
+No check builds cyclotomic coefficients.  Real values come from the
+Moebius product on integers, and the complex modulus from the product of
+the Gaussian norms N((a + bi)^k - d^k).  A sum of logs of 1 - x^-k or
+1 - x^k takes each bound as an integer numerator over 2^prec, so the sum
+is exact, and a Fraction is built only for the returned BigFloat.
 """
 from __future__ import annotations
 
@@ -14,12 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .arith import divisors, moebius, profile
-from .certified import BigFloat, ZERO, from_interval, log_interval
+from .arith import profile
+from .certified import BigFloat, ZERO, _log_bounds, from_interval
 from .polycore import (
-    _eval_gaussian_scaled,
     _gaussian_scale,
-    cyclotomic,
+    _moebius_exponents,
+    _norm_homogeneous_cyclotomic,
     eval_homogeneous_cyclotomic,
 )
 
@@ -50,18 +56,26 @@ def lemma_tail_gap(x: Fraction, k: int, j_max: int = 64) -> tuple[BigFloat, BigF
     if j_max <= k:
         raise ValueError("j_max must exceed k")
     prec = 96
-    llo, lhi = log_interval(1 - x ** -k, prec)
-    left = from_interval(-lhi, -llo, prec)
+    a, b = x.numerator, x.denominator
+    # 1 - x^-j = (a^j - b^j)/a^j; the log bounds are numerators over 2^prec
+    ak, bk = a ** k, b ** k
+    llo, lhi = _log_bounds(ak - bk, ak, prec)
+    left = _dyadic_interval(-lhi, -llo, prec)
 
-    slo = shi = ZERO
-    for j in range(k + 1, j_max + 1):
-        jlo, jhi = log_interval(1 - x ** -j, prec)
-        slo += -jhi
-        shi += -jlo
-    # |log(1-t)| <= t/(1-t); geometric sum of x^-j for j > j_max
-    t_head = x ** -(j_max + 1)
-    tail = t_head / ((1 - 1 / x) * (1 - t_head))
-    right = from_interval(slo, shi + tail, prec)
+    slo = shi = 0
+    for _ in range(k + 1, j_max + 1):
+        ak *= a
+        bk *= b
+        jlo, jhi = _log_bounds(ak - bk, ak, prec)
+        slo -= jhi
+        shi -= jlo
+    # |log(1-t)| <= t/(1-t); geometric sum of x^-j for j > j_max, which is
+    # t_head / ((1 - 1/x)(1 - t_head)) with t_head = x^-(j_max+1)
+    ak *= a
+    bk *= b
+    tail = Fraction(bk * a, (a - b) * (ak - bk))
+    s = 1 << prec
+    right = from_interval(Fraction(slo, s), Fraction(shi, s) + tail, prec)
     return left, right, left.lo > right.hi
 
 
@@ -133,17 +147,17 @@ def check_complex_bounds(n: int, z: tuple[Fraction, Fraction]) -> BoundReport:
 
     Comparisons are made on squared moduli scaled to integers: with
     z = (a + bi)/d, |Phi_n(z)|^2 and |z|^(2 phi) share the factor d^(-2 phi).
-    The only equality cases are (n, z) = (1, 2) and (2, -2).
+    The scaled |d^phi Phi_n(z)|^2 is prod_e N((a + bi)^(eq) - d^(eq))^mu(r/e)
+    over the divisors e of r = rad(n), q = n/r, with no factor zero since
+    |z| > 1.  The only equality cases are (n, z) = (1, 2) and (2, -2).
     """
     re, im = Fraction(z[0]), Fraction(z[1])
     a, b, d = _gaussian_scale(re, im)
     mod2 = a * a + b * b
     if mod2 < 4 * d * d:
         raise ValueError("complex bounds require |z| >= 2")
-    phi = profile(n).phi
-    vr, vi = _eval_gaussian_scaled(cyclotomic(n).coeffs, a, b, d)
-    val2 = vr * vr + vi * vi
-    pow2 = mod2 ** phi
+    val2 = _norm_homogeneous_cyclotomic(n, a, b, d)
+    pow2 = mod2 ** profile(n).phi
     equality = val2 * 4 == pow2
     holds = val2 * 4 >= pow2 and val2 < 4 * pow2
     if equality and (n, re, im) not in ((1, Fraction(2), Fraction(0)), (2, Fraction(-2), Fraction(0))):
@@ -178,39 +192,39 @@ def g_value(m: int, n: int, x: Fraction, precision_bits: int = 64) -> BigFloat:
     if m == n:
         raise ValueError("g_value requires m != n")
 
-    pm, pn = profile(m), profile(n)
-    terms: list[tuple[int, Fraction]] = []
-    for d in divisors(pm.rad):
-        mu = moebius(pm.rad // d)
-        if mu:
-            terms.append((mu, 1 - x ** (d * pm.qpart)))
-    for e in divisors(pn.rad):
-        mu = moebius(pn.rad // e)
-        if mu:
-            terms.append((-mu, 1 - x ** (e * pn.qpart)))
+    # 1 - x^k = (b^k - a^k)/b^k, with the sign its log carries in g
+    a, b = x.numerator, x.denominator
+    (m_plus, m_minus), (n_plus, n_minus) = _moebius_exponents(m), _moebius_exponents(n)
+    signed = ((1, m_plus), (-1, m_minus), (-1, n_plus), (1, n_minus))
+    terms = [(sgn, b ** k - a ** k, b ** k) for sgn, ks in signed for k in ks]
 
     exact_sign = _exact_ratio_sign(m, n, x)
     prec = precision_bits
     while True:
-        lo = hi = ZERO
-        for sgn, arg in terms:
-            llo, lhi = log_interval(arg, prec)
+        # numerators over 2^prec: each log bound is one, so the sums are exact
+        lo = hi = 0
+        for sgn, p, q in terms:
+            llo, lhi = _log_bounds(p, q, prec)
             if sgn > 0:
                 lo += llo
                 hi += lhi
             else:
-                lo += -lhi
-                hi += -llo
+                lo -= lhi
+                hi -= llo
         if lo > 0 or hi < 0:
             break
         prec *= 2
         if prec > 16 * precision_bits:
             raise AssertionError("g enclosure failed to separate from zero")
-    result = from_interval(lo, hi, prec)
-    got = 1 if result.lo > 0 else -1
-    if got != exact_sign:
+    if (1 if lo > 0 else -1) != exact_sign:
         raise AssertionError("certified log sign disagrees with exact evaluation")
-    return result
+    return _dyadic_interval(lo, hi, prec)
+
+
+def _dyadic_interval(lo: int, hi: int, prec: int) -> BigFloat:
+    # [lo/2^prec, hi/2^prec] as from_interval gives it, without its Fractions
+    s = 1 << (prec + 1)
+    return BigFloat(Fraction(lo + hi, s), prec, Fraction(hi - lo, s))
 
 
 def _exact_ratio_sign(m: int, n: int, x: Fraction) -> int:

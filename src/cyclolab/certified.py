@@ -4,16 +4,22 @@ Everything here is built on exact rational arithmetic.  A BigFloat is a
 midpoint plus a proven error radius; log and sqrt enclosures are computed
 with rational series partial sums and explicit tail bounds, so no verdict
 anywhere in the package ever rests on unproven floating-point rounding.
+
+Logs run on integers.  ``_log_bounds(p, q, prec)`` encloses ln(p/q) by two
+numerators over 2^prec: the atanh partial sums are one integer numerator
+and denominator, never normalised, the stopping rule is an integer
+comparison, and the bounds are floored and ceiled once.  Sums of log
+bounds are sums of those numerators; ``log_interval`` wraps the core for
+Fraction arguments.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -144,75 +150,75 @@ def significant_in_interval(lo: Fraction, hi: Fraction, sig: int) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# interval transcendentals (rigorous enclosures over Fractions)
+# interval transcendentals (rigorous enclosures on integers)
 
 
-def _outward(lo: Fraction, hi: Fraction, prec: int) -> tuple[Fraction, Fraction]:
-    # round an enclosure outward to dyadics so denominators stay bounded
-    s = 1 << prec
-    lon = lo.numerator * s // lo.denominator
-    hin = -((-hi.numerator * s) // hi.denominator)
-    return Fraction(lon, s), Fraction(hin, s)
+def _atanh_bounds(n: int, d: int, prec: int) -> tuple[int, int, int]:
+    # atanh(n/d) for 0 <= n/d < 1/2 by series with geometric tail bound, as
+    # (lo, hi, den) with lo/den <= atanh(n/d) <= hi/den.  After the terms
+    # j < k the sum is a/(d^(2k-1) * 1*3*...*(2k-1)), held unnormalised, and
+    # the tail past them is below n^(2k+1) / (d^(2k-1) (2k+1) (d^2 - n^2)),
+    # which stops the series once it is under 2^-(prec+4)
+    if not n:
+        return 0, 0, 1
+    n2, d2 = n * n, d * d
+    gap = d2 - n2
+    a, dp, odd, num, j = n, d, 1, n * n2, 3  # j = 2k + 1, num = n^j, dp = d^(j-2)
+    while num << (prec + 4) >= dp * j * gap:
+        a = a * d2 * j + num * odd
+        odd *= j
+        dp *= d2
+        num *= n2
+        j += 2
+    w = j * gap
+    return a * w, a * w + num * odd, dp * odd * w
 
 
-def _atanh_enclosure(t: Fraction, prec: int) -> tuple[Fraction, Fraction]:
-    # atanh(t) for 0 <= t < 1/2 by series with geometric tail bound
-    if t == 0:
-        return ZERO, ZERO
-    tol = Fraction(1, 1 << (prec + 4))
-    t2 = t * t
-    term = t
-    total = ZERO
-    k = 0
-    while True:
-        total += term / (2 * k + 1)
-        term *= t2
-        k += 1
-        tail = term / ((2 * k + 1) * (1 - t2))
-        if tail < tol:
-            return total, total + tail
+def _outward(lo: int, hi: int, den: int, shift: int) -> tuple[int, int]:
+    # the numerators of an enclosure [lo/den, hi/den] rounded outward to 2^-shift
+    return (lo << shift) // den, -((-hi << shift) // den)
 
 
 @lru_cache(maxsize=None)  # keyed by precision alone
-def ln2_interval(prec: int) -> tuple[Fraction, Fraction]:
-    lo, hi = _atanh_enclosure(Fraction(1, 3), prec + 2)
-    return _outward(2 * lo, 2 * hi, prec + 2)
+def _ln2_bounds(prec: int) -> tuple[int, int]:
+    # ln 2 = 2 atanh(1/3), enclosed by numerators over 2^(prec+2)
+    lo, hi, den = _atanh_bounds(1, 3, prec + 2)
+    return _outward(2 * lo, 2 * hi, den, prec + 2)
 
 
 @lru_cache(maxsize=1024)
+def _log_bounds(p: int, q: int, prec: int) -> tuple[int, int]:
+    # ln(p/q) for p, q > 0 enclosed by numerators over 2^prec, width < 2^-prec:
+    # p/q = u 2^k with 2/3 <= u = P/Q < 4/3, ln u = 2 atanh(t) with
+    # t = (P - Q)/(P + Q), |t| <= 1/5, and k ln 2 from _ln2_bounds
+    k = p.bit_length() - q.bit_length()
+    P, Q = (p, q << k) if k >= 0 else (p << -k, q)
+    while 3 * P >= 4 * Q:
+        Q <<= 1
+        k += 1
+    while 3 * P < 2 * Q:
+        P <<= 1
+        k -= 1
+    n, d = P - Q, P + Q
+    g = gcd(n, d)
+    lo, hi, den = _atanh_bounds(abs(n) // g, d // g, prec + 4)
+    lo, hi = (2 * lo, 2 * hi) if n >= 0 else (-2 * hi, -2 * lo)
+    if k:
+        # ln 2 at prec + 4 has numerators over 2^(prec+6)
+        l2lo, l2hi = _ln2_bounds(prec + 4)
+        lo = (lo << (prec + 6)) + k * (l2lo if k > 0 else l2hi) * den
+        hi = (hi << (prec + 6)) + k * (l2hi if k > 0 else l2lo) * den
+        den <<= prec + 6
+    return _outward(lo, hi, den, prec)
+
+
 def log_interval(y: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     """Rigorous enclosure of ln(y) for rational y > 0, width < 2^-prec."""
     if y <= 0:
         raise ValueError("log_interval requires y > 0")
-
-    # reduce to u = y / 2^k with 2/3 <= u < 4/3
-    k = y.numerator.bit_length() - y.denominator.bit_length()
-    u = y / (Fraction(1 << k) if k >= 0 else Fraction(1, 1 << -k))
-    while u >= Fraction(4, 3):
-        u /= 2
-        k += 1
-    while u < Fraction(2, 3):
-        u *= 2
-        k -= 1
-
-    t = (u - 1) / (u + 1)  # |t| <= 1/5
-    if t >= 0:
-        alo, ahi = _atanh_enclosure(t, prec + 4)
-        ulo, uhi = 2 * alo, 2 * ahi
-    else:
-        alo, ahi = _atanh_enclosure(-t, prec + 4)
-        ulo, uhi = -2 * ahi, -2 * alo
-
-    if k == 0:
-        lo, hi = ulo, uhi
-    else:
-        l2lo, l2hi = ln2_interval(prec + 4)
-        if k > 0:
-            lo, hi = ulo + k * l2lo, uhi + k * l2hi
-        else:
-            lo, hi = ulo + k * l2hi, uhi + k * l2lo
-
-    return _outward(lo, hi, prec)
+    lo, hi = _log_bounds(y.numerator, y.denominator, prec)
+    s = 1 << prec
+    return Fraction(lo, s), Fraction(hi, s)
 
 
 def sqrt_interval(y: Fraction, prec: int) -> tuple[Fraction, Fraction]:

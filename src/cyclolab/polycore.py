@@ -12,7 +12,9 @@ phi(r), one linear pass per divisor (Arnold & Monagan, "Calculating
 cyclotomic polynomials", Math. Comp. 80, 2011), and the substitution
 x -> x^q lifts it to Phi_n.  Homogeneous values b^phi(n) * Phi_n(a/b)
 need no coefficients: the product is taken on the integers a^(eq) - b^(eq)
-and divided out exactly once.
+and divided out exactly once, and |d^phi(n) * Phi_n((a+bi)/d)|^2 likewise
+on the Gaussian norms of (a+bi)^(eq) - d^(eq).  The exponents eq and their
+signs are cached per index.
 
 Evaluation of a polynomial is exact, one integer Horner kernel per kind
 of point: real (b^deg * p(a/b), behind integer and rational values) and
@@ -447,6 +449,16 @@ def eval_rational(p: IntPoly, r: Fraction | int) -> Fraction:
     return _eval_fraction(p.coeffs, Fraction(r))
 
 
+@lru_cache(maxsize=None)
+def _moebius_exponents(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # the exponents k = e*q of the factors x^k - 1 of Phi_n, e | r = rad(n),
+    # q = n/r: those with mu(r/e) = +1, then those with mu(r/e) = -1
+    primes = [p for p, _ in factorize(n).factors]
+    q = n // prod(primes)
+    pairs = _moebius_divisors(primes)
+    return tuple(e * q for e, mu in pairs if mu > 0), tuple(e * q for e, mu in pairs if mu < 0)
+
+
 def eval_homogeneous_cyclotomic(n: int, a: int, b: int) -> int:
     """b^phi(n) * Phi_n(a/b) as an exact integer; requires gcd(a,b)=1, b>=1.
 
@@ -466,26 +478,53 @@ def eval_homogeneous_cyclotomic(n: int, a: int, b: int) -> int:
         raise ValueError("homogeneous evaluation requires gcd(a, b) = 1")
     if n < 1:
         raise ValueError("cyclotomic requires n >= 1")
-    primes = [p for p, _ in factorize(n).factors]
-    q = n // prod(primes)
-    num = den = 1
     zeros = 0
-    for e, mu in _moebius_divisors(primes):
-        k = e * q
-        f = a ** k - b ** k
-        if not f:
-            f = k * a
-            zeros += mu
-        if mu > 0:
-            num *= f
-        else:
-            den *= f
+    parts = []
+    for sign, ks in zip((1, -1), _moebius_exponents(n)):
+        part = 1
+        for k in ks:
+            f = a ** k - b ** k
+            if not f:
+                f = k * a
+                zeros += sign
+            part *= f
+        parts.append(part)
     if zeros > 0:
         return 0
-    value, rem = divmod(num, den)
+    value, rem = divmod(*parts)
     if rem:
         raise AssertionError("cyclotomic value quotient must be exact")
     return value
+
+
+def _norm_homogeneous_cyclotomic(n: int, a: int, b: int, d: int) -> int:
+    # |d^phi(n) * Phi_n((a + b*i)/d)|^2 for d >= 1 and |a + b*i| > d, as the
+    # Moebius product of the Gaussian norms N((a + b*i)^k - d^k), each
+    # nonzero since |a + b*i|^k > d^k; one exact division at the end
+    parts = []
+    for ks in _moebius_exponents(n):
+        part = 1
+        for k in ks:
+            re, im = _gaussian_pow(a, b, k)
+            re -= d ** k
+            part *= re * re + im * im
+        parts.append(part)
+    value, rem = divmod(*parts)
+    if rem:
+        raise AssertionError("cyclotomic norm quotient must be exact")
+    return value
+
+
+def _gaussian_pow(a: int, b: int, k: int) -> tuple[int, int]:
+    # (a + b*i)^k by binary powering, k >= 0
+    re, im = 1, 0
+    while k:
+        if k & 1:
+            re, im = re * a - im * b, re * b + im * a
+        k >>= 1
+        if k:
+            a, b = a * a - b * b, 2 * a * b
+    return re, im
 
 
 def eval_gaussian(p: IntPoly, re: Fraction, im: Fraction) -> tuple[Fraction, Fraction]:

@@ -1006,12 +1006,6 @@ def _disks_disjoint(disks) -> bool:
     return True
 
 
-def _residual_sq(cs, re: Fraction, im: Fraction) -> Fraction:
-    a, b, d = _gaussian_scale(re, im)
-    vr, vi = _eval_gaussian_scaled(cs, a, b, d)
-    return Fraction(vr * vr + vi * vi, d ** (2 * (len(cs) - 1)))
-
-
 def complex_roots(p: IntPoly, precision_bits: int = 256) -> list[RootRecord]:
     """All complex roots by Aberth-Ehrlich simultaneous iteration.
 
@@ -1221,41 +1215,23 @@ def scan_complex(
 
 def quarter_lift_check(m: int, n: int, digits: int = 12) -> bool:
     """For odd m, n: every positive real root a of Phi_m - Phi_n lifts to
-    i*sqrt(a) being a root of Phi_4m - Phi_4n, verified by a scaled
-    residual below 10^-digits."""
+    i*sqrt(a) being a root of Phi_4m - Phi_4n, proved exactly.
+
+    For odd k > 1, Phi_4k(x) = Phi_k(-x^2), so for m, n > 1 the check is
+    that Phi_4m - Phi_4n is Phi_m - Phi_n composed with -x^2, coefficient
+    for coefficient.  Phi_4(x) = -Phi_1(-x^2), so at a root a of
+    Phi_1 - Phi_n the lifted difference takes -2 Phi_1(a) at i*sqrt(a),
+    which vanishes only at a = 1, not a root for n > 1: the lift holds
+    exactly when the difference has no positive root, counted by Sturm.
+    ``digits`` is kept for callers and no longer used: nothing is rounded.
+    """
     if m % 2 == 0 or n % 2 == 0:
         raise ValueError("quarter_lift_check requires odd indices")
     if m == n:
         raise ValueError("quarter_lift_check requires m != n")
     d = difference(m, n)
-    if d.degree < 1:
-        return True
-    lifted = difference(4 * m, 4 * n)
-    work = digits + 8
-    sf = squarefree_part(d)
-    for iv in isolate_real_roots(d):
-        if iv.hi <= 0:
-            continue
-        if iv.lo <= 0:
-            # bracket straddles zero: its unique root is positive only if a
-            # sign change survives on the right half
-            if sf(Fraction(0)) == 0:
-                continue  # the root is zero itself
-            s0 = _sign_at(list(sf.coeffs), Fraction(0))
-            if s0 == iv.sign_hi:
-                continue  # unique root lies left of zero
-            iv = IsolatingInterval(Fraction(0), iv.hi, s0, iv.sign_hi)
-        val = refine_root(sf, iv, work)
-        slo, shi = sqrt_interval(val.lo, int(work * 3.33) + 8)
-        s = (slo + shi) / 2
-        # evaluate the lifted difference at the purely imaginary point i*s
-        res2 = _residual_sq(lifted.coeffs, ZERO, s)
-        scale = Fraction(0)
-        power = Fraction(1)
-        for c in lifted.coeffs:
-            scale += abs(c) * power
-            power *= shi
-        threshold = scale * Fraction(1, 10 ** digits)
-        if res2 >= threshold * threshold:
-            return False
-    return True
+    if m == 1 or n == 1:
+        return sturm_count(d, ZERO, None) == 0
+    # x -> -x^2 sends c x^i to (-1)^i c x^(2i)
+    lift = [c if j % 4 == 0 else -c for j, c in enumerate(d.compose_power(2).coeffs)]
+    return difference(4 * m, 4 * n).coeffs == tuple(lift)

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from cyclolab import bounds as bounds_mod
+from cyclolab import polycore as polycore_mod
 from cyclolab.bounds import (
     check_complex_bounds,
     check_real_bounds,
@@ -191,6 +193,35 @@ class TestComplexBoundsIntegerForm:
             holds, equality, (rlo, rhi) = complex_bounds_fraction_form(n, re, im)
             assert (rep.holds, rep.equality) == (holds, equality), (n, re, im)
             assert (rep.ratio.lo, rep.ratio.hi) == (rlo, rhi), (n, re, im)
+
+    @pytest.mark.parametrize(
+        "n, re, im",
+        [(1, Fraction(2), Fraction(0)), (2, Fraction(-2), Fraction(0))]  # the two equality points
+        + [
+            (n, re, im)
+            for n in (1, 210, 243, 256)  # 210 has four primes; 243 and 256 are prime powers
+            for re, im in ((Fraction(2), Fraction(0)), (Fraction(-2), Fraction(0)), (Fraction(0), Fraction(-2)),
+                           (Fraction(-7, 3), Fraction(5, 7)), (Fraction(1381, 1000), Fraction(-1447, 1000)))
+        ],
+    )
+    def test_matches_fraction_form_at_chosen_points(self, n, re, im):
+        rep = check_complex_bounds(n, (re, im))
+        holds, equality, (rlo, rhi) = complex_bounds_fraction_form(n, re, im)
+        assert (rep.holds, rep.equality) == (holds, equality)
+        assert (rep.ratio.lo, rep.ratio.hi) == (rlo, rhi)
+        assert rep.equality == ((n, re, im) in ((1, 2, 0), (2, -2, 0)))
+
+    def test_builds_no_coefficients(self, monkeypatch):
+        # the Moebius norm product needs no cyclotomic coefficients at all
+        def refuse(*args):
+            raise AssertionError("cyclotomic coefficients were built")
+
+        monkeypatch.setattr(bounds_mod, "cyclotomic", refuse, raising=False)
+        monkeypatch.setattr(polycore_mod, "cyclotomic", refuse)
+        monkeypatch.setattr(polycore_mod, "_cyclotomic_squarefree", refuse)
+        monkeypatch.setattr(polycore_mod, "_eval_gaussian_scaled", refuse)
+        for n in (1, 2, 30, 210, 243, 256, 997):
+            assert check_complex_bounds(n, (Fraction(-7, 3), Fraction(5, 7))).holds
 
     @pytest.mark.parametrize("z", [(Fraction(3, 2), Fraction(1, 2)), (Fraction(199, 100), Fraction(0))])
     def test_rejects_inside_disk_with_denominators(self, z):

@@ -12,8 +12,11 @@ from cyclolab.polycore import (
     ExactDivisionError,
     IntPoly,
     _eval_gaussian,
+    _eval_gaussian_scaled,
     _eval_int_scaled,
+    _moebius_exponents,
     _mul_school,
+    _norm_homogeneous_cyclotomic,
     _packed,
     _packed_root_free,
     _root_free_from,
@@ -24,7 +27,7 @@ from cyclolab.polycore import (
     eval_rational,
     poly_to_json,
 )
-from cyclolab.roots import _residual_sq, _variations
+from cyclolab.roots import _variations
 
 X_MINUS_1 = IntPoly([-1, 1])
 
@@ -127,6 +130,13 @@ class TestEvaluation:
         lhs = Fraction(eval_homogeneous_cyclotomic(n, a, b), b ** profile(n).phi)
         assert lhs == eval_rational(cyclotomic(n), Fraction(a, b))
 
+    def test_moebius_exponents_sum_to_phi(self):
+        # b^phi = prod (b^k)^mu: the exponents with mu = +1 outweigh the rest by phi
+        for n in range(1, 400):
+            plus, minus = _moebius_exponents(n)
+            assert sum(plus) - sum(minus) == profile(n).phi
+            assert len(plus) + len(minus) == 2 ** len(factorize(n).factors)
+
 
 def gaussian_horner_oracle(cs, re, im):
     # plain Fraction Horner on (vr + vi i) * (re + im i) + c
@@ -154,6 +164,19 @@ class TestGaussianKernel:
     def test_matches_fraction_horner(self, cs, re, im):
         assert _eval_gaussian(cs, re, im) == gaussian_horner_oracle(cs, re, im)
 
+    @given(
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=-10 ** 4, max_value=10 ** 4),
+        st.integers(min_value=-10 ** 4, max_value=10 ** 4),
+        st.integers(min_value=1, max_value=5000),
+    )
+    def test_norm_product_matches_horner(self, n, a, b, d):
+        # |d^phi Phi_n((a + bi)/d)|^2 from the Moebius norms, outside |z| <= 1
+        if a * a + b * b <= d * d:
+            a += 2 * d
+        vr, vi = _eval_gaussian_scaled(cyclotomic(n).coeffs, a, b, d)
+        assert _norm_homogeneous_cyclotomic(n, a, b, d) == vr * vr + vi * vi
+
     @pytest.mark.parametrize(
         "cs,re,im",
         [
@@ -169,15 +192,6 @@ class TestGaussianKernel:
         vr, vi = _eval_gaussian(cs, re, im)
         assert (vr, vi) == gaussian_horner_oracle(cs, re, im)
         assert type(vr) is Fraction and type(vi) is Fraction
-
-    @given(
-        st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=14),
-        GAUSSIAN_PARTS,
-        GAUSSIAN_PARTS,
-    )
-    def test_residual_square(self, cs, re, im):
-        vr, vi = gaussian_horner_oracle(cs, re, im)
-        assert _residual_sq(cs, re, im) == vr * vr + vi * vi
 
 
 def taylor_shift_oracle(cs, s):

@@ -934,3 +934,25 @@ class TestQuarterLift:
     def test_rejects_even(self):
         with pytest.raises(ValueError):
             quarter_lift_check(4, 7, 10)
+
+    def test_lift_is_the_composition_with_minus_x_squared(self):
+        # i*sqrt(a) is a root of the lifted difference at every positive
+        # root a: checked on the values of Phi_4k(x) = Phi_k(-x^2), k odd > 1
+        for m, n in ((15, 7), (3, 9), (35, 11), (9, 27)):
+            assert quarter_lift_check(m, n)
+            for x in (Fraction(1, 2), Fraction(-3), Fraction(5, 7)):
+                assert eval_rational(difference(4 * m, 4 * n), x) == eval_rational(difference(m, n), -x * x)
+
+    def test_rejects_a_lift_that_is_not_the_composition(self, monkeypatch):
+        exact = roots_mod.difference
+        off = IntPoly([0, 1])
+        monkeypatch.setattr(roots_mod, "difference", lambda m, n: exact(m, n) + off if m % 4 == 0 else exact(m, n))
+        assert not quarter_lift_check(15, 7)
+
+    def test_index_one_needs_no_positive_root(self, monkeypatch):
+        # Phi_4(x) = -Phi_1(-x^2): at a positive root a the lifted value is
+        # -2 Phi_1(a), so a positive root (here x = 3) fails the lift
+        monkeypatch.setattr(roots_mod, "difference", lambda m, n: IntPoly([-3, 1]) * IntPoly([1, 0, 1]))
+        assert not quarter_lift_check(1, 7)
+        monkeypatch.setattr(roots_mod, "difference", lambda m, n: IntPoly([3, 1]) * IntPoly([0, 1]))
+        assert quarter_lift_check(1, 7)  # roots -3 and 0 only
