@@ -4,7 +4,9 @@
 ``g_value`` results as exact rational strings, captured from the Fraction
 series implementation before the log sums moved to integers.  Any change
 to these functions must reproduce every bit: the stopping rule, the ln 2
-bounds and the outward rounding all show up in the numerators.
+bounds and the outward rounding all show up in the numerators.  Below the
+golden values, that Fraction series is kept as the oracle of a property
+test on the integer core.
 """
 import json
 from fractions import Fraction
