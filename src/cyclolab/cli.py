@@ -159,6 +159,7 @@ def _cmd_scan(args, out) -> int:
         raise ValueError("digits must be >= 1")
     if args.jobs is not None and args.jobs < 1:
         raise ValueError("jobs must be >= 1")
+    roots_mod.effective_jobs(args.jobs)  # refuses a bad CYCLOLAB_JOBS before --out is opened
     M = args.max_index
     if M < 2:
         raise ValueError("scan requires --max-index >= 2")

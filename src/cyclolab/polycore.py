@@ -171,10 +171,11 @@ def _packed(cs, y: int) -> int:
     return vals[0]
 
 
+@lru_cache(maxsize=None)
 def _digit_bias(nb: int, n: int) -> int:
     # 2^(8 nb - 1) in each of n digits: added to n signed digits it makes
     # them unsigned, with no carry, and a digit is >= 0 exactly when its
-    # top byte keeps its high bit
+    # top byte keeps its high bit.  Cached: few widths and lengths recur
     return int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
 
 

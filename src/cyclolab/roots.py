@@ -14,7 +14,9 @@ certified region by region with Descartes' rule of signs on
 Taylor-shifted polynomials.  Shifts are linear, so for a pair (m, n) each
 region's shifted polynomial, packed into one integer, is a difference of
 values cached once per index, and one sign-byte scan of it
-(``polycore._packed_root_free``) decides the region.  A pair those values
+(``polycore._packed_root_free``) decides the region.  The integers that
+depend only on the digit width and the degree (the padding powers, 3^D
+and the digit bias) are cached once per process too.  A pair those values
 do not clear takes the exact path: endpoint roots divided out, each
 region tested again, and a region whose test is inconclusive counted by a
 Sturm chain instead.
@@ -722,6 +724,17 @@ def _index_packed(n: int, nb: int) -> tuple[int, ...]:
     return neg, neg, pos, pos
 
 
+@lru_cache(maxsize=None)
+def _power_of_three(D: int) -> int:
+    return 3 ** D
+
+
+@lru_cache(maxsize=None)
+def _padding_power(nb: int, e: int) -> int:
+    # y^e at y = 2^(8 nb) + 2: the packed value of (2+t)^e
+    return ((1 << 8 * nb) + 2) ** e
+
+
 def _window_clear(m: int, n: int) -> bool:
     """Whether cached per-index values prove Phi_m - Phi_n root-free on
     every window region, endpoints included.
@@ -734,18 +747,19 @@ def _window_clear(m: int, n: int) -> bool:
     (||Phi_m||_1 + ||Phi_n||_1) * 3^D in absolute value, so at
     y = 2^(8 nb) + 2, with nb bytes above that bound, each region's packed
     value is one subtraction of cached ones, and ``_packed_root_free``
-    reads its verdict off that value.
+    reads its verdict off that value.  Every integer that depends only on
+    nb and the degrees is cached once per process: 3^D, the padding
+    powers y^(D - phi) and the digit bias of ``_packed_root_free``.
     """
     (fm, lm), (fn, ln) = _index_norms(m), _index_norms(n)
     D = max(fm, fn)
-    nb = _digit_bytes((lm + ln) * 3 ** D)
+    nb = _digit_bytes((lm + ln) * _power_of_three(D))
     nb += -nb % _DIGIT_BUCKET  # shares the cached values among pairs
-    y = (1 << 8 * nb) + 2
-    pm, pn = y ** (D - fm), y ** (D - fn)
-    return all(
-        _packed_root_free(a * wm - b * wn, nb, D + 1)
-        for a, b, wm, wn in zip(_index_packed(m, nb), _index_packed(n, nb), (1, pm, pm, 1), (1, pn, pn, 1))
-    )
+    pm, pn = _padding_power(nb, D - fm), _padding_power(nb, D - fn)
+    for a, b, wm, wn in zip(_index_packed(m, nb), _index_packed(n, nb), (1, pm, pm, 1), (1, pn, pn, 1)):
+        if not _packed_root_free(a * wm - b * wn, nb, D + 1):
+            return False
+    return True
 
 
 def _pair_window(m: int, n: int) -> tuple[tuple[int, int, int, int], bool, int]:
@@ -795,9 +809,17 @@ def _window_worker(pair):
 
 
 def effective_jobs(jobs: int | None) -> int:
+    # CYCLOLAB_JOBS, when set, overrides jobs; a value that is not an
+    # integer >= 1 is refused, as --jobs 0 is
     env = os.environ.get("CYCLOLAB_JOBS")
     if env:
-        return max(1, int(env))
+        try:
+            j = int(env)
+        except ValueError:
+            j = 0
+        if j < 1:
+            raise ValueError(f"CYCLOLAB_JOBS must be an integer >= 1, got {env!r}")
+        return j
     if jobs is not None:
         return max(1, jobs)
     return os.cpu_count() or 1

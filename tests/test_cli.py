@@ -322,3 +322,21 @@ class TestJobsEnv:
         monkeypatch.delenv("CYCLOLAB_JOBS")
         assert effective_jobs(4) == 4
         assert effective_jobs(None) >= 1
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
+    def test_bad_env_refused(self, monkeypatch, capsys, tmp_path, value):
+        # refused like --jobs 0: exit 2, one error line naming the
+        # variable, and --out is not touched
+        out = tmp_path / "scan.jsonl"
+        out.write_text("kept\n")
+        monkeypatch.setenv("CYCLOLAB_JOBS", value)
+        assert run_cli(["scan", "--max-index", "4", "--out", str(out)]) == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: CYCLOLAB_JOBS "), err
+        assert out.read_text() == "kept\n"
+        with pytest.raises(ValueError, match="CYCLOLAB_JOBS"):
+            roots_mod.verify_root_window(4, jobs=1)
+
+    def test_jobs_zero_refused(self, capsys):
+        assert run_cli(["scan", "--max-index", "4", "--jobs", "0"]) == (2, "")
+        assert capsys.readouterr().err == "error: jobs must be >= 1\n"

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from cyclolab.certified import BigFloat, ZERO, decimal_in_interval, from_interva
 from cyclolab.cli import _root_record_obj, dispatch
 from cyclolab.polycore import (
     IntPoly,
+    _digit_bias,
     _eval_int_scaled,
     _gaussian_scale,
     _packed,
@@ -24,6 +26,7 @@ from cyclolab.polycore import (
 )
 from cyclolab.roots import (
     IsolatingInterval,
+    WindowReport,
     _cauchy_bound,
     _gcd_list,
     _primitive,
@@ -32,7 +35,10 @@ from cyclolab.roots import (
     _descartes_in,
     _digits,
     _disks_disjoint,
+    _index_norms,
     _index_packed,
+    _padding_power,
+    _power_of_three,
     _sqrt2_quadratic_roots,
     _pair_window,
     _region_maps,
@@ -543,6 +549,7 @@ class TestWindow:
 
     def test_window_to_40(self):
         report = verify_root_window(40, jobs=2)
+        assert report == verify_root_window(40, jobs=1)
         assert report.holds and report.exception_found
         assert report.pairs_checked == 40 * 39 // 2
 
@@ -555,6 +562,37 @@ class TestWindow:
         report = verify_root_window(72)
         assert report.holds and report.exception_found
         assert report.sturm_fallbacks == 0
+
+    WINDOW_CACHES = (_index_norms, _index_packed, _power_of_three, _padding_power, _digit_bias)
+
+    def test_cached_integers_match_formulas(self):
+        for nb in (1, 2, 8, 16, 24):
+            y = (1 << 8 * nb) + 2
+            for e in range(60):
+                assert _padding_power(nb, e) == y**e, (nb, e)
+            for n in range(1, 60):
+                want = sum(1 << (8 * nb * i + 8 * nb - 1) for i in range(n))
+                assert _digit_bias(nb, n) == want, (nb, n)
+        for D in range(400):
+            assert _power_of_three(D) == 3**D, D
+
+    def test_report_same_with_cold_and_warm_caches(self):
+        for cache in self.WINDOW_CACHES:
+            cache.cache_clear()
+        cold = verify_root_window(72, jobs=1)
+        assert cold == verify_root_window(72, jobs=1)
+        assert cold == WindowReport(72, 72 * 71 // 2, (), True, 0)
+
+    def test_shuffled_pair_order_same_verdicts(self):
+        # the caches fill in whatever order pairs arrive, as the benchmark's
+        # seeds order them; the verdicts must not depend on that order
+        pairs = [(m, n) for n in range(2, 73) for m in range(1, n)]
+        want = {p: _pair_window(*p) for p in pairs}
+        for seed in (1, 2, 3):
+            for cache in self.WINDOW_CACHES:
+                cache.cache_clear()
+            order = random.Random(seed).sample(pairs, len(pairs))
+            assert {p: _pair_window(*p) for p in order} == want, seed
 
     def test_fallbacks_summed_over_pairs(self, monkeypatch):
         monkeypatch.setattr(roots_mod, "_pair_window", lambda m, n: ((0, 0, 0, 0), False, 2))
