@@ -157,9 +157,7 @@ def _cmd_scan(args, out) -> int:
         return 2
     if args.digits < 1:
         raise ValueError("digits must be >= 1")
-    if args.jobs is not None and args.jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    roots_mod.effective_jobs(args.jobs)  # refuses a bad CYCLOLAB_JOBS before --out is opened
+    roots_mod.effective_jobs(args.jobs)  # refuses a bad --jobs or CYCLOLAB_JOBS before --out is opened
     M = args.max_index
     if M < 2:
         raise ValueError("scan requires --max-index >= 2")
@@ -284,42 +282,22 @@ def _cmd_nearmiss(args, out) -> int:
     return 0
 
 
+_TABLE_COLUMNS = ("p", "q", "r", "beta", "alpha", "inv_gap", "scaled_gap")
+
+
 def _cmd_table1(args, out) -> int:
-    records = nearmiss_mod.table1(digits=args.digits)
+    rows = None
+    if args.extend:  # every triple with q <= QMAX, for each p up to 13
+        rows = [(p, q) for p in (3, 5, 7, 11, 13) for q, _ in nearmiss_mod.find_triples(p, args.extend)]
     sig = args.digits
-    if args.format == "json":
-        for rec in records:
-            _emit(
-                json.dumps(
-                    {
-                        "p": rec.p,
-                        "q": rec.q,
-                        "r": rec.r,
-                        "beta": rec.beta.significant(sig),
-                        "alpha": rec.alpha.significant(sig),
-                        "inv_gap": rec.inv_gap.significant(sig),
-                        "scaled_gap": rec.scaled_gap.significant(sig),
-                    }
-                ),
-                out,
-            )
-    else:
-        _emit("p,q,r,beta,alpha,inv_gap,scaled_gap", out)
-        for rec in records:
-            _emit(
-                ",".join(
-                    [
-                        str(rec.p),
-                        str(rec.q),
-                        str(rec.r),
-                        rec.beta.significant(sig),
-                        rec.alpha.significant(sig),
-                        rec.inv_gap.significant(sig),
-                        rec.scaled_gap.significant(sig),
-                    ]
-                ),
-                out,
-            )
+    if args.format == "csv":
+        _emit(",".join(_TABLE_COLUMNS), out)
+    for rec in nearmiss_mod.table1(rows=rows, digits=sig):
+        cells = [rec.p, rec.q, rec.r] + [getattr(rec, col).significant(sig) for col in _TABLE_COLUMNS[3:]]
+        if args.format == "json":
+            _emit(json.dumps(dict(zip(_TABLE_COLUMNS, cells))), out)
+        else:
+            _emit(",".join(map(str, cells)), out)
     return 0
 
 
@@ -387,7 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="exact value of the n-th cyclotomic polynomial")
     p.add_argument("n", type=int)
     p.add_argument("x", help="integer or a/b")
-    p.add_argument("--digits", type=int, default=15)
 
     p = sub.add_parser("order", help="total order queries")
     p.add_argument("what", choices=("class", "prefix", "consecutive", "gap"))
@@ -418,6 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table1", help="near-miss reference table")
     p.add_argument("--digits", type=int, default=15)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--extend", type=int, default=0, metavar="QMAX",
+                   help="list every triple with q up to QMAX for p in {3,5,7,11,13}, not the printed rows")
 
     p = sub.add_parser("bounds", help="value-envelope checks on a grid")
     p.add_argument("--n-max", type=int, required=True)

@@ -20,17 +20,24 @@ Evaluation of a polynomial is exact, one integer Horner kernel per kind
 of point: real (b^deg * p(a/b), behind integer and rational values) and
 Gaussian (d^deg * p((a+bi)/d)), each divided out once at the end.
 
-Descartes' rule of signs in ``roots`` reads Taylor shifts off packed
-integers: the value p(2^(8 nb) + s) has the coefficients of p(x + s) as its
-signed base-2^(8 nb) digits once nb bytes hold each of them.  ``_packed``
-takes that value by halves, p_lo(y) + y^k p_hi(y) with the powers y^k
-shared (von zur Gathen & Gerhard, "Fast algorithms for Taylor shifts and
-certain difference equations", ISSAC 1997): Horner on blocks of
+Every coefficient transform is one packed evaluation and one digit
+decoding.  ``_packed(cs, a, b)`` is the homogeneous value b^deg * p(a/b),
+taken by halves, lo * b^len(hi) + hi * a^len(lo) with the powers shared
+(von zur Gathen & Gerhard, "Fast algorithms for Taylor shifts and certain
+difference equations", ISSAC 1997): ``_eval_int_scaled`` on blocks of
 PACKED_BLOCK coefficients, then neighbouring blocks joined pairwise, so
 the large products are balanced and CPython's Karatsuba multiplication
-does the work; a list of one block is plain Horner.  ``_taylor_shift``
-unpacks the digits, where a count of sign variations is needed
-(``_descartes_in``).
+does the work.  When a and b are linear in Y = 2^(8 nb), the value is a
+polynomial in Y, and ``_unpack`` reads its coefficients back as signed
+base-Y digits once nb bytes hold each of them:
+
+- Taylor shifts, p(x + s) at a = Y + s, b = 1 (``_packed_shift``);
+- Descartes brackets: for the interval (u/q, w/q), the polynomial
+  (q + q t)^d * p((w + u t)/(q + q t)) at t = Y, that is a = w + u Y and
+  b = q + q Y (``roots._descartes_in``);
+- products, by Kronecker substitution: the product of two values at Y
+  (``IntPoly.__mul__``).
+
 ``_packed_root_free`` decides from the packed integer itself, with no
 unpacking, whether the constant term is nonzero and the signs never
 change, which proves no root x >= s: the root-window certificate applies
@@ -49,7 +56,6 @@ from operator import add, sub
 
 from .arith import factorize, profile
 
-KARATSUBA_CUTOFF = 64  # schoolbook below this many coefficients
 PACKED_BLOCK = 16  # _packed evaluates blocks of this many coefficients by Horner
 
 
@@ -87,37 +93,6 @@ def _sub(a, b):
     return _trim(out)
 
 
-def _mul_school(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                if d:
-                    out[i + j] += c * d
-    return out
-
-
-def _mul(a, b):
-    if not a or not b:
-        return []
-    if min(len(a), len(b)) < KARATSUBA_CUTOFF:
-        return _trim(_mul_school(a, b))
-    m = min(len(a), len(b)) // 2
-    a0, a1 = a[:m], a[m:]
-    b0, b1 = b[:m], b[m:]
-    z0 = _mul(a0, b0)
-    z2 = _mul(a1, b1)
-    z1 = _sub(_sub(_mul(_add(a0, a1), _add(b0, b1)), z0), z2)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(z0):
-        out[i] += c
-    for i, c in enumerate(z1):
-        out[i + m] += c
-    for i, c in enumerate(z2):
-        out[i + 2 * m] += c
-    return _trim(out)
-
-
 def _divmod_exact(num, den):
     # exact long division in Z[x]; raises if any step fails
     if not den:
@@ -151,24 +126,37 @@ def _digit_bytes(bound: int) -> int:
     return (bound.bit_length() + 8) // 8
 
 
-def _horner(cs, y: int) -> int:
-    v = 0
-    for c in reversed(cs):
-        v = v * y + c
-    return v
-
-
-def _packed(cs, y: int) -> int:
-    # p(y); at y = 2^(8 nb) + s its signed base-2^(8 nb) digits are the
-    # coefficients of p(x + s), whenever each fits in nb bytes.  By halves:
-    # blocks of PACKED_BLOCK by Horner, then neighbours joined as
-    # lo + y^k hi, k doubling each round (an odd block out moves up as it is)
-    vals = [_horner(cs[i:i + PACKED_BLOCK], y) for i in range(0, len(cs), PACKED_BLOCK)] or [0]
-    yk = 0
+def _packed(cs, a: int, b: int = 1) -> int:
+    # b^(n-1) p(a/b) for n = len(cs).  By halves: blocks of PACKED_BLOCK by
+    # _eval_int_scaled, then neighbours joined as lo b^len(hi) + hi a^len(lo),
+    # every block but the top one k long, k doubling each round (an odd
+    # block out moves up as it is)
+    k = PACKED_BLOCK
+    vals = [_eval_int_scaled(cs[i:i + k], a, b) for i in range(0, len(cs), k)] or [0]
+    btop = b ** (len(cs) - k * (len(vals) - 1))  # b^len(top block)
+    ak = bk = 0
     while len(vals) > 1:
-        yk = yk * yk if yk else y ** PACKED_BLOCK
-        vals = [lo + hi * yk for lo, hi in zip(vals[::2], vals[1::2])] + vals[len(vals) & ~1:]
+        ak = ak * ak if ak else a ** k
+        if len(vals) > 2:  # a pair below the top one needs b^k
+            bk = bk * bk if bk else b ** k
+        if len(vals) & 1:
+            last = vals.pop()
+        else:
+            hi = vals.pop()
+            last = vals.pop() * btop + hi * ak
+            if vals:  # another round follows
+                btop *= bk
+        vals = [lo * bk + hi * ak for lo, hi in zip(vals[::2], vals[1::2])] + [last]
+        k *= 2
     return vals[0]
+
+
+def _unpack(v: int, nb: int, n: int) -> list[int]:
+    # the n signed base-2^(8 nb) digits of v, lowest first, each below
+    # 2^(8 nb - 1) in absolute value: unbiased after one to_bytes
+    raw = (v + _digit_bias(nb, n)).to_bytes(nb * n, "little")
+    half = 1 << (8 * nb - 1)
+    return [int.from_bytes(raw[i:i + nb], "little") - half for i in range(0, nb * n, nb)]
 
 
 @lru_cache(maxsize=None)
@@ -180,23 +168,11 @@ def _digit_bias(nb: int, n: int) -> int:
 
 
 def _packed_shift(cs, s: int) -> tuple[int, int]:
-    # (p(2^(8 nb) + s), nb) for a nonempty cs: each coefficient of p(x + s)
-    # is at most ||p||_1 * (1 + |s|)^deg in absolute value, so nb bytes
-    # above that bound hold them all as signed digits
-    nb = _digit_bytes(sum(map(abs, cs)) * (1 + abs(s)) ** (len(cs) - 1))
+    # (p(2^(8 nb) + s), nb): each coefficient of p(x + s) is at most
+    # ||p||_1 * (1 + |s|)^deg in absolute value, so nb bytes above that
+    # bound hold them all as signed digits, which _unpack reads back
+    nb = _digit_bytes(sum(map(abs, cs)) * (1 + abs(s)) ** max(0, len(cs) - 1))
     return _packed(cs, (1 << 8 * nb) + s), nb
-
-
-def _taylor_shift(cs, s: int) -> list[int]:
-    # coefficients of p(x + s): the digits of the packed shift, unbiased
-    # after one to_bytes
-    n = len(cs)
-    if n <= 1:
-        return list(cs)
-    v, nb = _packed_shift(cs, s)
-    raw = (v + _digit_bias(nb, n)).to_bytes(nb * n, "little")
-    half = 1 << (8 * nb - 1)
-    return [int.from_bytes(raw[i:i + nb], "little") - half for i in range(0, nb * n, nb)]
 
 
 def _packed_root_free(v: int, nb: int, n: int) -> bool:
@@ -220,8 +196,8 @@ def _root_free_from(cs, s: int) -> bool:
     """Whether Descartes' rule proves p has no real root x >= s.
 
     The test of ``_packed_root_free`` on p(s + t), the Taylor shift that
-    ``_taylor_shift`` would unpack: a nonzero constant term p(s) and no
-    sign variation.
+    ``_packed_shift`` packs: a nonzero constant term p(s) and no sign
+    variation.
     """
     if not cs:
         return False  # the zero polynomial vanishes everywhere
@@ -319,7 +295,15 @@ class IntPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPoly([c * other for c in self.coeffs])
-        return IntPoly(_mul(list(self.coeffs), list(other.coeffs)))
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return IntPoly()
+        # Kronecker substitution: every product coefficient is at most
+        # ||a||_1 * ||b||_1 in absolute value, so the product of the values
+        # at Y = 2^(8 nb) holds them as signed digits
+        nb = _digit_bytes(sum(map(abs, a)) * sum(map(abs, b)))
+        y = 1 << 8 * nb
+        return IntPoly(_unpack(_packed(a, y) * _packed(b, y), nb, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
 

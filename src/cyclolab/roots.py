@@ -21,7 +21,10 @@ do not clear takes the exact path: endpoint roots divided out, each
 region tested again, and a region whose test is inconclusive counted by a
 Sturm chain instead.
 The same rule certifies a single bracket (``_descartes_in``): 0 sign
-variations prove it empty, 1 proves it holds exactly one simple root.
+variations prove it empty, 1 proves it holds exactly one simple root.  Its
+transformed polynomial is one packed homogeneous value
+(``polycore._packed``) whose digits ``polycore._unpack`` reads, the
+kernel that also packs the window's values.
 Refinement walks the bisection grid on integers by quadratic interval
 refinement, returns the bracket bisection would, and recovers rational
 roots exactly.
@@ -63,8 +66,8 @@ from .polycore import (
     _packed_root_free,
     _root_free_from,
     _sub,
-    _taylor_shift,
     _trim,
+    _unpack,
     cyclotomic,
     difference,
     eval_rational,
@@ -231,16 +234,19 @@ def _descartes_in(cs, lo: Fraction, hi: Fraction) -> int:
     By Descartes' rule of signs this bounds the number of roots of p in
     the open interval (lo, hi) from above and matches it in parity: 0
     proves the interval holds no root, 1 that it holds exactly one root,
-    and that this root is simple.  Built on integers: with lo = a/q and
-    hi = b/q, scale by q^(d-i), Taylor-shift by a, scale by (b - a)^i,
-    reverse, then Taylor-shift by 1.
+    and that this root is simple.  Built on integers, with lo = a/q and
+    hi = b/q: the count is that of the reversal times q^d,
+    Q(t) = (q + q t)^d * p((b + a t)/(q + q t)), whose coefficients are at
+    most ||p||_1 * max(|a| + |b|, 2q)^d in absolute value.  With nb bytes
+    above that bound and Y = 2^(8 nb), Q(Y) is one packed evaluation
+    (``polycore._packed``) whose signed base-Y digits are those
+    coefficients (``polycore._unpack``).
     """
     a, b, q = _gaussian_scale(lo, hi)  # lo = a/q, hi = b/q
-    w = b - a
     d = len(cs) - 1
-    scaled = [c * q ** (d - i) for i, c in enumerate(cs)]  # q^d p(y/q)
-    stretched = [c * w ** i for i, c in enumerate(_taylor_shift(scaled, a))]  # q^d p((a + w u)/q)
-    return _variations(_taylor_shift(stretched[::-1], 1))
+    nb = _digit_bytes(sum(map(abs, cs)) * max(abs(a) + abs(b), 2 * q) ** d)
+    y = 1 << 8 * nb
+    return _variations(_unpack(_packed(cs, b + a * y, q + q * y), nb, d + 1))
 
 
 def _variations_at(chain, a: int, b: int) -> int:
@@ -809,8 +815,10 @@ def _window_worker(pair):
 
 
 def effective_jobs(jobs: int | None) -> int:
-    # CYCLOLAB_JOBS, when set, overrides jobs; a value that is not an
-    # integer >= 1 is refused, as --jobs 0 is
+    # jobs below 1 is refused; CYCLOLAB_JOBS, when set, overrides jobs, and
+    # a value of it that is not an integer >= 1 is refused too
+    if jobs is not None and jobs < 1:
+        raise ValueError("jobs must be >= 1")
     env = os.environ.get("CYCLOLAB_JOBS")
     if env:
         try:
@@ -820,9 +828,7 @@ def effective_jobs(jobs: int | None) -> int:
         if j < 1:
             raise ValueError(f"CYCLOLAB_JOBS must be an integer >= 1, got {env!r}")
         return j
-    if jobs is not None:
-        return max(1, jobs)
-    return os.cpu_count() or 1
+    return jobs or os.cpu_count() or 1
 
 
 def _parallel_map(fn, items, jobs: int | None):

@@ -46,6 +46,11 @@ class TestEval:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "zero denominator" in err[0]
 
+    def test_digits_is_not_an_option(self, capsys):
+        # the value is exact, so there is nothing to round
+        assert run_cli(["eval", "6", "2", "--digits", "5"]) == (2, "")
+        assert "unrecognized arguments: --digits 5" in capsys.readouterr().err
+
 
 class TestOrder:
     def test_class(self):
@@ -116,6 +121,28 @@ class TestTable:
         assert first[:3] == ["3", "5", "7"]
         assert first[3] == "1.90040519768798"
         assert first[4] == "1.92756197548293"
+
+    def test_json_rows_match_csv_rows(self):
+        _, csv = run_cli(["table1"])
+        _, js = run_cli(["table1", "--format", "json"])
+        header, *rows = csv.splitlines()
+        objs = [json.loads(line) for line in js.splitlines()]
+        assert list(objs[0]) == header.split(",")
+        assert [",".join(map(str, obj.values())) for obj in objs] == rows
+
+    def test_extend_lists_every_triple(self):
+        from cyclolab.nearmiss import find_triples
+
+        code, out = run_cli(["table1", "--extend", "20"])
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert header == "p,q,r,beta,alpha,inv_gap,scaled_gap"
+        want = [(p, q, r) for p in (3, 5, 7, 11, 13) for q, r in find_triples(p, 20)]
+        assert [tuple(map(int, row.split(",")[:3])) for row in rows] == want
+        assert len(want) == 13
+        # every printed row has q <= 19, and reads the same in the extended table
+        _, plain = run_cli(["table1"])
+        assert set(plain.splitlines()) < set(out.splitlines())
 
 
 class TestBounds:
@@ -340,3 +367,16 @@ class TestJobsEnv:
     def test_jobs_zero_refused(self, capsys):
         assert run_cli(["scan", "--max-index", "4", "--jobs", "0"]) == (2, "")
         assert capsys.readouterr().err == "error: jobs must be >= 1\n"
+
+    @pytest.mark.parametrize("env", [None, "2"])
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_library_jobs_below_one_refused(self, monkeypatch, env, jobs):
+        # refused like --jobs 0, whether or not CYCLOLAB_JOBS would override it
+        if env is None:
+            monkeypatch.delenv("CYCLOLAB_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("CYCLOLAB_JOBS", env)
+        with pytest.raises(ValueError, match="^jobs must be >= 1$"):
+            roots_mod.verify_root_window(5, jobs=jobs)
+        with pytest.raises(ValueError, match="^jobs must be >= 1$"):
+            roots_mod.scan_complex(5, jobs=jobs)

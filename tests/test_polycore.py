@@ -11,23 +11,25 @@ from cyclolab.polycore import (
     PACKED_BLOCK,
     ExactDivisionError,
     IntPoly,
+    _digit_bytes,
     _eval_gaussian,
     _eval_gaussian_scaled,
     _eval_int_scaled,
+    _gaussian_scale,
     _moebius_exponents,
-    _mul_school,
     _norm_homogeneous_cyclotomic,
     _packed,
     _packed_root_free,
+    _packed_shift,
     _root_free_from,
-    _taylor_shift,
+    _unpack,
     cyclotomic,
     difference,
     eval_homogeneous_cyclotomic,
     eval_rational,
     poly_to_json,
 )
-from cyclolab.roots import _variations
+from cyclolab.roots import _descartes_in, _variations
 
 X_MINUS_1 = IntPoly([-1, 1])
 
@@ -210,6 +212,11 @@ def taylor_shift_oracle(cs, s):
     return out
 
 
+def packed_taylor_shift(cs, s):
+    # the coefficients of p(x + s): one packed value, its digits unpacked
+    return _unpack(*_packed_shift(cs, s), len(cs))
+
+
 WIDE_COEFFS = st.integers(min_value=-(1 << 200), max_value=1 << 200)
 DEGREE_100 = [(-1) ** (i * i // 3) * (i + 1) for i in range(101)]
 
@@ -217,12 +224,12 @@ DEGREE_100 = [(-1) ** (i * i // 3) * (i + 1) for i in range(101)]
 class TestTaylorShift:
     @given(st.lists(st.integers(min_value=-99, max_value=99), max_size=101), st.integers(-4, 4))
     def test_matches_synthetic_division(self, cs, s):
-        assert _taylor_shift(cs, s) == taylor_shift_oracle(cs, s)
+        assert packed_taylor_shift(cs, s) == taylor_shift_oracle(cs, s)
 
     @given(st.lists(WIDE_COEFFS, max_size=30), st.sampled_from([2, -2, 1, 7]))
     def test_wide_coefficients(self, cs, s):
         # digits of many bytes, and negative digits that exercise the bias
-        assert _taylor_shift(cs, s) == taylor_shift_oracle(cs, s)
+        assert packed_taylor_shift(cs, s) == taylor_shift_oracle(cs, s)
 
     @pytest.mark.parametrize(
         "cs,s,expected",
@@ -241,7 +248,7 @@ class TestTaylorShift:
         ],
     )
     def test_edge_cases(self, cs, s, expected):
-        assert _taylor_shift(cs, s) == expected
+        assert packed_taylor_shift(cs, s) == expected
 
 
 def horner(cs, y):
@@ -267,6 +274,22 @@ class TestPacked:
         cs = [rng.randint(-(1 << bits), 1 << bits) for _ in range(n)]
         y = (1 << 8 * nb) + s
         assert _packed(cs, y) == horner(cs, y)
+
+    @given(
+        st.sampled_from([PACKED_BLOCK - 1, PACKED_BLOCK, PACKED_BLOCK + 1, 2 * PACKED_BLOCK + 1]),
+        st.integers(-(1 << 80), 1 << 80),
+        st.integers(1, 1 << 80),
+        st.integers(0, 2 ** 32),
+    )
+    @example(PACKED_BLOCK + 1, 3, 1, 0)
+    @example(2 * PACKED_BLOCK + 1, 0, 7, 1)
+    @example(2 * PACKED_BLOCK + 1, -5, 2, 2)
+    def test_homogeneous_halves_match_scaled_horner(self, n, a, b, seed):
+        # b^(n-1) p(a/b) by halves: a top block shorter than the others
+        # needs b^len(top), and three blocks send an odd one up unjoined
+        rng = random.Random(seed)
+        cs = [rng.randint(-(1 << 70), 1 << 70) for _ in range(n)]
+        assert _packed(cs, a, b) == _eval_int_scaled(cs, a, b)
 
 
 # coefficients that put zeros, sign changes and digit-width boundaries into
@@ -299,7 +322,7 @@ def packed_digits(draw):
 class TestPackedRootFree:
     @given(KERNEL_LISTS)
     def test_matches_unpacked_shift(self, cs):
-        cs2 = _taylor_shift(cs, 2)
+        cs2 = packed_taylor_shift(cs, 2)
         assert _root_free_from(cs, 2) == (cs2[0] != 0 and _variations(cs2) == 0)
 
     @given(packed_digits())
@@ -325,6 +348,40 @@ class TestPackedRootFree:
         assert _root_free_from(cs, 2) is expected
 
 
+def five_step_bracket(cs, lo, hi):
+    # the bracket map of Descartes' count as five steps, with lo = a/q and
+    # hi = b/q: q^d p(y/q), shifted by a, stretched by b - a, reversed,
+    # shifted by 1
+    a, b, q = _gaussian_scale(lo, hi)
+    d = len(cs) - 1
+    scaled = [c * q ** (d - i) for i, c in enumerate(cs)]
+    stretched = [c * (b - a) ** i for i, c in enumerate(taylor_shift_oracle(scaled, a))]
+    return taylor_shift_oracle(stretched[::-1], 1)
+
+
+@st.composite
+def brackets(draw):
+    # negative, straddling and positive intervals with non-dyadic ends
+    lo = Fraction(draw(st.integers(-60, 20)), draw(st.integers(1, 12)))
+    return lo, lo + Fraction(draw(st.integers(1, 40)), draw(st.integers(1, 12)))
+
+
+class TestDescartesBracket:
+    @given(st.lists(KERNEL_COEFFS, min_size=1, max_size=40).filter(lambda cs: cs[-1]), brackets())
+    @example([-(1 << 200), 0, 1 << 200], (Fraction(-7, 3), Fraction(-1, 5)))
+    @example([1 << 64, -(1 << 64), -1], (Fraction(-60), Fraction(-20)))
+    def test_one_packed_value_is_the_five_step_map(self, cs, bracket):
+        lo, hi = bracket
+        a, b, q = _gaussian_scale(lo, hi)
+        want = five_step_bracket(cs, lo, hi)
+        # the proven bound on the transformed coefficients sizes the digits
+        assert max(map(abs, want)) <= sum(map(abs, cs)) * max(abs(a) + abs(b), 2 * q) ** (len(cs) - 1)
+        nb = _digit_bytes(max(map(abs, want)))
+        y = 1 << 8 * nb
+        assert _unpack(_packed(cs, b + a * y, q + q * y), nb, len(cs)) == want
+        assert _descartes_in(cs, lo, hi) == _variations(want)
+
+
 class TestDifference:
     def test_simple(self):
         assert difference(2, 6).coeffs == (0, 2, -1)
@@ -339,6 +396,17 @@ class TestDifference:
     def test_rejects_equal(self):
         with pytest.raises(ValueError):
             difference(5, 5)
+
+
+def schoolbook_product(a, b):
+    # coefficients of the product, trimmed, by the double loop
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 class TestArithmetic:
@@ -361,16 +429,18 @@ class TestArithmetic:
         st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=140),
         st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=140),
     )
-    def test_karatsuba_matches_schoolbook(self, a, b):
-        pa, pb = IntPoly(a), IntPoly(b)
-        prod = (pa * pb).coeffs
-        if not pa.coeffs or not pb.coeffs:
-            assert prod == ()
-        else:
-            school = _mul_school(list(pa.coeffs), list(pb.coeffs))
-            while school and school[-1] == 0:
-                school.pop()
-            assert prod == tuple(school)
+    def test_kronecker_matches_schoolbook(self, a, b):
+        assert (IntPoly(a) * IntPoly(b)).coeffs == schoolbook_product(a, b)
+
+    @given(
+        st.lists(st.one_of(EDGE_COEFFS, WIDE_COEFFS), max_size=40),
+        st.lists(st.one_of(EDGE_COEFFS, st.integers(-(1 << 64), -(1 << 64) + 5), WIDE_COEFFS), max_size=40),
+    )
+    @example([1 << 64, -(1 << 64)], [-(1 << 64), 0, 1 << 64])
+    @example([-(1 << 200)] * 33, [(1 << 200) - 1] * 17)
+    def test_kronecker_wide_coefficients(self, a, b):
+        # digits of many bytes, of both signs, and products that fill them
+        assert (IntPoly(a) * IntPoly(b)).coeffs == schoolbook_product(a, b)
 
     @given(
         st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=30),

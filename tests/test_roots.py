@@ -18,8 +18,9 @@ from cyclolab.polycore import (
     _eval_int_scaled,
     _gaussian_scale,
     _packed,
-    _taylor_shift,
+    _packed_shift,
     _trim,
+    _unpack,
     cyclotomic,
     difference,
     eval_rational,
@@ -631,7 +632,7 @@ class TestWindow:
                 D = max(cyclotomic(m).degree, cyclotomic(n).degree)
                 cs = list(difference(m, n).coeffs)
                 cs += [0] * (D + 1 - len(cs))
-                want = [_taylor_shift(ts, 2) for ts in _region_maps(cs)]
+                want = [_unpack(*_packed_shift(ts, 2), len(ts)) for ts in _region_maps(cs)]
                 assert [unpack_signed_digits(*args) for args in seen] == want, (m, n)
 
     def test_exception_pair_takes_exact_path(self, monkeypatch):
