@@ -7,6 +7,10 @@ Exit status:
      consistency check fails); the failure is one ``error:`` line on stderr;
   2  usage errors and invalid arguments.
 
+``scan`` has one streamed, resumable pipeline for real, --complex and
+--window-only scans; --resume refuses an --out file whose header line is
+missing or names another format version, kind or digits.
+
 SIGTERM terminates the worker pool of a parallel scan, then ends the
 process by SIGTERM itself (status 143 in a shell, -15 from ``subprocess``),
 without a traceback.  The lines a scan has already written to --out stay
@@ -148,55 +152,77 @@ def _cmd_scan(args, out) -> int:
     """Scan every pair up to --max-index; a fresh run is a resume from an empty cache.
 
     Each pair's line is streamed as it finishes (appended and flushed to
-    --out), so a killed scan leaves a cache that --resume completes.  The
-    summary is computed from the merged lines alone, and --out is finally
-    rewritten sorted by (m, n), so resumed and fresh runs give the same bytes.
+    --out after its header), so a killed scan leaves a cache that --resume
+    completes.  The summary is computed from the merged lines alone, and
+    --out is finally rewritten sorted by (m, n), so resumed and fresh runs
+    give the same bytes.
     """
     if args.resume and not args.out:
-        print("scan: --resume requires --out", file=sys.stderr)
-        return 2
+        raise ValueError("scan --resume requires --out")
+    if args.coprime and not args.complex:
+        raise ValueError("scan --coprime requires --complex")
     if args.digits < 1:
         raise ValueError("digits must be >= 1")
     roots_mod.effective_jobs(args.jobs)  # refuses a bad --jobs or CYCLOLAB_JOBS before --out is opened
     M = args.max_index
     if M < 2:
         raise ValueError("scan requires --max-index >= 2")
-    pairs = [
-        (m, n)
-        for m in range(1, M + 1)
-        for n in range(m + 1, M + 1)
-        if not (args.complex and args.coprime) or gcd(m, n) == 1
-    ]
-    cache, torn = _load_cache(args.out) if args.resume else ({}, False)
-    lines = {p: cache[p] for p in pairs if p in cache}
-    if args.complex:
-        worker, render, param = roots_mod._complex_scan_worker, _complex_line, 256
-    else:
-        worker, render, param = roots_mod._real_scan_worker, _record_line, args.digits
-    todo = [(m, n, param) for m, n in pairs if (m, n) not in lines]
+    kind = "complex" if args.complex else "window" if args.window_only else "real"
+    # the first line of --out.  max_index and coprime only select pairs, so
+    # a resume may change them; the version, kind and digits fix each line
+    header = {"scan_format": 1, "kind": kind, "max_index": M, "coprime": args.coprime, "digits": args.digits}
+    pairs = [(m, n) for m in range(1, M + 1) for n in range(m + 1, M + 1) if not args.coprime or gcd(m, n) == 1]
+    cache, torn = _load_cache(args.out, header) if args.resume else (None, False)
+    lines = {p: cache[p] for p in pairs if p in cache} if cache else {}
+    todo = [p for p in pairs if p not in lines]
+    worker, render, summarize, param = {
+        "real": (roots_mod._real_scan_worker, _record_line, _real_summary, args.digits),
+        "complex": (roots_mod._complex_scan_worker, _complex_line, _complex_summary, 256),
+        "window": (roots_mod._window_worker, _window_line, _window_summary, None),
+    }[kind]
+    items = [(m, n) if param is None else (m, n, param) for m, n in todo]
     roots_mod._warm_cyclotomic_cache(M)
-    with open(args.out, "a" if args.resume else "w") if args.out else nullcontext(out) as sink:
+    with open(args.out, "w" if cache is None else "a") if args.out else nullcontext(out) as sink:
+        if args.out and cache is None:
+            sink.write(json.dumps(header) + "\n")
         if torn:
             sink.write("\n")
-        for result, (m, n, _) in zip(roots_mod._parallel_map(worker, todo, args.jobs), todo):
+        for result, (m, n) in zip(roots_mod._parallel_map(worker, items, args.jobs), todo):
             lines[(m, n)] = render(result, args.digits)
             sink.write(lines[(m, n)] + "\n")
             sink.flush()
     merged = [lines[p] for p in pairs]
-    objs = [json.loads(line) for line in merged]
-    if args.complex:
-        summary, ok = _complex_summary(M, args.coprime, objs)
-    else:
-        summary, ok = _real_summary(M, objs, args.jobs)
+    summary, ok = summarize(M, [json.loads(line) for line in merged], args)
     if args.out:
         tmp = args.out + ".tmp"
         with open(tmp, "w") as fh:
+            fh.write(json.dumps(header) + "\n")
             fh.writelines(line + "\n" for line in merged)
             fh.write(summary + "\n")
         os.replace(tmp, args.out)
     else:
         _emit(summary, out)
     return 0 if ok else 1
+
+
+def _window_line(result, digits: int) -> str:
+    m, n, counts, at_two, _ = result
+    obj = {"m": m, "n": n, "counts": list(counts)}
+    if at_two:
+        obj["at_two"] = True
+    return json.dumps(obj)
+
+
+def _window_fields(report: roots_mod.WindowReport) -> dict:
+    # the window verdict as both the real and the window-only summary give it
+    return {"max_index": report.max_index, "pairs_checked": report.pairs_checked, "window_holds": report.holds,
+            "exception_found": report.exception_found, "violations": [list(v) for v in report.violations]}
+
+
+def _window_summary(M: int, objs: list[dict], args) -> tuple[str, bool]:
+    rows = [(o["m"], o["n"], o["counts"], o.get("at_two", False)) for o in objs]
+    report = roots_mod.window_report(M, rows)
+    return json.dumps({"summary": "window", **_window_fields(report)}), report.holds
 
 
 def _complex_line(result, digits: int) -> str:
@@ -210,21 +236,21 @@ def _complex_line(result, digits: int) -> str:
     return json.dumps(obj)
 
 
-def _complex_summary(M: int, coprime: bool, objs: list[dict]) -> tuple[str, bool]:
+def _complex_summary(M: int, objs: list[dict], args) -> tuple[str, bool]:
     boundary = [[o["m"], o["n"]] for o in objs if o.get("sqrt2_attained")]
     outside = [[o["m"], o["n"], why] for o in objs for why in o.get("outside", ())]
     summary = {
         "summary": "complex",
         "max_index": M,
-        "coprime_only": coprime,
+        "coprime_only": args.coprime,
         "boundary_upper": boundary,
         "outside": outside,
     }
     return json.dumps(summary), not outside
 
 
-def _real_summary(M: int, objs: list[dict], jobs: int | None) -> tuple[str, bool]:
-    window = roots_mod.verify_root_window(M, jobs)
+def _real_summary(M: int, objs: list[dict], args) -> tuple[str, bool]:
+    window = roots_mod.verify_root_window(M, args.jobs)
     # rounding is monotone, so the extreme rendered moduli are the rendered
     # extremes.  Skip exact-zero roots and the root 2 of {2, 6}, as
     # real_coincidence_roots does; a nonzero root that renders as zero is a
@@ -238,38 +264,41 @@ def _real_summary(M: int, objs: list[dict], jobs: int | None) -> tuple[str, bool
             if i not in violations and (v == 0 or exception):
                 continue
             moduli.append(root["modulus"])
-    summary = {
-        "summary": "real",
-        "max_index": window.max_index,
-        "pairs_checked": window.pairs_checked,
-        "window_holds": window.holds,
-        "exception_found": window.exception_found,
-        "violations": [list(v) for v in window.violations],
-    }
+    summary = {"summary": "real", **_window_fields(window)}
     if moduli:
         summary["max_nonzero_abs_root"] = max(moduli, key=Fraction)
         summary["min_nonzero_abs_root"] = min(moduli, key=Fraction)
     return json.dumps(summary), window.holds
 
 
-def _load_cache(path: str) -> tuple[dict[tuple[int, int], str], bool]:
-    """Complete pair lines of an earlier run, and whether its last line is torn."""
+def _load_cache(path: str, header: dict) -> tuple[dict[tuple[int, int], str] | None, bool]:
+    """Complete pair lines of an earlier run (None for a missing or empty
+    file), and whether its last line is torn.  A file whose header's format
+    version, kind or digits differ from this scan's is refused untouched."""
     if not os.path.exists(path):
-        return {}, False
+        return None, False
     with open(path) as fh:
         text = fh.read()
-    done: dict[tuple[int, int], str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # interrupted write
-        if "m" in obj and "n" in obj:
-            done[(obj["m"], obj["n"])] = line
-    return done, bool(text) and not text.endswith("\n")
+    if not text:
+        return None, False
+    first, *rest = text.splitlines()
+    got = _json_obj(first)
+    if "scan_format" not in got:
+        raise ValueError(f"{path} has no scan header; --resume needs the file of an earlier scan")
+    for key in ("scan_format", "kind", "digits"):
+        if got.get(key) != header[key]:
+            raise ValueError(f"{path} holds a scan with {key} {got.get(key)!r}, not {header[key]!r}; refusing to resume it")
+    objs = ((_json_obj(line), line.strip()) for line in rest)
+    return {(o["m"], o["n"]): line for o, line in objs if "m" in o and "n" in o}, not text.endswith("\n")
+
+
+def _json_obj(line: str) -> dict:
+    # the JSON object on a line, or {} for a torn write or anything else
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError:
+        return {}
+    return obj if isinstance(obj, dict) else {}
 
 
 def _cmd_nearmiss(args, out) -> int:
@@ -380,8 +409,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="scan all pairs up to an index bound")
     p.add_argument("--max-index", type=int, required=True)
-    p.add_argument("--complex", action="store_true")
-    p.add_argument("--coprime", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--complex", action="store_true")
+    mode.add_argument("--window-only", action="store_true", help="only each pair's root-window counts and the verdict")
+    p.add_argument("--coprime", action="store_true", help="coprime pairs only (with --complex)")
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--resume", action="store_true")

@@ -109,34 +109,36 @@ def _negative_index_value(m: int, a: int, b: int = 1):
     return ("pos", m)
 
 
+def _point_coincidences(a: int, b: int, M: int) -> list[tuple[int, int, int]]:
+    """Pairs m < n <= M whose values agree at a/b, then at -a/b, as (sign, m, n).
+
+    Each value is b^(2M - phi(m)) b^phi(m) Phi_m(a/b), an integer since
+    phi(m) < 2M for every index compared, so equality is exact; at b = 1
+    every weight is 1.  An index is evaluated only when it is compared.
+    """
+    weighted: dict[int, int] = {}
+
+    def value(m: int) -> int:
+        if m not in weighted:
+            weighted[m] = eval_homogeneous_cyclotomic(m, a, b) * b ** (2 * M - profile(m).phi)
+        return weighted[m]
+
+    found = [(1, m, n) for m, n in _collisions({m: value(m) for m in range(1, M + 1)})]
+    neg: dict[int, object] = {}
+    for m in range(1, M + 1):
+        tag, idx = _negative_index_value(m, a, b)
+        neg[m] = ("v", value(idx)) if tag == "pos" else (tag, idx)
+    return found + [(-1, m, n) for m, n in _collisions(neg)]
+
+
 def verify_integer_coincidences(a_max: int, M: int) -> IntegerCoincidenceReport:
     """Exhaustively compare Phi_m(a) for 2 <= a <= a_max and m < n <= M,
     covering negative arguments through the index transformations."""
     if a_max < 2 or M < 2:
         raise ValueError("requires a_max >= 2 and M >= 2")
-    found: list[tuple[int, int, int]] = []
-    pairs = 0
-    for a in range(2, a_max + 1):
-        values = {m: eval_homogeneous_cyclotomic(m, a, 1) for m in range(1, M + 1)}
-        pairs += M * (M - 1) // 2
-        for m, n in _collisions(values):
-            found.append((a, m, n))
-        # negative argument -a: reduce indices to positive-argument values
-        neg_values: dict[int, object] = {}
-        for m in range(1, M + 1):
-            tag, idx = _negative_index_value(m, a)
-            if tag == "pos":
-                v = values.get(idx)
-                if v is None:
-                    v = eval_homogeneous_cyclotomic(idx, a, 1)
-                neg_values[m] = ("v", v)
-            else:
-                neg_values[m] = (tag, idx)
-        pairs += M * (M - 1) // 2
-        for m, n in _collisions(neg_values):
-            found.append((-a, m, n))
+    found = [(s * a, m, n) for a in range(2, a_max + 1) for s, m, n in _point_coincidences(a, 1, M)]
     return IntegerCoincidenceReport(
-        a_max=a_max, max_index=M, pairs_checked=pairs, coincidences=tuple(sorted(found))
+        a_max=a_max, max_index=M, pairs_checked=(a_max - 1) * M * (M - 1), coincidences=tuple(sorted(found))
     )
 
 
@@ -159,32 +161,18 @@ def verify_rational_coincidences(H: int, M: int) -> RationalCoincidenceReport:
     confirm the homogeneous values cannot agree (both signs of a/b).
 
     Comparison clears denominators to a common weight so it is exact
-    integer equality: Phi_m(a,b) * b^(K - phi(m)) against the same for n.
+    integer equality: Phi_m(a,b) * b^(2M - phi(m)) against the same for n.
     """
     if H < 2 or M < 2:
         raise ValueError("requires H >= 2 and M >= 2")
     found: list[tuple[str, int, int]] = []
     points = 0
-    phis = {m: profile(m).phi for m in range(1, 2 * M + 1)}
-    K = max(phis[m] for m in range(1, 2 * M + 1))
     for a in range(3, H + 1):
         for b in range(2, a):
             if gcd(a, b) != 1:
                 continue
             points += 1
-            weighted = {
-                m: eval_homogeneous_cyclotomic(m, a, b) * b ** (K - phis[m])
-                for m in range(1, 2 * M + 1)
-            }
-            pos = {m: weighted[m] for m in range(1, M + 1)}
-            for m, n in _collisions(pos):
-                found.append((f"{a}/{b}", m, n))
-            neg: dict[int, object] = {}
-            for m in range(1, M + 1):
-                tag, idx = _negative_index_value(m, a, b)
-                neg[m] = ("v", weighted[idx]) if tag == "pos" else (tag, idx)
-            for m, n in _collisions(neg):
-                found.append((f"-{a}/{b}", m, n))
+            found += [(f"{s * a}/{b}", m, n) for s, m, n in _point_coincidences(a, b, M)]
     return RationalCoincidenceReport(
         height=H, max_index=M, points_checked=points, coincidences=tuple(sorted(found))
     )

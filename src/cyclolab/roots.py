@@ -20,6 +20,8 @@ and the digit bias) are cached once per process too.  A pair those values
 do not clear takes the exact path: endpoint roots divided out, each
 region tested again, and a region whose test is inconclusive counted by a
 Sturm chain instead.
+One rule turns per-pair counts into the window verdict, for the library
+and the CLI alike (``window_report``).
 The same rule certifies a single bracket (``_descartes_in``): 0 sign
 variations prove it empty, 1 proves it holds exactly one simple root.  Its
 transformed polynomial is one packed homogeneous value
@@ -831,10 +833,16 @@ def effective_jobs(jobs: int | None) -> int:
     return jobs or os.cpu_count() or 1
 
 
+def _usable_cpus() -> int:
+    # the CPUs this process may run on, where the platform says so
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _parallel_map(fn, items, jobs: int | None):
-    # yields fn(item) in input order as results arrive, so callers can stream
+    # yields fn(item) in input order as results arrive, so callers can
+    # stream; the pool never outnumbers the items or the usable CPUs
     items = list(items)
-    j = effective_jobs(jobs)
+    j = min(effective_jobs(jobs), len(items), _usable_cpus())
     if j <= 1 or len(items) < 8:
         yield from map(fn, items)
         return
@@ -855,19 +863,13 @@ def _warm_cyclotomic_cache(M: int) -> None:
         cyclotomic(i)
 
 
-def verify_root_window(M: int, jobs: int | None = None) -> WindowReport:
-    """Certify, pair by pair up to M, that no nonzero real coincidence
-    escapes 1/2 < |x| < 2 except the known root of the pair {2,6} at 2."""
-    if M < 2:
-        raise ValueError("verify_root_window requires M >= 2")
-    _warm_cyclotomic_cache(M)
-    pairs = [(m, n) for m in range(1, M + 1) for n in range(m + 1, M + 1)]
-    results = _parallel_map(_window_worker, pairs, jobs)
+def window_report(M: int, rows: list, sturm_fallbacks: int = 0) -> WindowReport:
+    """Fold per-pair rows (m, n, counts, at_two) of every pair up to M into
+    a report.  Each nonzero count is a violation, except one root at
+    exactly 2 for the pair {2, 6}, which is the known exception."""
     violations = []
     exception_found = False
-    fallbacks = 0
-    for m, n, counts, at_two, pair_fallbacks in results:
-        fallbacks += pair_fallbacks
+    for m, n, counts, at_two in rows:
         for region, c in zip(WINDOW_REGIONS, counts):
             if c == 0:
                 continue
@@ -877,11 +879,22 @@ def verify_root_window(M: int, jobs: int | None = None) -> WindowReport:
             violations.append((m, n, region, c))
     return WindowReport(
         max_index=M,
-        pairs_checked=len(pairs),
+        pairs_checked=len(rows),
         violations=tuple(violations),
         exception_found=exception_found,
-        sturm_fallbacks=fallbacks,
+        sturm_fallbacks=sturm_fallbacks,
     )
+
+
+def verify_root_window(M: int, jobs: int | None = None) -> WindowReport:
+    """Certify, pair by pair up to M, that no nonzero real coincidence
+    escapes 1/2 < |x| < 2 except the known root of the pair {2,6} at 2."""
+    if M < 2:
+        raise ValueError("verify_root_window requires M >= 2")
+    _warm_cyclotomic_cache(M)
+    pairs = [(m, n) for m in range(1, M + 1) for n in range(m + 1, M + 1)]
+    results = list(_parallel_map(_window_worker, pairs, jobs))
+    return window_report(M, [r[:4] for r in results], sum(r[4] for r in results))
 
 
 # ---------------------------------------------------------------------------

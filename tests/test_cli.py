@@ -1,17 +1,19 @@
 import io
 import json
 import os
+import shlex
 import signal
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import cyclolab
 from cyclolab import roots as roots_mod
-from cyclolab.cli import dispatch
+from cyclolab.cli import _build_parser, dispatch
 
 
 def run_cli(argv):
@@ -200,8 +202,10 @@ class TestScan:
         [
             ["scan", "--max-index", "8", "--complex", "--coprime", "--digits", "10"],
             ["scan", "--max-index", "8", "--digits", "10", "--jobs", "2"],
+            ["scan", "--max-index", "8", "--window-only"],
+            ["scan", "--max-index", "12", "--window-only", "--jobs", "2"],
         ],
-        ids=["complex-coprime", "jobs2"],
+        ids=["complex-coprime", "jobs2", "window-only", "window-only-jobs2"],
     )
     def test_resume_matches_fresh_other_paths(self, tmp_path, argv):
         fresh = _fresh_scan(tmp_path, argv)
@@ -273,6 +277,145 @@ class TestScan:
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary["boundary_upper"] == [[1, 3], [1, 4], [1, 5]]
         assert summary["outside"] == []
+
+    def test_coprime_requires_complex(self, capsys):
+        for argv in (["--coprime"], ["--coprime", "--window-only"]):
+            assert run_cli(["scan", "--max-index", "10", *argv]) == (2, "")
+            assert capsys.readouterr().err == "error: scan --coprime requires --complex\n"
+
+
+class TestWindowOnlyScan:
+    @pytest.mark.parametrize("M", [8, 40, 72])
+    def test_summary_matches_library(self, M):
+        code, out = run_cli(["scan", "--window-only", "--max-index", str(M), "--jobs", "1"])
+        *pairs, summary = map(json.loads, out.strip().splitlines())
+        report = roots_mod.verify_root_window(M, jobs=1)
+        assert code == 0 and report.holds and report.exception_found
+        assert len(pairs) == report.pairs_checked == M * (M - 1) // 2
+        assert summary == {
+            "summary": "window",
+            "max_index": M,
+            "pairs_checked": report.pairs_checked,
+            "window_holds": True,
+            "exception_found": True,
+            "violations": [],
+        }
+        assert [p for p in pairs if p != {"m": p["m"], "n": p["n"], "counts": [0, 0, 0, 0]}] == [
+            {"m": 2, "n": 6, "counts": [0, 0, 0, 1], "at_two": True}
+        ]
+
+    def test_keys_are_the_real_summary_window_keys(self):
+        _, real = run_cli(["scan", "--max-index", "8", "--digits", "10"])
+        _, window = run_cli(["scan", "--max-index", "8", "--window-only"])
+        real, window = json.loads(real.splitlines()[-1]), json.loads(window.splitlines()[-1])
+        assert set(real) - set(window) == {"max_nonzero_abs_root", "min_nonzero_abs_root"}
+        assert list(window) == [k for k in real if k in window]
+        assert {**window, "summary": "real"} == {k: real[k] for k in window}
+
+    def test_same_bytes_across_jobs(self):
+        _, out1 = run_cli(["scan", "--window-only", "--max-index", "20", "--jobs", "1"])
+        _, out2 = run_cli(["scan", "--window-only", "--max-index", "20", "--jobs", "2"])
+        assert out1 == out2
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_resume_from_torn_line(self, tmp_path, jobs):
+        argv = ["scan", "--window-only", "--max-index", "12", "--jobs", jobs]
+        fresh = _fresh_scan(tmp_path, argv)
+        lines = fresh.splitlines(keepends=True)
+        head = "".join(lines[:5])  # the header and four pairs
+        assert _resumed_scan(tmp_path, argv, head + lines[5][:20]) == fresh
+        assert _resumed_scan(tmp_path, argv, head + lines[5].rstrip("\n")) == fresh
+        assert _resumed_scan(tmp_path, argv, lines[0]) == fresh
+
+    def test_violation_exits_one(self, monkeypatch):
+        # a count outside the window is reported, as the library reports it
+        monkeypatch.delenv("CYCLOLAB_JOBS", raising=False)
+        monkeypatch.setattr(
+            roots_mod, "_pair_window", lambda m, n: ((0, 1, 0, 0) if (m, n) == (3, 5) else (0, 0, 0, 0), False, 0)
+        )
+        code, out = run_cli(["scan", "--window-only", "--max-index", "6", "--jobs", "1"])
+        summary = json.loads(out.splitlines()[-1])
+        assert code == 1
+        assert summary["violations"] == [[3, 5, "[-1/2,0)", 1]]
+        assert not summary["window_holds"] and not summary["exception_found"]
+
+    def test_excludes_complex(self, capsys):
+        assert run_cli(["scan", "--max-index", "6", "--window-only", "--complex"]) == (2, "")
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
+_KIND_ARGV = {
+    "real": ["--digits", "10"],
+    "complex": ["--complex", "--digits", "10"],
+    "window": ["--window-only", "--digits", "10"],
+}
+
+
+class TestScanCache:
+    def _refused(self, capsys, path, argv, why):
+        # exit 2, one error line, and the file's bytes untouched
+        before = path.read_bytes()
+        capsys.readouterr()
+        assert run_cli(["scan", *argv, "--out", str(path), "--resume"]) == (2, "")
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {path} ") and why in err, err
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "written, resumed", [(w, r) for w in _KIND_ARGV for r in _KIND_ARGV if w != r]
+    )
+    def test_foreign_kind_refused(self, tmp_path, capsys, written, resumed):
+        path = tmp_path / "scan.jsonl"
+        assert run_cli(["scan", "--max-index", "6", *_KIND_ARGV[written], "--out", str(path)])[0] == 0
+        self._refused(capsys, path, ["--max-index", "6", *_KIND_ARGV[resumed]], "kind")
+
+    @pytest.mark.parametrize("kind", list(_KIND_ARGV))
+    def test_digits_mismatch_refused(self, tmp_path, capsys, kind):
+        path = tmp_path / "scan.jsonl"
+        assert run_cli(["scan", "--max-index", "6", *_KIND_ARGV[kind], "--out", str(path)])[0] == 0
+        self._refused(capsys, path, ["--max-index", "6", *_KIND_ARGV[kind], "--digits", "12"], "digits")
+
+    @pytest.mark.parametrize("kind", list(_KIND_ARGV))
+    def test_headerless_refused(self, tmp_path, capsys, kind):
+        argv = ["scan", "--max-index", "6", *_KIND_ARGV[kind]]
+        path = tmp_path / "scan.jsonl"
+        path.write_text("".join(_fresh_scan(tmp_path, argv).splitlines(keepends=True)[1:4]))
+        self._refused(capsys, path, argv[1:], "no scan header")
+        path.write_text("not json\n")
+        self._refused(capsys, path, argv[1:], "no scan header")
+
+    def test_header_leads_only_files(self, tmp_path):
+        argv = ["scan", "--max-index", "6", "--complex", "--coprime", "--digits", "10"]
+        header, *lines = _fresh_scan(tmp_path, argv).splitlines()
+        assert json.loads(header) == {"scan_format": 1, "kind": "complex", "max_index": 6, "coprime": True, "digits": 10}
+        assert run_cli(argv)[1].splitlines() == lines
+
+    def test_pair_selection_may_differ(self, tmp_path):
+        # max_index and coprime only select pairs: a smaller scan's file
+        # completes a larger one, and an empty file is no cache at all
+        small = _fresh_scan(tmp_path, ["scan", "--max-index", "6", "--window-only"])
+        argv = ["scan", "--max-index", "9", "--window-only"]
+        assert _resumed_scan(tmp_path, argv, small) == _fresh_scan(tmp_path, argv)
+        assert _resumed_scan(tmp_path, argv, "") == _fresh_scan(tmp_path, argv)
+
+    def test_real_resume_over_complex_file_has_no_traceback(self, tmp_path):
+        out = tmp_path / "f.jsonl"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cyclolab.__file__)))
+        run = [sys.executable, "-m", "cyclolab", "scan", "--max-index", "6", "--out", str(out)]
+        subprocess.run(run + ["--complex"], env=env, check=True, timeout=120)
+        proc = subprocess.run(run + ["--resume"], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+
+
+def test_readme_cli_lines_parse():
+    # every example in the README's CLI block is a valid command line
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("cyclolab ")]
+    assert len(lines) >= 18 and any("--window-only" in line for line in lines)
+    for line in lines:
+        _build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
 def _group_alive(pgid: int) -> bool:
@@ -367,6 +510,49 @@ class TestJobsEnv:
     def test_jobs_zero_refused(self, capsys):
         assert run_cli(["scan", "--max-index", "4", "--jobs", "0"]) == (2, "")
         assert capsys.readouterr().err == "error: jobs must be >= 1\n"
+
+    @pytest.mark.parametrize(
+        "jobs, env, cpus, items, pool",
+        [
+            (5000, None, 2, 20, 2),
+            (None, "5000", 2, 20, 2),
+            (5000, None, 64, 9, 9),
+            (3, None, 64, 20, 3),
+            (2, None, 1, 20, None),
+            (4, None, 4, 7, None),
+        ],
+    )
+    def test_pool_capped(self, monkeypatch, jobs, env, cpus, items, pool):
+        # the pool is min(jobs, items, usable CPUs) workers; a fake fork
+        # context records the size asked for and maps in-process
+        import multiprocessing
+
+        sizes = []
+
+        class Pool:
+            def __init__(self, processes, initializer=None, initargs=()):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, it, chunksize=1):
+                return map(fn, it)
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: type("Ctx", (), {"Pool": Pool}))
+        monkeypatch.setattr(roots_mod, "_usable_cpus", lambda: cpus)
+        if env is None:
+            monkeypatch.delenv("CYCLOLAB_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("CYCLOLAB_JOBS", env)
+        assert list(roots_mod._parallel_map(abs, range(-items, 0), jobs)) == list(range(items, 0, -1))
+        assert sizes == ([pool] if pool else [])
+
+    def test_usable_cpus(self):
+        assert 1 <= roots_mod._usable_cpus() <= (os.cpu_count() or 1)
 
     @pytest.mark.parametrize("env", [None, "2"])
     @pytest.mark.parametrize("jobs", [0, -4])

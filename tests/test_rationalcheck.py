@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from cyclolab import rationalcheck
 from cyclolab.polycore import cyclotomic, eval_homogeneous_cyclotomic, eval_rational
 from cyclolab.rationalcheck import (
     EXCEPTION_BANG_2_6,
@@ -111,3 +112,22 @@ class TestRationalCoincidences:
                 if gcd(a, b) == 1:
                     x = Fraction(a, b)
                     assert eval_rational(cyclotomic(1), x) != eval_rational(cyclotomic(2), x)
+
+
+class TestPointKernel:
+    def test_indices_evaluated_only_when_compared(self, monkeypatch):
+        # per point the m <= M, and 2m only for the odd m in (M/2, M]
+        # that the negative point reads: 50 + 12 indices at M = 50
+        calls = []
+        evaluate = rationalcheck.eval_homogeneous_cyclotomic
+        monkeypatch.setattr(
+            rationalcheck, "eval_homogeneous_cyclotomic", lambda m, a, b: calls.append(m) or evaluate(m, a, b)
+        )
+        rep = verify_rational_coincidences(5, 50)
+        assert (rep.points_checked, rep.coincidences) == (5, ())
+        assert len(calls) == 5 * 62
+        assert sorted(set(calls)) == list(range(1, 51)) + list(range(54, 101, 4))
+        calls.clear()
+        rep = verify_integer_coincidences(10, 50)
+        assert (rep.pairs_checked, rep.coincidences) == (22050, ((2, 2, 6),))
+        assert len(calls) == 9 * 62

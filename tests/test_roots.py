@@ -599,6 +599,19 @@ class TestWindow:
         monkeypatch.setattr(roots_mod, "_pair_window", lambda m, n: ((0, 0, 0, 0), False, 2))
         assert verify_root_window(5, jobs=1).sturm_fallbacks == 2 * 10
 
+    def test_report_rule(self):
+        # a nonzero count is a violation, except one root of {2, 6} at exactly 2
+        clear = (0, 0, 0, 0)
+        rows = [(1, 2, clear, False), (2, 6, (0, 0, 0, 1), True)]
+        assert roots_mod.window_report(6, rows) == WindowReport(6, 2, (), True)
+        for bad, region in (((0, 0, 0, 2), "[2,inf)"), ((0, 0, 0, 1), "[2,inf)"), ((1, 0, 0, 0), "(-inf,-2]")):
+            for m, n, at_two in ((2, 6, False), (3, 5, True)):
+                report = roots_mod.window_report(6, [(m, n, bad, at_two)], sturm_fallbacks=3)
+                assert report.violations == ((m, n, region, max(bad)),) and not report.holds
+                assert not report.exception_found and report.sturm_fallbacks == 3
+        report = roots_mod.window_report(6, [(2, 6, (0, 1, 0, 1), True)])
+        assert report.violations == ((2, 6, "[-1/2,0)", 1),) and report.exception_found
+
     def test_per_index_path_matches_exact_path_to_72(self):
         # every pair but {2, 6} is cleared by the cached per-index values,
         # and the counts agree with the exact path's on every pair
