@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .arith import profile
-from .certified import BigFloat, ZERO, _log_bounds, from_interval
+from .certified import BigFloat, ZERO, _from_bracket, _log_bounds, from_interval
 from .polycore import (
     _gaussian_scale,
     _moebius_exponents,
@@ -60,7 +60,7 @@ def lemma_tail_gap(x: Fraction, k: int, j_max: int = 64) -> tuple[BigFloat, BigF
     # 1 - x^-j = (a^j - b^j)/a^j; the log bounds are numerators over 2^prec
     ak, bk = a ** k, b ** k
     llo, lhi = _log_bounds(ak - bk, ak, prec)
-    left = _dyadic_interval(-lhi, -llo, prec)
+    left = _from_bracket(-lhi, -llo, 1 << prec, prec)
 
     slo = shi = 0
     for _ in range(k + 1, j_max + 1):
@@ -168,7 +168,7 @@ def check_complex_bounds(n: int, z: tuple[Fraction, Fraction]) -> BoundReport:
     return BoundReport(
         n=n,
         point=(re, im),
-        ratio=from_interval(Fraction(r, 1 << 64), Fraction(r + 1, 1 << 64), 64),
+        ratio=_from_bracket(r, r + 1, 1 << 64, 64),
         side="complex",
         holds=holds,
         equality=equality,
@@ -218,13 +218,7 @@ def g_value(m: int, n: int, x: Fraction, precision_bits: int = 64) -> BigFloat:
             raise AssertionError("g enclosure failed to separate from zero")
     if (1 if lo > 0 else -1) != exact_sign:
         raise AssertionError("certified log sign disagrees with exact evaluation")
-    return _dyadic_interval(lo, hi, prec)
-
-
-def _dyadic_interval(lo: int, hi: int, prec: int) -> BigFloat:
-    # [lo/2^prec, hi/2^prec] as from_interval gives it, without its Fractions
-    s = 1 << (prec + 1)
-    return BigFloat(Fraction(lo + hi, s), prec, Fraction(hi - lo, s))
+    return _from_bracket(lo, hi, 1 << prec, prec)
 
 
 def _exact_ratio_sign(m: int, n: int, x: Fraction) -> int:

@@ -5,6 +5,12 @@ midpoint plus a proven error radius; log and sqrt enclosures are computed
 with rational series partial sums and explicit tail bounds, so no verdict
 anywhere in the package ever rests on unproven floating-point rounding.
 
+Rendering runs on integers.  ``BigFloat.decimal`` rounds value +- error
+over one common denominator, two half-even roundings of integers, and
+never forms the bracket's ends; ``_from_bracket`` builds a BigFloat from
+the integer ends of a bracket over a known denominator, so a Fraction is
+formed only for a field a BigFloat stores.
+
 Logs run on integers.  ``_log_bounds(p, q, prec)`` encloses ln(p/q) by two
 numerators over 2^prec: the atanh partial sums are one integer numerator
 and denominator, never normalised, the stopping rule is an integer
@@ -56,12 +62,19 @@ class BigFloat:
         """Decimal string with ``digits`` fractional digits, correctly rounded.
 
         Raises ValueError if the error bound is too large for the rounding
-        to be stable; callers refine and retry.
+        to be stable (exactly when ``decimal_in_interval(lo, hi, digits)``
+        is None); callers refine and retry.
         """
-        s = decimal_in_interval(self.lo, self.hi, digits)
-        if s is None:
+        v, e, scale = self.value, self.error_bound, 10 ** digits
+        if not e:
+            return _fixed_point(_round_half_even(v.numerator * scale, v.denominator), digits)
+        # lo and hi are (mid -+ rad) / den
+        den = v.denominator * e.denominator
+        mid, rad = v.numerator * e.denominator * scale, e.numerator * v.denominator * scale
+        n = _round_half_even(mid - rad, den)
+        if n != _round_half_even(mid + rad, den):
             raise ValueError("interval too wide to round at %d digits" % digits)
-        return s
+        return _fixed_point(n, digits)
 
     def significant(self, sig: int) -> str:
         """Decimal string with ``sig`` significant digits (trailing zeros kept off)."""
@@ -82,6 +95,11 @@ def from_interval(lo: Fraction, hi: Fraction, precision_bits: int) -> BigFloat:
     return BigFloat(mid, precision_bits, (hi - lo) / 2)
 
 
+def _from_bracket(lo: int, hi: int, den: int, precision_bits: int) -> BigFloat:
+    # [lo/den, hi/den] (den > 0) as from_interval gives it, from the integers
+    return BigFloat(Fraction(lo + hi, 2 * den), precision_bits, Fraction(hi - lo, 2 * den))
+
+
 # ---------------------------------------------------------------------------
 # decimal rendering
 
@@ -95,16 +113,18 @@ def _round_half_even(num: int, den: int) -> int:
     return q
 
 
-def round_fraction_decimal(x: Fraction, digits: int) -> str:
-    """Fixed-point decimal string of x with ``digits`` fractional digits."""
-    scale = 10 ** digits
-    n = _round_half_even(x.numerator * scale, x.denominator)
-    sign = "-" if n < 0 else ""
-    n = abs(n)
+def _fixed_point(n: int, digits: int) -> str:
+    # n / 10^digits written with exactly ``digits`` fractional digits
+    sign, n = ("-", -n) if n < 0 else ("", n)
     if digits == 0:
         return sign + str(n)
-    whole, frac = divmod(n, scale)
+    whole, frac = divmod(n, 10 ** digits)
     return "%s%d.%0*d" % (sign, whole, digits, frac)
+
+
+def round_fraction_decimal(x: Fraction, digits: int) -> str:
+    """Fixed-point decimal string of x with ``digits`` fractional digits."""
+    return _fixed_point(_round_half_even(x.numerator * 10 ** digits, x.denominator), digits)
 
 
 def decimal_in_interval(lo: Fraction, hi: Fraction, digits: int) -> str | None:
@@ -115,15 +135,18 @@ def decimal_in_interval(lo: Fraction, hi: Fraction, digits: int) -> str | None:
 
 
 def _decimal_exponent(x: Fraction) -> int:
-    # e with 10^e <= |x| < 10^(e+1); x must be nonzero
-    x = abs(x)
-    e = 0
-    while x >= 10:
-        x /= 10
-        e += 1
-    while x < 1:
-        x *= 10
+    # e with 10^e <= |x| < 10^(e+1); x must be nonzero.  Estimated from bit
+    # lengths (1233/4096 ~ log10 2), then settled by exact comparisons
+    n, d = abs(x.numerator), x.denominator
+
+    def below(k: int) -> bool:  # |x| < 10^k
+        return n * 10 ** -k < d if k < 0 else n < d * 10 ** k
+
+    e = (n.bit_length() - d.bit_length()) * 1233 >> 12
+    while below(e):
         e -= 1
+    while not below(e + 1):
+        e += 1
     return e
 
 

@@ -29,7 +29,11 @@ transformed polynomial is one packed homogeneous value
 kernel that also packs the window's values.
 Refinement walks the bisection grid on integers by quadratic interval
 refinement, returns the bracket bisection would, and recovers rational
-roots exactly.
+roots exactly.  Records are built from the integers in hand, and a
+Fraction is formed only for a field a BigFloat stores: a real record's
+residual and modulus come from the refined bracket's integer ends over
+one denominator, a complex root's modulus from one integer square root
+of its dyadic centre's norm.
 Complex roots come from a simultaneous Aberth-Ehrlich iteration at
 extended precision on ``binfloat``'s (mantissa, exponent) integer pairs,
 bit for bit mpmath's libmp arithmetic, then every floating artifact is
@@ -48,13 +52,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .certified import (
-    BigFloat,
-    ZERO,
-    decimal_in_interval,
-    from_interval,
-    sqrt_interval,
-)
+from .certified import BigFloat, ZERO, _from_bracket, _round_half_even
 from .polycore import (
     ExactDivisionError,
     IntPoly,
@@ -72,7 +70,6 @@ from .polycore import (
     _unpack,
     cyclotomic,
     difference,
-    eval_rational,
 )
 
 KNOWN_WINDOW_EXCEPTION = ((2, 6), Fraction(2))  # the single sanctioned root at 2
@@ -530,7 +527,7 @@ def refine_root(p: IntPoly, iv: IsolatingInterval, digits: int) -> BigFloat:
     flo, fhi = _eval_int_scaled(cs, lo, den), _eval_int_scaled(cs, hi, den)
     if _sign(flo) != iv.sign_lo or _sign(fhi) != iv.sign_hi:
         raise ValueError("interval endpoint signs are not those of p")
-    lead = abs(cs[-1])
+    lead, scale = abs(cs[-1]), 10 ** digits
     prec = max(24, int(digits * 3.33) + 16)
     w = hi - lo
     kt = _first_level(w * lead, den)
@@ -541,15 +538,14 @@ def refine_root(p: IntPoly, iv: IsolatingInterval, digits: int) -> BigFloat:
     c = -(-a * lead // dt)  # c/L, c = ceil(L * a/dt): the one multiple of 1/L left
     if a * lead < c * dt < (a + w) * lead and _eval_int_scaled(cs, c, lead) == 0:
         return BigFloat(Fraction(c, lead), prec, ZERO)
-    level = max(kt, _first_level(w * 10 ** digits, den))
+    level = max(kt, _first_level(w * scale, den))
     while True:
         cell = _qir_cell(cs, lo, w, den, cell, level)
         if isinstance(cell, Fraction):
             return BigFloat(cell, prec, ZERO)
         a, d = (lo << level) + cell[1] * w, den << level
-        x, y = Fraction(a, d), Fraction(a + w, d)
-        if decimal_in_interval(x, y, digits) is not None:
-            return from_interval(x, y, prec)
+        if _round_half_even(a * scale, d) == _round_half_even((a + w) * scale, d):
+            return _from_bracket(a, a + w, d, prec)
         level += 1
 
 
@@ -581,30 +577,27 @@ class CoincidenceRecord:
     window_violations: tuple[int, ...] = ()  # indexes into roots
 
 
-def _abs_interval(v: BigFloat) -> tuple[Fraction, Fraction]:
-    lo, hi = v.lo, v.hi
-    if lo >= 0:
-        return lo, hi
-    if hi <= 0:
-        return -hi, -lo
-    return ZERO, max(-lo, hi)
-
-
 def _real_root_record(poly_id, p: IntPoly, iv: IsolatingInterval, digits: int, mult: int) -> RootRecord:
-    # residuals are taken against the squarefree factor that carries the root
+    # residuals are taken against the squarefree factor that carries the
+    # root.  The bracket is (c -+ r)/den, so |p| at its ends is two scaled
+    # integer values, and the modulus is the value itself, its negation, or
+    # [0, max(|ends|)] when the bracket straddles 0
     val = refine_root(p, iv, digits)
-    alo, ahi = _abs_interval(val)
-    if val.error_bound == 0:
-        res = abs(eval_rational(p, val.value))
+    c, r, den = _gaussian_scale(val.value, val.error_bound)
+    res = max(abs(_eval_int_scaled(p.coeffs, x, den)) for x in {c - r, c + r})
+    if c >= r:
+        modulus = val
+    elif c <= -r:
+        modulus = BigFloat(-val.value, val.precision_bits, val.error_bound)
     else:
-        res = max(abs(eval_rational(p, val.lo)), abs(eval_rational(p, val.hi)))
+        modulus = _from_bracket(0, r + abs(c), den, val.precision_bits)
     return RootRecord(
         poly_id=poly_id,
         kind="real",
         value=val,
-        modulus=from_interval(alo, ahi, val.precision_bits),
+        modulus=modulus,
         digits=digits,
-        residual=BigFloat(Fraction(res), val.precision_bits, ZERO),
+        residual=BigFloat(Fraction(res, den ** p.degree), val.precision_bits, ZERO),
         multiplicity=mult,
     )
 
@@ -638,7 +631,7 @@ def real_coincidence_roots(m: int, n: int, digits: int = 15) -> CoincidenceRecor
             continue
         if _is_window_exception(a, b, rec):
             continue
-        lo, hi = _abs_interval(rec.value)
+        lo, hi = rec.modulus.lo, rec.modulus.hi
         if not (Fraction(1, 2) < lo and hi < 2):
             violations.append(idx)
         if max_abs is None or hi > max_abs.hi:
@@ -975,8 +968,7 @@ def _certified_disks(cs, precision_bits: int, budget: int = 200):
     disjoint disks each one holds exactly one root.
 
     Returns (re, im, rad, res) per root: the dyadic center, the radius and
-    an enclosure (lo, hi) of the residual |p(re + im*i)| of width
-    2^-precision_bits.
+    the residual |p(re + im*i)| as a BigFloat of width 2^-precision_bits.
     """
     from . import binfloat as bf
 
@@ -1010,7 +1002,7 @@ def _certified_disks(cs, precision_bits: int, budget: int = 200):
             vr, vi = _eval_gaussian_scaled(cs, a, b, 1 << s)
             N, e = vr * vr + vi * vi, 2 * deg * s
             if N == 0:
-                rad, res = Fraction(0), (ZERO, ZERO)  # exact dyadic root
+                rad, res = Fraction(0), BigFloat(ZERO, precision_bits)  # exact dyadic root
             else:
                 # r = floor(2^P |p|), so |p| < (r + 1)/2^P, and the residual
                 # enclosure at precision_bits is floor(2^p |p|) = r >> (P - p)
@@ -1018,7 +1010,7 @@ def _certified_disks(cs, precision_bits: int, budget: int = 200):
                 num, den, sh = deg * (r + 1), pman * ((1 << k) - 1) * lead, k - P - pexp
                 rad = Fraction(num << sh, den) if sh >= 0 else Fraction(num, den << -sh)
                 rp = r >> (P - precision_bits)
-                res = (Fraction(rp, 1 << precision_bits), Fraction(rp + 1, 1 << precision_bits))
+                res = _from_bracket(rp, rp + 1, 1 << precision_bits, precision_bits)
             out.append((Fraction(a, 1 << s), Fraction(b, 1 << s), rad, res))
         if _disks_disjoint(out):
             return out
@@ -1073,23 +1065,22 @@ def complex_roots(p: IntPoly, precision_bits: int = 256) -> list[RootRecord]:
                     kind = "real"
                     rad = ZERO  # the disk's unique root is exactly re
                 else:
-                    bracket_lo, bracket_hi = re - rad, re + rad
-                    slo = _sign(_eval_int_scaled(cs, bracket_lo.numerator, bracket_lo.denominator))
-                    shi = _sign(_eval_int_scaled(cs, bracket_hi.numerator, bracket_hi.denominator))
+                    c, r, den = _gaussian_scale(re, rad)  # the slice is [c - r, c + r]/den
+                    slo, shi = (_sign(_eval_int_scaled(cs, x, den)) for x in (c - r, c + r))
                     if slo != 0 and shi != 0 and slo != shi:
                         kind = "real"
             prec = precision_bits
             if kind == "real":
-                value = from_interval(re - rad, re + rad, prec)
-                m2 = re * re
+                value, im = BigFloat(re, prec, rad), ZERO  # its centre is re alone
             else:
-                value = (
-                    BigFloat(re, prec, rad),
-                    BigFloat(im, prec, rad),
-                )
-                m2 = re * re + im * im
-            mlo, mhi = sqrt_interval(m2, prec)
-            modulus = from_interval(max(ZERO, mlo - rad), mhi + rad, prec)
+                value = (BigFloat(re, prec, rad), BigFloat(im, prec, rad))
+            # |centre| lies in [q, q + 1]/2^prec (the point 0 at 0), q from one
+            # integer square root of the centre's norm; the modulus widens
+            # that by rad on each side, clamped at 0
+            a, b, d = _gaussian_scale(re, im)
+            q = isqrt(((a * a + b * b) << 2 * prec) // (d * d))
+            rn, rd = rad.numerator << prec, rad.denominator
+            modulus = _from_bracket(max(0, q * rd - rn), (q + (1 if a or b else 0)) * rd + rn, rd << prec, prec)
             records.append(
                 RootRecord(
                     poly_id=None,
@@ -1097,7 +1088,7 @@ def complex_roots(p: IntPoly, precision_bits: int = 256) -> list[RootRecord]:
                     value=value,
                     modulus=modulus,
                     digits=_digits(rad, precision_bits),
-                    residual=from_interval(*res, prec),
+                    residual=res,
                     multiplicity=mult,
                 )
             )

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cyclolab import nearmiss, roots as roots_mod
-from cyclolab.certified import BigFloat, ZERO, decimal_in_interval, from_interval
-from cyclolab.cli import _root_record_obj, dispatch
+from cyclolab.certified import BigFloat, ZERO, decimal_in_interval, from_interval, sqrt_interval
+from cyclolab.cli import _record_line, _root_record_obj, dispatch
 from cyclolab.polycore import (
     IntPoly,
     _digit_bias,
@@ -539,6 +539,39 @@ class TestCoincidenceRecords:
             real_coincidence_roots(4, 4, 10)
 
 
+def real_record_oracle(p, iv, digits):
+    # the modulus and residual as the Fraction form built them: |value| from
+    # the bracket's ends, |p| evaluated at each end
+    val = refine_root(p, iv, digits)
+    lo, hi = val.lo, val.hi
+    alo, ahi = (lo, hi) if lo >= 0 else (-hi, -lo) if hi <= 0 else (ZERO, max(-lo, hi))
+    ends = [val.value] if val.error_bound == 0 else [lo, hi]
+    res = max(abs(eval_rational(p, x)) for x in ends)
+    return from_interval(alo, ahi, val.precision_bits), BigFloat(res, val.precision_bits, ZERO)
+
+
+# x^3 + 10^8 x - 1 has one real root, near 1e-8; refined from (-1, 2) at one
+# digit its bracket is (-1/64, 1/32), which straddles 0
+STRADDLE = (IntPoly([-1, 10 ** 8, 0, 1]), IsolatingInterval(Fraction(-1), Fraction(2), -1, 1))
+
+
+class TestRealRecordIntegers:
+    @pytest.mark.parametrize("digits", [1, 15])
+    def test_matches_fraction_form(self, digits):
+        cases = _small_difference_brackets() + [STRADDLE]
+        signs = set()
+        for p, iv in cases:
+            rec = roots_mod._real_root_record(None, p, iv, digits, 1)
+            assert (rec.modulus, rec.residual) == real_record_oracle(p, iv, digits), (p, iv)
+            signs.add((rec.value.lo > 0) - (rec.value.hi < 0))
+        assert signs == {-1, 0, 1}  # negative, straddling (or exact 0) and positive values
+
+    def test_straddling_bracket(self):
+        rec = roots_mod._real_root_record(None, *STRADDLE, 1, 1)
+        assert (rec.value.lo, rec.value.hi) == (Fraction(-1, 64), Fraction(1, 32))
+        assert (rec.modulus.lo, rec.modulus.hi) == (0, Fraction(1, 32))
+
+
 class TestWindow:
     def test_exception_pair_counts(self):
         counts, at_two = window_counts(2, 6)
@@ -733,6 +766,16 @@ class TestComplexRoots:
         with pytest.raises(ValueError):
             complex_roots(IntPoly([3]), 128)
 
+    @pytest.mark.parametrize("m, n", [(1, 3), (3, 7), (5, 12), (2, 9), (7, 10), (11, 13)])
+    def test_modulus_matches_sqrt_interval(self, m, n):
+        # the modulus from one integer square root is the enclosure
+        # sqrt_interval gives for |centre|, widened by the radius
+        for r in complex_roots(difference(m, n), 256):
+            parts = [r.value] if r.kind == "real" else list(r.value)
+            rad = parts[0].error_bound
+            mlo, mhi = sqrt_interval(sum(c.value * c.value for c in parts), 256)
+            assert r.modulus == from_interval(max(ZERO, mlo - rad), mhi + rad, 256)
+
 
 GOLDEN = json.loads((Path(__file__).with_name("complex_roots_golden.json")).read_text())
 
@@ -749,6 +792,29 @@ class TestComplexGolden:
         assert [json.dumps(_root_record_obj(r, 15)) for r in rs] == case["records"]
         exact = repr([(r.kind, r.value, r.modulus, r.digits, r.residual, r.multiplicity) for r in rs])
         assert hashlib.sha256(exact.encode()).hexdigest() == case["exact_sha256"]
+
+
+REAL_GOLDEN = json.loads((Path(__file__).with_name("real_roots_golden.json")).read_text())
+
+
+def _real_exact(rec) -> str:
+    # every stored rational of a real coincidence record, in order
+    fields = [f for r in rec.roots for f in (r.value, r.modulus, r.residual)]
+    if rec.max_abs_real is not None:
+        fields.append(rec.max_abs_real)
+    return repr([(f.value, f.error_bound) for f in fields])
+
+
+class TestRealGolden:
+    # rendered lines (as `cyclolab roots` prints them at 15 digits) and a
+    # digest of the exact value and error bound of every value, modulus,
+    # residual and max_abs_real, captured before the records were built
+    # from integers.  (9, 24) is not squarefree (a triple root at 0)
+    @pytest.mark.parametrize("case", REAL_GOLDEN, ids=lambda c: "%d-%d" % (c["m"], c["n"]))
+    def test_records_unchanged(self, case):
+        rec = real_coincidence_roots(case["m"], case["n"], 15)
+        assert _record_line(rec, 15) == case["line"]
+        assert hashlib.sha256(_real_exact(rec).encode()).hexdigest() == case["exact_sha256"]
 
 
 class TestAberthRestart:
