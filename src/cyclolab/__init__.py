@@ -39,15 +39,13 @@ from .roots import (
     CoincidenceRecord,
     IsolatingInterval,
     RootRecord,
-    complex_roots,
     isolate_real_roots,
-    quarter_lift_check,
     real_coincidence_roots,
     refine_root,
-    scan_complex,
     sturm_count,
-    verify_root_window,
 )
+from .window import verify_root_window
+from .complexroots import complex_roots, quarter_lift_check, scan_complex
 from .nearmiss import (
     DeltaDecomposition,
     TripleRecord,

@@ -5,7 +5,9 @@ Exit status:
   1  a verification subcommand finds a claimed invariant violated, or a
      computation fails (root iteration does not converge, an internal
      consistency check fails); the failure is one ``error:`` line on stderr;
-  2  usage errors and invalid arguments.
+  2  usage errors and invalid arguments;
+  141  stdout was closed by its reader (``cyclolab table1 | head -1``):
+     the pool workers are stopped and nothing is written to stderr.
 
 ``scan`` has one streamed, resumable pipeline for real, --complex and
 --window-only scans; --resume refuses an --out file whose header line is
@@ -28,10 +30,12 @@ from fractions import Fraction
 from math import gcd
 
 from . import bounds as bounds_mod
+from . import complexroots as complex_mod
 from . import nearmiss as nearmiss_mod
 from . import ordering as ordering_mod
 from . import rationalcheck as rational_mod
 from . import roots as roots_mod
+from . import window as window_mod
 from .arith import profile
 from .polycore import cyclotomic, difference, eval_homogeneous_cyclotomic, poly_to_json
 
@@ -140,7 +144,7 @@ def _cmd_roots(args, out) -> int:
     if args.complex:
         d = difference(args.m, args.n)
         if d.degree >= 1:
-            cplx = [r for r in roots_mod.complex_roots(d, 256) if r.kind == "complex"]
+            cplx = [r for r in complex_mod.complex_roots(d, 256) if r.kind == "complex"]
             rec = roots_mod.CoincidenceRecord(
                 m=rec.m, n=rec.n, roots=rec.roots + tuple(cplx), max_abs_real=rec.max_abs_real
             )
@@ -177,8 +181,8 @@ def _cmd_scan(args, out) -> int:
     todo = [p for p in pairs if p not in lines]
     worker, render, summarize, param = {
         "real": (roots_mod._real_scan_worker, _record_line, _real_summary, args.digits),
-        "complex": (roots_mod._complex_scan_worker, _complex_line, _complex_summary, 256),
-        "window": (roots_mod._window_worker, _window_line, _window_summary, None),
+        "complex": (complex_mod._complex_scan_worker, _complex_line, _complex_summary, 256),
+        "window": (window_mod._window_worker, _window_line, _window_summary, None),
     }[kind]
     items = [(m, n) if param is None else (m, n, param) for m, n in todo]
     roots_mod._warm_cyclotomic_cache(M)
@@ -213,7 +217,7 @@ def _window_line(result, digits: int) -> str:
     return json.dumps(obj)
 
 
-def _window_fields(report: roots_mod.WindowReport) -> dict:
+def _window_fields(report: window_mod.WindowReport) -> dict:
     # the window verdict as both the real and the window-only summary give it
     return {"max_index": report.max_index, "pairs_checked": report.pairs_checked, "window_holds": report.holds,
             "exception_found": report.exception_found, "violations": [list(v) for v in report.violations]}
@@ -221,7 +225,7 @@ def _window_fields(report: roots_mod.WindowReport) -> dict:
 
 def _window_summary(M: int, objs: list[dict], args) -> tuple[str, bool]:
     rows = [(o["m"], o["n"], o["counts"], o.get("at_two", False)) for o in objs]
-    report = roots_mod.window_report(M, rows)
+    report = window_mod.window_report(M, rows)
     return json.dumps({"summary": "window", **_window_fields(report)}), report.holds
 
 
@@ -250,7 +254,7 @@ def _complex_summary(M: int, objs: list[dict], args) -> tuple[str, bool]:
 
 
 def _real_summary(M: int, objs: list[dict], args) -> tuple[str, bool]:
-    window = roots_mod.verify_root_window(M, args.jobs)
+    window = window_mod.verify_root_window(M, args.jobs)
     # rounding is monotone, so the extreme rendered moduli are the rendered
     # extremes.  Skip exact-zero roots and the root 2 of {2, 6}, as
     # real_coincidence_roots does; a nonzero root that renders as zero is a
@@ -316,7 +320,7 @@ _TABLE_COLUMNS = ("p", "q", "r", "beta", "alpha", "inv_gap", "scaled_gap")
 
 def _cmd_table1(args, out) -> int:
     rows = None
-    if args.extend:  # every triple with q <= QMAX, for each p up to 13
+    if args.extend is not None:  # every triple with q <= QMAX, for each p up to 13
         rows = [(p, q) for p in (3, 5, 7, 11, 13) for q, _ in nearmiss_mod.find_triples(p, args.extend)]
     sig = args.digits
     if args.format == "csv":
@@ -426,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table1", help="near-miss reference table")
     p.add_argument("--digits", type=int, default=15)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--extend", type=int, default=0, metavar="QMAX",
+    p.add_argument("--extend", type=int, default=None, metavar="QMAX",
                    help="list every triple with q up to QMAX for p in {3,5,7,11,13}, not the printed rows")
 
     p = sub.add_parser("bounds", help="value-envelope checks on a grid")
@@ -478,20 +482,34 @@ def dispatch(argv: list[str], out=None) -> int:
         return 1
 
 
-def _on_sigterm(signum, frame) -> None:
-    # stop the pool workers first, so that none outlives the parent and
-    # fails writing to its pipe; then die of the signal as if unhandled.
-    # Only a parallel scan loads multiprocessing, so without it there are none
+def _stop_workers() -> None:
+    # only a parallel scan loads multiprocessing, so without it there are none
     mp = sys.modules.get("multiprocessing")
     for child in mp.active_children() if mp else ():
         child.terminate()
+
+
+def _on_sigterm(signum, frame) -> None:
+    # stop the pool workers first, so that none outlives the parent and
+    # fails writing to its pipe; then die of the signal as if unhandled
+    _stop_workers()
     signal.signal(signum, signal.SIG_DFL)
     signal.raise_signal(signum)
 
 
 def main() -> None:
     signal.signal(signal.SIGTERM, _on_sigterm)
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()  # a closed reader surfaces here, not at exit
+    except BrokenPipeError:
+        # the reader of stdout is gone (``cyclolab table1 | head -1``): stop
+        # the pool workers and end as a process killed by SIGPIPE reports,
+        # 128 + 13.  stdout goes to os.devnull, so the flush at exit is quiet
+        _stop_workers()
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

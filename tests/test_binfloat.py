@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 mp = pytest.importorskip("mpmath.libmp")
 
 from cyclolab import binfloat as bf
-from cyclolab import roots as roots_mod
+from cyclolab import complexroots as complex_mod
 from cyclolab.polycore import difference
 from cyclolab.roots import yun_decomposition
 
@@ -297,4 +297,4 @@ class TestSweepsMatchLibmp:
             cs = list(factor.coeffs)
             if len(cs) > 1:
                 want = [(pair(a), pair(b)) for a, b in libmp_sweeps(cs, bits, 200)]
-                assert roots_mod._aberth_sweeps(cs, bits, 200) == want
+                assert complex_mod._aberth_sweeps(cs, bits, 200) == want

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import cyclolab
-from cyclolab import roots as roots_mod
+from cyclolab import complexroots as complex_mod, roots as roots_mod, window as window_mod
 from cyclolab.cli import _build_parser, dispatch
 
 
@@ -93,7 +93,7 @@ class TestRoots:
         def fail(*args, **kwargs):
             raise roots_mod.RootConvergenceError("no separation")
 
-        monkeypatch.setattr(roots_mod, "complex_roots", fail)
+        monkeypatch.setattr(complex_mod, "complex_roots", fail)
         code, out = run_cli(["roots", "1", "3", "--complex"])
         assert code == 1 and out == ""
         err = capsys.readouterr().err.splitlines()
@@ -145,6 +145,11 @@ class TestTable:
         # every printed row has q <= 19, and reads the same in the extended table
         _, plain = run_cli(["table1"])
         assert set(plain.splitlines()) < set(out.splitlines())
+
+    @pytest.mark.parametrize("qmax", ["0", "2"])
+    def test_extend_below_every_triple_lists_none(self, qmax):
+        # no triple has q <= 2, so only the header is printed
+        assert run_cli(["table1", "--extend", qmax]) == (0, "p,q,r,beta,alpha,inv_gap,scaled_gap\n")
 
 
 class TestBounds:
@@ -331,7 +336,7 @@ class TestWindowOnlyScan:
         # a count outside the window is reported, as the library reports it
         monkeypatch.delenv("CYCLOLAB_JOBS", raising=False)
         monkeypatch.setattr(
-            roots_mod, "_pair_window", lambda m, n: ((0, 1, 0, 0) if (m, n) == (3, 5) else (0, 0, 0, 0), False, 0)
+            window_mod, "_pair_window", lambda m, n: ((0, 1, 0, 0) if (m, n) == (3, 5) else (0, 0, 0, 0), False, 0)
         )
         code, out = run_cli(["scan", "--window-only", "--max-index", "6", "--jobs", "1"])
         summary = json.loads(out.splitlines()[-1])
@@ -461,7 +466,7 @@ from cyclolab.cli import dispatch
 
 
 def heavy():
-    return sorted(m for m in ("mpmath", "multiprocessing", "numpy") if m in sys.modules)
+    return sorted(m for m in ("cyclolab.binfloat", "mpmath", "multiprocessing", "numpy") if m in sys.modules)
 
 
 assert heavy() == [], ("import", heavy())
@@ -472,7 +477,7 @@ roots.real_coincidence_roots(6, 10, 15)
 assert dispatch(["scan", "--max-index", "12", "--jobs", "1"], io.StringIO()) == 0
 assert heavy() == [], ("real", heavy())
 recs = roots.complex_roots(polycore.difference(3, 7))
-assert len(recs) == 4 and heavy() == ["numpy"], ("complex", heavy())
+assert len(recs) == 4 and heavy() == ["cyclolab.binfloat", "numpy"], ("complex", heavy())
 """
 
 
@@ -481,6 +486,39 @@ def test_cold_start_loads_numpy_only_for_complex_roots():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cyclolab.__file__)))
     proc = subprocess.run([sys.executable, "-c", _COLD_START], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv", [["table1"], ["scan", "--max-index", "30", "--jobs", "2"]], ids=["table1", "scan-jobs2"]
+)
+def test_closed_stdout_ends_quietly(tmp_path, argv):
+    # the reader takes one line and closes the pipe, as `| head -1` does:
+    # exit 128 + SIGPIPE, nothing on stderr, no pool worker left running.
+    # Unbuffered, each line reaches the pipe as it is written
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cyclolab.__file__)), PYTHONUNBUFFERED="1")
+    err = tmp_path / "err"
+    with open(err, "w") as err_fh:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cyclolab", *argv],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=err_fh,
+            start_new_session=True,
+        )
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline and _group_alive(proc.pid):
+            time.sleep(0.05)
+        assert not _group_alive(proc.pid), "a pool worker outlived the parent"
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    assert err.read_text() == ""
 
 
 class TestJobsEnv:

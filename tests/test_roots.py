@@ -9,9 +9,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from cyclolab import nearmiss, roots as roots_mod
+from cyclolab import complexroots as complex_mod, nearmiss, roots as roots_mod, window as window_mod
 from cyclolab.certified import BigFloat, ZERO, decimal_in_interval, from_interval, sqrt_interval
 from cyclolab.cli import _record_line, _root_record_obj, dispatch
+from cyclolab.complexroots import (
+    _attains_sqrt2,
+    _digits,
+    _disks_disjoint,
+    _sqrt2_quadratic_roots,
+    complex_roots,
+    quarter_lift_check,
+    scan_complex,
+)
 from cyclolab.polycore import (
     IntPoly,
     _digit_bias,
@@ -27,35 +36,30 @@ from cyclolab.polycore import (
 )
 from cyclolab.roots import (
     IsolatingInterval,
-    WindowReport,
     _cauchy_bound,
     _gcd_list,
     _primitive,
     _pseudo_rem_even,
-    _attains_sqrt2,
     _descartes_in,
-    _digits,
-    _disks_disjoint,
+    isolate_real_roots,
+    real_coincidence_roots,
+    refine_root,
+    squarefree_part,
+    sturm_count,
+    yun_decomposition,
+)
+from cyclolab.window import (
+    WindowReport,
     _index_norms,
     _index_packed,
     _padding_power,
     _power_of_three,
-    _sqrt2_quadratic_roots,
     _pair_window,
     _region_maps,
     _window_clear,
     _window_counts,
-    complex_roots,
-    isolate_real_roots,
-    quarter_lift_check,
-    real_coincidence_roots,
-    refine_root,
-    scan_complex,
-    squarefree_part,
-    sturm_count,
     verify_root_window,
     window_counts,
-    yun_decomposition,
 )
 
 HALF = Fraction(1, 2)
@@ -629,20 +633,20 @@ class TestWindow:
             assert {p: _pair_window(*p) for p in order} == want, seed
 
     def test_fallbacks_summed_over_pairs(self, monkeypatch):
-        monkeypatch.setattr(roots_mod, "_pair_window", lambda m, n: ((0, 0, 0, 0), False, 2))
+        monkeypatch.setattr(window_mod, "_pair_window", lambda m, n: ((0, 0, 0, 0), False, 2))
         assert verify_root_window(5, jobs=1).sturm_fallbacks == 2 * 10
 
     def test_report_rule(self):
         # a nonzero count is a violation, except one root of {2, 6} at exactly 2
         clear = (0, 0, 0, 0)
         rows = [(1, 2, clear, False), (2, 6, (0, 0, 0, 1), True)]
-        assert roots_mod.window_report(6, rows) == WindowReport(6, 2, (), True)
+        assert window_mod.window_report(6, rows) == WindowReport(6, 2, (), True)
         for bad, region in (((0, 0, 0, 2), "[2,inf)"), ((0, 0, 0, 1), "[2,inf)"), ((1, 0, 0, 0), "(-inf,-2]")):
             for m, n, at_two in ((2, 6, False), (3, 5, True)):
-                report = roots_mod.window_report(6, [(m, n, bad, at_two)], sturm_fallbacks=3)
+                report = window_mod.window_report(6, [(m, n, bad, at_two)], sturm_fallbacks=3)
                 assert report.violations == ((m, n, region, max(bad)),) and not report.holds
                 assert not report.exception_found and report.sturm_fallbacks == 3
-        report = roots_mod.window_report(6, [(2, 6, (0, 1, 0, 1), True)])
+        report = window_mod.window_report(6, [(2, 6, (0, 1, 0, 1), True)])
         assert report.violations == ((2, 6, "[-1/2,0)", 1),) and report.exception_found
 
     def test_per_index_path_matches_exact_path_to_72(self):
@@ -670,7 +674,7 @@ class TestWindow:
         # each packed region value, unpacked digit by digit, is the Taylor
         # shift by 2 of the region map of Phi_m - Phi_n padded to degree D
         seen = []
-        monkeypatch.setattr(roots_mod, "_packed_root_free", lambda v, nb, k: seen.append((v, nb, k)) or True)
+        monkeypatch.setattr(window_mod, "_packed_root_free", lambda v, nb, k: seen.append((v, nb, k)) or True)
         for n in range(2, 41):
             for m in range(1, n):
                 seen.clear()
@@ -683,8 +687,8 @@ class TestWindow:
 
     def test_exception_pair_takes_exact_path(self, monkeypatch):
         calls = []
-        exact = roots_mod._window_counts
-        monkeypatch.setattr(roots_mod, "_window_counts", lambda p: calls.append(p) or exact(p))
+        exact = window_mod._window_counts
+        monkeypatch.setattr(window_mod, "_window_counts", lambda p: calls.append(p) or exact(p))
         assert _pair_window(2, 6) == ((0, 0, 0, 1), True, 0)
         assert calls == [difference(2, 6)]
         calls.clear()
@@ -823,15 +827,15 @@ class TestAberthRestart:
     def _reject(self, monkeypatch, passes):
         # the first `passes` disjointness checks fail; with passes=None, all do
         checks, precisions = [], []
-        disjoint, sweeps = roots_mod._disks_disjoint, roots_mod._aberth_sweeps
+        disjoint, sweeps = complex_mod._disks_disjoint, complex_mod._aberth_sweeps
 
         def gate(disks):
             checks.append(disks)
             return passes is not None and len(checks) > passes and disjoint(disks)
 
-        monkeypatch.setattr(roots_mod, "_disks_disjoint", gate)
+        monkeypatch.setattr(complex_mod, "_disks_disjoint", gate)
         monkeypatch.setattr(
-            roots_mod, "_aberth_sweeps", lambda cs, prec, budget: precisions.append(prec) or sweeps(cs, prec, budget)
+            complex_mod, "_aberth_sweeps", lambda cs, prec, budget: precisions.append(prec) or sweeps(cs, prec, budget)
         )
         return checks, precisions
 
@@ -1062,15 +1066,15 @@ class TestQuarterLift:
                 assert eval_rational(difference(4 * m, 4 * n), x) == eval_rational(difference(m, n), -x * x)
 
     def test_rejects_a_lift_that_is_not_the_composition(self, monkeypatch):
-        exact = roots_mod.difference
+        exact = complex_mod.difference
         off = IntPoly([0, 1])
-        monkeypatch.setattr(roots_mod, "difference", lambda m, n: exact(m, n) + off if m % 4 == 0 else exact(m, n))
+        monkeypatch.setattr(complex_mod, "difference", lambda m, n: exact(m, n) + off if m % 4 == 0 else exact(m, n))
         assert not quarter_lift_check(15, 7)
 
     def test_index_one_needs_no_positive_root(self, monkeypatch):
         # Phi_4(x) = -Phi_1(-x^2): at a positive root a the lifted value is
         # -2 Phi_1(a), so a positive root (here x = 3) fails the lift
-        monkeypatch.setattr(roots_mod, "difference", lambda m, n: IntPoly([-3, 1]) * IntPoly([1, 0, 1]))
+        monkeypatch.setattr(complex_mod, "difference", lambda m, n: IntPoly([-3, 1]) * IntPoly([1, 0, 1]))
         assert not quarter_lift_check(1, 7)
-        monkeypatch.setattr(roots_mod, "difference", lambda m, n: IntPoly([3, 1]) * IntPoly([0, 1]))
+        monkeypatch.setattr(complex_mod, "difference", lambda m, n: IntPoly([3, 1]) * IntPoly([0, 1]))
         assert quarter_lift_check(1, 7)  # roots -3 and 0 only
