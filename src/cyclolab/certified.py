@@ -152,6 +152,8 @@ def _decimal_exponent(x: Fraction) -> int:
 
 def format_significant(x: Fraction, sig: int) -> str:
     """x to ``sig`` significant digits, plain notation, trailing zeros stripped."""
+    if sig < 1:
+        raise ValueError("significant digits must be >= 1")
     if x == 0:
         return "0"
     e = _decimal_exponent(x)

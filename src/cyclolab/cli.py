@@ -165,8 +165,6 @@ def _cmd_scan(args, out) -> int:
         raise ValueError("scan --resume requires --out")
     if args.coprime and not args.complex:
         raise ValueError("scan --coprime requires --complex")
-    if args.digits < 1:
-        raise ValueError("digits must be >= 1")
     roots_mod.effective_jobs(args.jobs)  # refuses a bad --jobs or CYCLOLAB_JOBS before --out is opened
     M = args.max_index
     if M < 2:
@@ -174,15 +172,15 @@ def _cmd_scan(args, out) -> int:
     kind = "complex" if args.complex else "window" if args.window_only else "real"
     # the first line of --out.  max_index and coprime only select pairs, so
     # a resume may change them; the version, kind and digits fix each line
-    header = {"scan_format": 1, "kind": kind, "max_index": M, "coprime": args.coprime, "digits": args.digits}
+    header = {"scan_format": 2, "kind": kind, "max_index": M, "coprime": args.coprime, "digits": args.digits}
     pairs = [(m, n) for m in range(1, M + 1) for n in range(m + 1, M + 1) if not args.coprime or gcd(m, n) == 1]
     cache, torn = _load_cache(args.out, header) if args.resume else (None, False)
     lines = {p: cache[p] for p in pairs if p in cache} if cache else {}
     todo = [p for p in pairs if p not in lines]
     worker, render, summarize, param = {
-        "real": (roots_mod._real_scan_worker, _record_line, _real_summary, args.digits),
-        "complex": (complex_mod._complex_scan_worker, _complex_line, _complex_summary, 256),
-        "window": (window_mod._window_worker, _window_line, _window_summary, None),
+        "real": (window_mod._real_worker, _real_obj, _window_summary, args.digits),
+        "complex": (complex_mod._complex_scan_worker, _complex_obj, _complex_summary, 256),
+        "window": (window_mod._window_worker, _window_obj, _window_summary, None),
     }[kind]
     items = [(m, n) if param is None else (m, n, param) for m, n in todo]
     roots_mod._warm_cyclotomic_cache(M)
@@ -192,7 +190,7 @@ def _cmd_scan(args, out) -> int:
         if torn:
             sink.write("\n")
         for result, (m, n) in zip(roots_mod._parallel_map(worker, items, args.jobs), todo):
-            lines[(m, n)] = render(result, args.digits)
+            lines[(m, n)] = json.dumps(render(result, args.digits))
             sink.write(lines[(m, n)] + "\n")
             sink.flush()
     merged = [lines[p] for p in pairs]
@@ -209,35 +207,54 @@ def _cmd_scan(args, out) -> int:
     return 0 if ok else 1
 
 
-def _window_line(result, digits: int) -> str:
+def _window_obj(result, digits: int) -> dict:
     m, n, counts, at_two, _ = result
     obj = {"m": m, "n": n, "counts": list(counts)}
     if at_two:
         obj["at_two"] = True
-    return json.dumps(obj)
+    return obj
 
 
-def _window_fields(report: window_mod.WindowReport) -> dict:
-    # the window verdict as both the real and the window-only summary give it
-    return {"max_index": report.max_index, "pairs_checked": report.pairs_checked, "window_holds": report.holds,
-            "exception_found": report.exception_found, "violations": [list(v) for v in report.violations]}
+def _real_obj(result, digits: int) -> dict:
+    # the pair's record, then its window counts as the window-only line gives them
+    rec, window = result
+    return {**_record_obj(rec, digits), **_window_obj(window, digits)}
 
 
 def _window_summary(M: int, objs: list[dict], args) -> tuple[str, bool]:
-    rows = [(o["m"], o["n"], o["counts"], o.get("at_two", False)) for o in objs]
-    report = window_mod.window_report(M, rows)
-    return json.dumps({"summary": "window", **_window_fields(report)}), report.holds
+    # the real and the window-only verdict alike: the lines' counts folded by
+    # window_report, plus the extreme rendered moduli when the lines carry roots
+    report = window_mod.window_report(M, [(o["m"], o["n"], o["counts"], o.get("at_two", False)) for o in objs])
+    summary = {"summary": "window" if args.window_only else "real", "max_index": M,
+               "pairs_checked": report.pairs_checked, "window_holds": report.holds,
+               "exception_found": report.exception_found, "violations": [list(v) for v in report.violations]}
+    # rounding is monotone, so the extreme rendered moduli are the rendered
+    # extremes.  Skip exact-zero roots and the root 2 of {2, 6}, as
+    # real_coincidence_roots does; a nonzero root that renders as zero is a
+    # window violation.
+    moduli = []
+    for obj in objs:
+        violations = obj.get("window_violations", ())
+        for i, root in enumerate(obj.get("roots", ())):
+            v = Fraction(root["value"])
+            exception = ((obj["m"], obj["n"]), v) == roots_mod.KNOWN_WINDOW_EXCEPTION
+            if i not in violations and (v == 0 or exception):
+                continue
+            moduli.append(root["modulus"])
+    if moduli:
+        summary["max_nonzero_abs_root"] = max(moduli, key=Fraction)
+        summary["min_nonzero_abs_root"] = min(moduli, key=Fraction)
+    return json.dumps(summary), report.holds
 
 
-def _complex_line(result, digits: int) -> str:
-    rec, boundary, outside = result
+def _complex_obj(result, digits: int) -> dict:
+    rec, attained, outside = result
     obj = _record_obj(rec, digits)
-    if boundary:
+    if attained:
         obj["sqrt2_attained"] = True
     if outside:
-        # a nonreal root outside the range brings its conjugate along
-        obj["outside"] = sorted({why for _, _, why in outside})
-    return json.dumps(obj)
+        obj["outside"] = outside
+    return obj
 
 
 def _complex_summary(M: int, objs: list[dict], args) -> tuple[str, bool]:
@@ -251,28 +268,6 @@ def _complex_summary(M: int, objs: list[dict], args) -> tuple[str, bool]:
         "outside": outside,
     }
     return json.dumps(summary), not outside
-
-
-def _real_summary(M: int, objs: list[dict], args) -> tuple[str, bool]:
-    window = window_mod.verify_root_window(M, args.jobs)
-    # rounding is monotone, so the extreme rendered moduli are the rendered
-    # extremes.  Skip exact-zero roots and the root 2 of {2, 6}, as
-    # real_coincidence_roots does; a nonzero root that renders as zero is a
-    # window violation.
-    moduli = []
-    for obj in objs:
-        violations = obj.get("window_violations", ())
-        for i, root in enumerate(obj["roots"]):
-            v = Fraction(root["value"])
-            exception = ((obj["m"], obj["n"]), v) == roots_mod.KNOWN_WINDOW_EXCEPTION
-            if i not in violations and (v == 0 or exception):
-                continue
-            moduli.append(root["modulus"])
-    summary = {"summary": "real", **_window_fields(window)}
-    if moduli:
-        summary["max_nonzero_abs_root"] = max(moduli, key=Fraction)
-        summary["min_nonzero_abs_root"] = min(moduli, key=Fraction)
-    return json.dumps(summary), window.holds
 
 
 def _load_cache(path: str, header: dict) -> tuple[dict[tuple[int, int], str] | None, bool]:
@@ -473,6 +468,8 @@ def dispatch(argv: list[str], out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "digits", 1) < 1:  # every verb that rounds to --digits
+            raise ValueError("digits must be >= 1")
         return _HANDLERS[args.cmd](args, out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -315,14 +315,15 @@ def _attains_sqrt2(r: RootRecord, quad_roots) -> bool:
 
 
 def _complex_scan_worker(args):
+    # one pair's nonreal roots, whether one has modulus sqrt(2), and why any lies outside
     m, n, precision_bits = args
     d = difference(m, n)
     if d.degree < 1:
-        return CoincidenceRecord(m=m, n=n, roots=()), [], []
+        return CoincidenceRecord(m=m, n=n, roots=()), False, []
     roots = complex_roots(d, precision_bits)
     nonreal = tuple(r for r in roots if r.kind == "complex")
-    boundary = []
-    outside = []
+    attained = False
+    outside = set()  # a nonreal root outside the range brings its conjugate along
     quad_roots = None
     for r in nonreal:
         m2lo = r.modulus.lo ** 2
@@ -333,16 +334,15 @@ def _complex_scan_worker(args):
             if quad_roots is None:
                 quad_roots = _sqrt2_quadratic_roots(d)
             if _attains_sqrt2(r, quad_roots):
-                boundary.append((m, n))
+                attained = True
                 continue
         if m2hi <= INV_SQRT2_SQ:
-            outside.append((m, n, "at-or-below 1/sqrt(2)"))
+            outside.add("at-or-below 1/sqrt(2)")
         elif m2lo > SQRT2_SQ:
-            outside.append((m, n, "above sqrt(2)"))
+            outside.add("above sqrt(2)")
         else:
-            outside.append((m, n, "unresolved boundary"))
-    rec = CoincidenceRecord(m=m, n=n, roots=nonreal)
-    return rec, boundary, outside
+            outside.add("unresolved boundary")
+    return CoincidenceRecord(m=m, n=n, roots=nonreal), attained, sorted(outside)
 
 
 def scan_complex(
@@ -366,20 +366,14 @@ def scan_complex(
         for n in range(m + 1, M + 1)
         if not coprime_only or gcd(m, n) == 1
     ]
-    results = _parallel_map(_complex_scan_worker, pairs, jobs)
-    records = []
-    boundary: list[tuple[int, int]] = []
-    outside: list[tuple[int, int, str]] = []
-    for rec, b, o in results:
-        records.append(rec)
-        boundary.extend(b)
-        outside.extend(o)
+    results = list(_parallel_map(_complex_scan_worker, pairs, jobs))
+    # pairs come in (m, n) order, so both folds come out sorted
     return ComplexScanReport(
         max_index=M,
         coprime_only=coprime_only,
-        records=tuple(records),
-        boundary_upper=tuple(sorted(set(boundary))),
-        outside=tuple(sorted(set(outside))),
+        records=tuple(rec for rec, _, _ in results),
+        boundary_upper=tuple((rec.m, rec.n) for rec, attained, _ in results if attained),
+        outside=tuple((rec.m, rec.n, why) for rec, _, reasons in results for why in reasons),
     )
 
 

@@ -630,13 +630,6 @@ def _is_window_exception(m: int, n: int, rec: RootRecord) -> bool:
     )
 
 
-def _real_scan_worker(args):
-    # one pair of the real scan
-    m, n, digits = args
-    return real_coincidence_roots(m, n, digits)
-
-
-
 # ---------------------------------------------------------------------------
 # the worker pool of the real, window and complex scans
 

@@ -11,7 +11,7 @@ do not clear takes the exact path: endpoint roots divided out, each
 region tested again, and a region whose test is inconclusive counted by a
 Sturm chain instead.
 One rule turns per-pair counts into the window verdict, for the library
-and the CLI alike (``window_report``).
+and the real and window-only scans alike (``window_report``).
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from .roots import (
     _parallel_map,
     _strip_root_at,
     _warm_cyclotomic_cache,
+    real_coincidence_roots,
     sturm_count,
 )
 
@@ -175,6 +176,13 @@ class WindowReport:
 def _window_worker(pair):
     m, n = pair
     return (m, n, *_pair_window(m, n))
+
+
+def _real_worker(args):
+    # one pair of the real scan: its record and its window counts, so the
+    # scan's window verdict is a fold of its pair lines
+    m, n, digits = args
+    return real_coincidence_roots(m, n, digits), _window_worker((m, n))
 
 
 def window_report(M: int, rows: list, sturm_fallbacks: int = 0) -> WindowReport:

@@ -131,3 +131,9 @@ class TestDecimalExponent:
     )
     def test_format_significant(self, x, sig, expected):
         assert format_significant(x, sig) == expected
+
+    @pytest.mark.parametrize("x", [Fraction(0), Fraction(123456, 1000)])
+    @pytest.mark.parametrize("sig", [0, -2])
+    def test_format_significant_refuses_no_digits(self, x, sig):
+        with pytest.raises(ValueError, match="significant digits must be >= 1"):
+            format_significant(x, sig)

@@ -13,7 +13,7 @@ import pytest
 
 import cyclolab
 from cyclolab import complexroots as complex_mod, roots as roots_mod, window as window_mod
-from cyclolab.cli import _build_parser, dispatch
+from cyclolab.cli import _build_parser, _record_line, dispatch
 
 
 def run_cli(argv):
@@ -225,6 +225,34 @@ class TestScan:
         assert _resumed_scan(tmp_path, argv, head + lines[5][:20]) == fresh
         assert _resumed_scan(tmp_path, argv, head + lines[5].rstrip("\n")) == fresh
 
+    def test_resume_of_finished_scan_is_a_fold(self, tmp_path, monkeypatch):
+        # the summary is folded from the merged lines: resuming a finished
+        # file gives its bytes without any window work
+        monkeypatch.delenv("CYCLOLAB_JOBS", raising=False)
+        argv = ["scan", "--max-index", "12", "--digits", "10", "--jobs", "1"]
+        fresh = _fresh_scan(tmp_path, argv)
+
+        def no_window_work(m, n):
+            raise AssertionError(f"window work for ({m}, {n})")
+
+        monkeypatch.setattr(window_mod, "_pair_window", no_window_work)
+        assert _resumed_scan(tmp_path, argv, fresh) == fresh
+
+    def test_real_line_is_record_plus_window_counts(self):
+        # each real line is the pair's record line, then exactly the
+        # counts and at_two of its window-only line
+        _, real = run_cli(["scan", "--max-index", "12", "--digits", "10"])
+        _, window = run_cli(["scan", "--max-index", "12", "--window-only"])
+        real, window = real.splitlines()[:-1], window.splitlines()[:-1]
+        assert len(real) == len(window) == 66
+        for line, wline in zip(real, window):
+            obj, wobj = json.loads(line), json.loads(wline)
+            extra = {k: obj.pop(k) for k in ("counts", "at_two") if k in obj}
+            assert json.dumps(obj) == _record_line(roots_mod.real_coincidence_roots(obj["m"], obj["n"], 10), 10)
+            assert {"m": obj["m"], "n": obj["n"], **extra} == wobj
+            assert list(json.loads(line))[len(obj):] == list(extra)
+        assert [(o["m"], o["n"]) for o in map(json.loads, real) if o.get("at_two")] == [(2, 6)]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -290,22 +318,30 @@ class TestScan:
 
 
 class TestWindowOnlyScan:
-    @pytest.mark.parametrize("M", [8, 40, 72])
-    def test_summary_matches_library(self, M):
-        code, out = run_cli(["scan", "--window-only", "--max-index", str(M), "--jobs", "1"])
+    @pytest.mark.parametrize(
+        "kind, M",
+        [pytest.param("window", M, id=str(M)) for M in (8, 40, 72)]
+        + [pytest.param("real", M, id=f"real-{M}") for M in (8, 40)],
+    )
+    def test_summary_matches_library(self, kind, M):
+        # the real scan folds the same per-pair counts into the same verdict
+        code, out = run_cli(["scan", *_KIND_ARGV[kind], "--max-index", str(M), "--jobs", "1"])
         *pairs, summary = map(json.loads, out.strip().splitlines())
         report = roots_mod.verify_root_window(M, jobs=1)
         assert code == 0 and report.holds and report.exception_found
         assert len(pairs) == report.pairs_checked == M * (M - 1) // 2
+        extremes = {k: summary.pop(k) for k in ("max_nonzero_abs_root", "min_nonzero_abs_root") if k in summary}
+        assert bool(extremes) == (kind == "real")
         assert summary == {
-            "summary": "window",
+            "summary": kind,
             "max_index": M,
             "pairs_checked": report.pairs_checked,
             "window_holds": True,
             "exception_found": True,
             "violations": [],
         }
-        assert [p for p in pairs if p != {"m": p["m"], "n": p["n"], "counts": [0, 0, 0, 0]}] == [
+        windows = [{k: p[k] for k in ("m", "n", "counts", "at_two") if k in p} for p in pairs]
+        assert [p for p in windows if p != {"m": p["m"], "n": p["n"], "counts": [0, 0, 0, 0]}] == [
             {"m": 2, "n": 6, "counts": [0, 0, 0, 1], "at_two": True}
         ]
 
@@ -332,13 +368,14 @@ class TestWindowOnlyScan:
         assert _resumed_scan(tmp_path, argv, head + lines[5].rstrip("\n")) == fresh
         assert _resumed_scan(tmp_path, argv, lines[0]) == fresh
 
-    def test_violation_exits_one(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["window", "real"])
+    def test_violation_exits_one(self, monkeypatch, kind):
         # a count outside the window is reported, as the library reports it
         monkeypatch.delenv("CYCLOLAB_JOBS", raising=False)
         monkeypatch.setattr(
             window_mod, "_pair_window", lambda m, n: ((0, 1, 0, 0) if (m, n) == (3, 5) else (0, 0, 0, 0), False, 0)
         )
-        code, out = run_cli(["scan", "--window-only", "--max-index", "6", "--jobs", "1"])
+        code, out = run_cli(["scan", *_KIND_ARGV[kind], "--max-index", "6", "--jobs", "1"])
         summary = json.loads(out.splitlines()[-1])
         assert code == 1
         assert summary["violations"] == [[3, 5, "[-1/2,0)", 1]]
@@ -389,10 +426,19 @@ class TestScanCache:
         path.write_text("not json\n")
         self._refused(capsys, path, argv[1:], "no scan header")
 
+    @pytest.mark.parametrize("kind", list(_KIND_ARGV))
+    def test_format_one_refused(self, tmp_path, capsys, kind):
+        # real lines of format 1 carry no window counts, so no format-1 file is resumed
+        argv = ["scan", "--max-index", "6", *_KIND_ARGV[kind]]
+        header, *lines = _fresh_scan(tmp_path, argv).splitlines(keepends=True)
+        path = tmp_path / "scan.jsonl"
+        path.write_text(json.dumps({**json.loads(header), "scan_format": 1}) + "\n" + "".join(lines[:3]))
+        self._refused(capsys, path, argv[1:], "scan_format")
+
     def test_header_leads_only_files(self, tmp_path):
         argv = ["scan", "--max-index", "6", "--complex", "--coprime", "--digits", "10"]
         header, *lines = _fresh_scan(tmp_path, argv).splitlines()
-        assert json.loads(header) == {"scan_format": 1, "kind": "complex", "max_index": 6, "coprime": True, "digits": 10}
+        assert json.loads(header) == {"scan_format": 2, "kind": "complex", "max_index": 6, "coprime": True, "digits": 10}
         assert run_cli(argv)[1].splitlines() == lines
 
     def test_pair_selection_may_differ(self, tmp_path):
@@ -454,6 +500,17 @@ class TestUsage:
     def test_no_command(self):
         code, _ = run_cli([])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["roots", "1", "2"], ["roots", "3", "5"], ["scan", "--max-index", "4"], ["nearmiss", "--p", "3", "--qmax", "7"],
+         ["table1"]],
+        ids=["roots-1-2", "roots-3-5", "scan", "nearmiss", "table1"],
+    )
+    @pytest.mark.parametrize("digits", ["0", "-1"])
+    def test_digits_below_one_refused(self, capsys, argv, digits):
+        assert run_cli([*argv, "--digits", digits]) == (2, "")
+        assert capsys.readouterr().err == "error: digits must be >= 1\n"
 
 
 _COLD_START = """
