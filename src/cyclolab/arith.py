@@ -10,9 +10,10 @@ which beats trial division there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
+
+from .record import Record
 
 _TRIAL_LIMIT = 1 << 16
 _PRIMES: list[int] | None = None
@@ -153,39 +154,41 @@ def _pollard_brent(n: int) -> int:
             return g
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """n as an ordered product of prime powers."""
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "factors")
 
-    def __post_init__(self):
+    def __init__(self, n: int, factors: tuple[tuple[int, int], ...]):
         prod = 1
         last = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= last or e < 1:
                 raise ValueError("factors must be ascending primes with exponents >= 1")
             last = p
             prod *= p ** e
-        if prod != self.n:
+        if prod != n:
             raise ValueError("factor list does not multiply to n")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "factors", factors)
 
 
-@dataclass(frozen=True)
-class ArithProfile:
+class ArithProfile(Record):
     """Totient, radical and squarefull-part data for one index.
 
     Invariants: rad * qpart == n, rad squarefree, mu_rad == (-1)^omega,
     phi == qpart * phi(rad).
     """
 
-    n: int
-    phi: int
-    mu_rad: int
-    omega: int
-    rad: int
-    qpart: int
+    __slots__ = ("n", "phi", "mu_rad", "omega", "rad", "qpart")
+
+    def __init__(self, n: int, phi: int, mu_rad: int, omega: int, rad: int, qpart: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "mu_rad", mu_rad)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "rad", rad)
+        object.__setattr__(self, "qpart", qpart)
 
 
 @lru_cache(maxsize=4096)

@@ -16,7 +16,6 @@ is exact, and a Fraction is built only for the returned BigFloat.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -28,18 +27,21 @@ from .polycore import (
     _norm_homogeneous_cyclotomic,
     eval_homogeneous_cyclotomic,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Outcome of one envelope check at one evaluation point."""
 
-    n: int
-    point: object  # Fraction for real checks, (Fraction, Fraction) for complex
-    ratio: BigFloat
-    side: str  # "mu_plus" or "mu_minus"
-    holds: bool
-    equality: bool
+    __slots__ = ("n", "point", "ratio", "side", "holds", "equality")
+
+    def __init__(self, n: int, point: object, ratio: BigFloat, side: str, holds: bool, equality: bool):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "point", point)  # Fraction for real checks, (Fraction, Fraction) for complex
+        object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "side", side)  # "mu_plus" or "mu_minus"
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "equality", equality)
 
 
 def lemma_tail_gap(x: Fraction, k: int, j_max: int = 64) -> tuple[BigFloat, BigFloat, bool]:

@@ -20,16 +20,16 @@ Fraction arguments.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
+from .record import Record
+
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class BigFloat:
+class BigFloat(Record):
     """A real value known to lie within [value - error_bound, value + error_bound].
 
     ``precision_bits`` records the working precision the value was produced
@@ -37,15 +37,16 @@ class BigFloat:
     carry error_bound 0.
     """
 
-    value: Fraction
-    precision_bits: int
-    error_bound: Fraction = field(default=ZERO)
+    __slots__ = ("value", "precision_bits", "error_bound")
 
-    def __post_init__(self):
-        if self.precision_bits < 1:
+    def __init__(self, value: Fraction, precision_bits: int, error_bound: Fraction = ZERO):
+        if precision_bits < 1:
             raise ValueError("precision_bits must be positive")
-        if self.error_bound < 0:
+        if error_bound < 0:
             raise ValueError("error_bound must be nonnegative")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "precision_bits", precision_bits)
+        object.__setattr__(self, "error_bound", error_bound)
 
     @property
     def lo(self) -> Fraction:

@@ -138,13 +138,19 @@ def _record_line(rec: roots_mod.CoincidenceRecord, digits: int) -> str:
     return json.dumps(_record_obj(rec, digits))
 
 
+def _complex_bits(digits: int) -> int:
+    # the working precision of complex roots: 256 bits up to 56 digits, and
+    # beyond that enough for residual and modulus enclosures to round
+    return max(256, 4 * digits + 32)
+
+
 def _cmd_roots(args, out) -> int:
     digits = args.digits
     rec = roots_mod.real_coincidence_roots(args.m, args.n, digits)
     if args.complex:
         d = difference(args.m, args.n)
         if d.degree >= 1:
-            cplx = [r for r in complex_mod.complex_roots(d, 256) if r.kind == "complex"]
+            cplx = [r for r in complex_mod.complex_roots(d, _complex_bits(digits)) if r.kind == "complex"]
             rec = roots_mod.CoincidenceRecord(
                 m=rec.m, n=rec.n, roots=rec.roots + tuple(cplx), max_abs_real=rec.max_abs_real
             )
@@ -167,8 +173,6 @@ def _cmd_scan(args, out) -> int:
         raise ValueError("scan --coprime requires --complex")
     roots_mod.effective_jobs(args.jobs)  # refuses a bad --jobs or CYCLOLAB_JOBS before --out is opened
     M = args.max_index
-    if M < 2:
-        raise ValueError("scan requires --max-index >= 2")
     kind = "complex" if args.complex else "window" if args.window_only else "real"
     # the first line of --out.  max_index and coprime only select pairs, so
     # a resume may change them; the version, kind and digits fix each line
@@ -179,7 +183,7 @@ def _cmd_scan(args, out) -> int:
     todo = [p for p in pairs if p not in lines]
     worker, render, summarize, param = {
         "real": (window_mod._real_worker, _real_obj, _window_summary, args.digits),
-        "complex": (complex_mod._complex_scan_worker, _complex_obj, _complex_summary, 256),
+        "complex": (complex_mod._complex_scan_worker, _complex_obj, _complex_summary, _complex_bits(args.digits)),
         "window": (window_mod._window_worker, _window_obj, _window_summary, None),
     }[kind]
     items = [(m, n) if param is None else (m, n, param) for m, n in todo]
@@ -444,6 +448,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the least value of each flag at which its verb checks anything: below it
+# a verb would print nothing and exit 0, which reads as "verified"
+_FLAG_MINIMUMS = {
+    ("scan", "max_index"): 2,
+    ("bounds", "n_max"): 1,
+    ("verify-rational", "height"): 2,
+    ("verify-rational", "max_index"): 2,
+}
+
 _HANDLERS = {
     "poly": _cmd_poly,
     "eval": _cmd_eval,
@@ -470,6 +483,9 @@ def dispatch(argv: list[str], out=None) -> int:
     try:
         if getattr(args, "digits", 1) < 1:  # every verb that rounds to --digits
             raise ValueError("digits must be >= 1")
+        for (cmd, dest), least in _FLAG_MINIMUMS.items():
+            if args.cmd == cmd and getattr(args, dest) < least:
+                raise ValueError(f"{cmd} requires --{dest.replace('_', '-')} >= {least}")
         return _HANDLERS[args.cmd](args, out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

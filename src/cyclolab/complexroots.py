@@ -14,12 +14,12 @@ imaginary axis as an exact polynomial identity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
 from .certified import BigFloat, ZERO, _from_bracket
 from .polycore import ExactDivisionError, IntPoly, _eval_gaussian_scaled, _eval_int_scaled, _gaussian_scale, difference
+from .record import Record
 from .roots import (
     CoincidenceRecord,
     RootConvergenceError,
@@ -262,15 +262,24 @@ SQRT2_SQ = Fraction(2)
 INV_SQRT2_SQ = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class ComplexScanReport:
+class ComplexScanReport(Record):
     """Nonreal coincidence roots for all pairs up to M, with modulus data."""
 
-    max_index: int
-    coprime_only: bool
-    records: tuple[CoincidenceRecord, ...]
-    boundary_upper: tuple[tuple[int, int], ...]  # pairs attaining modulus sqrt(2) exactly
-    outside: tuple[tuple[int, int, str], ...]  # certified violations of the modulus range
+    __slots__ = ("max_index", "coprime_only", "records", "boundary_upper", "outside")
+
+    def __init__(
+        self,
+        max_index: int,
+        coprime_only: bool,
+        records: tuple[CoincidenceRecord, ...],
+        boundary_upper: tuple[tuple[int, int], ...],  # pairs attaining modulus sqrt(2) exactly
+        outside: tuple[tuple[int, int, str], ...],  # certified violations of the modulus range
+    ):
+        object.__setattr__(self, "max_index", max_index)
+        object.__setattr__(self, "coprime_only", coprime_only)
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "boundary_upper", boundary_upper)
+        object.__setattr__(self, "outside", outside)
 
 
 def _sqrt2_quadratic_roots(d: IntPoly) -> list[tuple[int, Fraction, int]]:

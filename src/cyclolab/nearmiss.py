@@ -12,13 +12,13 @@ computable here so the two can be compared directly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import is_prime, primes_up_to, primorial, profile
 from .certified import BigFloat, from_interval
 from .polycore import IntPoly, _root_free_from, difference, eval_rational
+from .record import Record
 from .roots import (
     IsolatingInterval,
     _count_on_chain,
@@ -121,18 +121,20 @@ def find_triples(p: int, q_max: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class DeltaDecomposition:
+class DeltaDecomposition(Record):
     """Phi_pq - Phi_r split into a dominant block and a small perturbation.
 
     main is psi_{p-1}(x) * x^(phi(pq) - phi(p)); delta is the exact rest,
     with deg(delta) <= phi(pq) - p and coefficients in {-2, -1, 0, 1}.
     """
 
-    p: int
-    q: int
-    main: IntPoly
-    delta: IntPoly
+    __slots__ = ("p", "q", "main", "delta")
+
+    def __init__(self, p: int, q: int, main: IntPoly, delta: IntPoly):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "main", main)
+        object.__setattr__(self, "delta", delta)
 
     @property
     def difference(self) -> IntPoly:
@@ -199,17 +201,21 @@ def perturbation_estimate(p: int, q: int, digits: int = 15) -> PerturbationEstim
     return PerturbationEstimate(first_order=first, crude=crude)
 
 
-@dataclass(frozen=True)
-class TripleRecord:
+class TripleRecord(Record):
     """One row of the near-miss table."""
 
-    p: int
-    q: int
-    r: int
-    beta: BigFloat
-    alpha: BigFloat
-    inv_gap: BigFloat
-    scaled_gap: BigFloat
+    __slots__ = ("p", "q", "r", "beta", "alpha", "inv_gap", "scaled_gap")
+
+    def __init__(
+        self, p: int, q: int, r: int, beta: BigFloat, alpha: BigFloat, inv_gap: BigFloat, scaled_gap: BigFloat
+    ):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "inv_gap", inv_gap)
+        object.__setattr__(self, "scaled_gap", scaled_gap)
 
 
 TABLE_ROWS = [(3, 5), (3, 7), (3, 11), (3, 13), (5, 7), (5, 13), (5, 19), (7, 11), (7, 13), (7, 19)]

@@ -8,12 +8,12 @@ coefficient.  Neither ever reports a tie for distinct indices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
 from math import prod
 
 from .arith import factorize, inverse_phi, is_prime, phi_prime_power_primes, profile
 from .polycore import _product_series, cyclotomic
+from .record import Record
 
 LESS = -1
 GREATER = 1
@@ -94,15 +94,24 @@ def gap(n: int) -> int:
         length *= 2
 
 
-@dataclass(frozen=True)
-class ConsecutiveCertificate:
+class ConsecutiveCertificate(Record):
     """Adjacency verdict plus the totient classes that witnessed it."""
 
-    m: int
-    n: int
-    consecutive: bool
-    between: tuple[int, ...]
-    classes: tuple[tuple[int, tuple[int, ...]], ...]
+    __slots__ = ("m", "n", "consecutive", "between", "classes")
+
+    def __init__(
+        self,
+        m: int,
+        n: int,
+        consecutive: bool,
+        between: tuple[int, ...],
+        classes: tuple[tuple[int, tuple[int, ...]], ...],
+    ):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "consecutive", consecutive)
+        object.__setattr__(self, "between", between)
+        object.__setattr__(self, "classes", classes)
 
 
 def certify_consecutive(m: int, n: int) -> ConsecutiveCertificate:

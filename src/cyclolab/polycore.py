@@ -47,7 +47,6 @@ it to differences of cached per-index values, and the near-miss search to
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -55,6 +54,7 @@ from math import gcd, lcm, prod
 from operator import add, sub
 
 from .arith import factorize, profile
+from .record import Record
 
 PACKED_BLOCK = 16  # _packed evaluates blocks of this many coefficients by Horner
 
@@ -257,11 +257,10 @@ def _eval_fraction(cs, x: Fraction) -> Fraction:
     return Fraction(_eval_int_scaled(cs, x.numerator, x.denominator), x.denominator ** max(0, len(cs) - 1))
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(Record):
     """Immutable dense integer polynomial, lowest power first."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)

@@ -9,29 +9,29 @@ are found by factoring the much smaller homogeneous cyclotomic value at
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .arith import divisors, factorize, profile
 from .polycore import eval_homogeneous_cyclotomic
+from .record import Record
 
 EXCEPTION_BANG_2_6 = "bang_2_6"
 EXCEPTION_MERSENNE_N2 = "mersenne_n2"
 
 
-@dataclass(frozen=True)
-class PpdResult:
+class PpdResult(Record):
     """Primitive-prime-divisor outcome for (a, b, n)."""
 
-    a: int
-    b: int
-    n: int
-    prime: int | None
-    exception: str | None
+    __slots__ = ("a", "b", "n", "prime", "exception")
 
-    def __post_init__(self):
-        if (self.prime is None) == (self.exception is None):
+    def __init__(self, a: int, b: int, n: int, prime: int | None, exception: str | None):
+        if (prime is None) == (exception is None):
             raise ValueError("exactly one of prime/exception must be set")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "exception", exception)
 
 
 def primitive_prime_divisor(a: int, b: int, n: int) -> PpdResult:
@@ -68,14 +68,16 @@ def primitive_prime_divisor(a: int, b: int, n: int) -> PpdResult:
 # exhaustive coincidence verification
 
 
-@dataclass(frozen=True)
-class IntegerCoincidenceReport:
+class IntegerCoincidenceReport(Record):
     """Result of checking Phi_m(a) = Phi_n(a) over a full integer box."""
 
-    a_max: int
-    max_index: int
-    pairs_checked: int
-    coincidences: tuple[tuple[int, int, int], ...]  # (a, m, n) with m < n
+    __slots__ = ("a_max", "max_index", "pairs_checked", "coincidences")
+
+    def __init__(self, a_max: int, max_index: int, pairs_checked: int, coincidences: tuple[tuple[int, int, int], ...]):
+        object.__setattr__(self, "a_max", a_max)
+        object.__setattr__(self, "max_index", max_index)
+        object.__setattr__(self, "pairs_checked", pairs_checked)
+        object.__setattr__(self, "coincidences", coincidences)  # (a, m, n) with m < n
 
     @property
     def holds(self) -> bool:
@@ -142,14 +144,18 @@ def verify_integer_coincidences(a_max: int, M: int) -> IntegerCoincidenceReport:
     )
 
 
-@dataclass(frozen=True)
-class RationalCoincidenceReport:
+class RationalCoincidenceReport(Record):
     """Result over all reduced non-integer rationals of bounded height."""
 
-    height: int
-    max_index: int
-    points_checked: int
-    coincidences: tuple[tuple[str, int, int], ...]  # (point, m, n)
+    __slots__ = ("height", "max_index", "points_checked", "coincidences")
+
+    def __init__(
+        self, height: int, max_index: int, points_checked: int, coincidences: tuple[tuple[str, int, int], ...]
+    ):
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "max_index", max_index)
+        object.__setattr__(self, "points_checked", points_checked)
+        object.__setattr__(self, "coincidences", coincidences)  # (point, m, n)
 
     @property
     def holds(self) -> bool:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import os
 import signal
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .certified import BigFloat, ZERO, _from_bracket, _round_half_even
@@ -48,6 +47,7 @@ from .polycore import (
     cyclotomic,
     difference,
 )
+from .record import Record
 
 KNOWN_WINDOW_EXCEPTION = ((2, 6), Fraction(2))  # the single sanctioned root at 2
 
@@ -301,20 +301,20 @@ def sturm_count(p: IntPoly, lo: Fraction | None, hi: Fraction | None) -> int:
 # isolation
 
 
-@dataclass(frozen=True)
-class IsolatingInterval:
+class IsolatingInterval(Record):
     """Open interval certified to contain exactly one root, with endpoint signs."""
 
-    lo: Fraction
-    hi: Fraction
-    sign_lo: int
-    sign_hi: int
+    __slots__ = ("lo", "hi", "sign_lo", "sign_hi")
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction, sign_lo: int, sign_hi: int):
+        if not lo < hi:
             raise ValueError("isolating interval must have lo < hi")
-        if self.sign_lo == 0 or self.sign_hi == 0:
+        if sign_lo == 0 or sign_hi == 0:
             raise ValueError("endpoint signs must be nonzero")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "sign_lo", sign_lo)
+        object.__setattr__(self, "sign_hi", sign_hi)
 
 
 def _sign_at(cs, x: Fraction) -> int:
@@ -530,28 +530,48 @@ def refine_root(p: IntPoly, iv: IsolatingInterval, digits: int) -> BigFloat:
 # root records and coincidence scans
 
 
-@dataclass(frozen=True)
-class RootRecord:
+class RootRecord(Record):
     """One certified root of a named polynomial."""
 
-    poly_id: object
-    kind: str  # "real" | "complex"
-    value: object  # BigFloat, or (BigFloat, BigFloat) for complex
-    modulus: BigFloat
-    digits: int
-    residual: BigFloat
-    multiplicity: int = 1
+    __slots__ = ("poly_id", "kind", "value", "modulus", "digits", "residual", "multiplicity")
+
+    def __init__(
+        self,
+        poly_id: object,
+        kind: str,  # "real" | "complex"
+        value: object,  # BigFloat, or (BigFloat, BigFloat) for complex
+        modulus: BigFloat,
+        digits: int,
+        residual: BigFloat,
+        multiplicity: int = 1,
+    ):
+        object.__setattr__(self, "poly_id", poly_id)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "multiplicity", multiplicity)
 
 
-@dataclass(frozen=True)
-class CoincidenceRecord:
+class CoincidenceRecord(Record):
     """All certified roots of Phi_m - Phi_n requested by a scan."""
 
-    m: int
-    n: int
-    roots: tuple[RootRecord, ...]
-    max_abs_real: BigFloat | None = None
-    window_violations: tuple[int, ...] = ()  # indexes into roots
+    __slots__ = ("m", "n", "roots", "max_abs_real", "window_violations")
+
+    def __init__(
+        self,
+        m: int,
+        n: int,
+        roots: tuple[RootRecord, ...],
+        max_abs_real: BigFloat | None = None,
+        window_violations: tuple[int, ...] = (),  # indexes into roots
+    ):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "max_abs_real", max_abs_real)
+        object.__setattr__(self, "window_violations", window_violations)
 
 
 def _real_root_record(poly_id, p: IntPoly, iv: IsolatingInterval, digits: int, mult: int) -> RootRecord:

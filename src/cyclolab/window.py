@@ -15,11 +15,11 @@ and the real and window-only scans alike (``window_report``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .polycore import IntPoly, _digit_bytes, _packed, _packed_root_free, _root_free_from, cyclotomic, difference
+from .record import Record
 from .roots import (
     KNOWN_WINDOW_EXCEPTION,
     WINDOW_REGIONS,
@@ -158,15 +158,24 @@ def window_counts(m: int, n: int) -> tuple[tuple[int, int, int, int], bool]:
     return counts, at_two
 
 
-@dataclass(frozen=True)
-class WindowReport:
+class WindowReport(Record):
     """Outcome of the outer-window certification over all pairs up to M."""
 
-    max_index: int
-    pairs_checked: int
-    violations: tuple[tuple[int, int, str, int], ...]
-    exception_found: bool
-    sturm_fallbacks: int = 0  # regions whose Descartes test was inconclusive
+    __slots__ = ("max_index", "pairs_checked", "violations", "exception_found", "sturm_fallbacks")
+
+    def __init__(
+        self,
+        max_index: int,
+        pairs_checked: int,
+        violations: tuple[tuple[int, int, str, int], ...],
+        exception_found: bool,
+        sturm_fallbacks: int = 0,  # regions whose Descartes test was inconclusive
+    ):
+        object.__setattr__(self, "max_index", max_index)
+        object.__setattr__(self, "pairs_checked", pairs_checked)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "exception_found", exception_found)
+        object.__setattr__(self, "sturm_fallbacks", sturm_fallbacks)
 
     @property
     def holds(self) -> bool:

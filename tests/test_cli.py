@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,19 @@ def run_cli(argv):
     out = io.StringIO()
     code = dispatch(argv, out)
     return code, out.getvalue()
+
+
+def _root_digits(obj: dict, places: str) -> list:
+    # every root's kind, multiplicity, value and modulus, rounded to the
+    # decimal places of ``places`` (half-even, as the CLI rounds)
+    def at(s):
+        return str(Decimal(s).quantize(Decimal(places)))
+
+    return [
+        (r["kind"], r["multiplicity"], [at(v) for v in r["value"]] if r["kind"] == "complex" else at(r["value"]),
+         at(r["modulus"]))
+        for r in obj["roots"]
+    ]
 
 
 class TestPoly:
@@ -88,6 +102,17 @@ class TestRoots:
         obj = json.loads(out)
         kinds = [r["kind"] for r in obj["roots"]]
         assert kinds == ["complex", "complex"]
+
+    @pytest.mark.parametrize("digits", ["80", "200"])
+    def test_complex_at_high_digits(self, digits):
+        # the complex precision follows --digits; at 256 bits alone the
+        # enclosures cannot round to about 77 digits or more
+        code, out = run_cli(["roots", "3", "7", "--complex", "--digits", digits])
+        assert code == 0
+        roots = json.loads(out)["roots"]
+        assert all(len(r["modulus"].split(".")[1]) == int(digits) for r in roots)
+        default = json.loads(run_cli(["roots", "3", "7", "--complex"])[1])
+        assert _root_digits(json.loads(out), "1e-15") == _root_digits(default, "1e-15")
 
     def test_convergence_failure_exits_one(self, monkeypatch, capsys):
         def fail(*args, **kwargs):
@@ -311,6 +336,18 @@ class TestScan:
         assert summary["boundary_upper"] == [[1, 3], [1, 4], [1, 5]]
         assert summary["outside"] == []
 
+    @pytest.mark.parametrize("digits", ["80", "200"])
+    def test_complex_scan_at_high_digits(self, digits):
+        argv = ["scan", "--max-index", "8", "--complex", "--coprime", "--jobs", "1"]
+        code, out = run_cli([*argv, "--digits", digits])
+        assert code == 0
+        default = run_cli(argv)[1].splitlines()
+        lines = out.splitlines()
+        assert lines[-1] == default[-1]  # the summary
+        assert [_root_digits(json.loads(line), "1e-15") for line in lines[:-1]] == [
+            _root_digits(json.loads(line), "1e-15") for line in default[:-1]
+        ]
+
     def test_coprime_requires_complex(self, capsys):
         for argv in (["--coprime"], ["--coprime", "--window-only"]):
             assert run_cli(["scan", "--max-index", "10", *argv]) == (2, "")
@@ -512,6 +549,22 @@ class TestUsage:
         assert run_cli([*argv, "--digits", digits]) == (2, "")
         assert capsys.readouterr().err == "error: digits must be >= 1\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bounds", "--n-max", "0", "--xs", "2"], "bounds requires --n-max >= 1"),
+            (["bounds", "--n-max", "-4", "--xs", "2"], "bounds requires --n-max >= 1"),
+            (["verify-rational", "--height", "1", "--max-index", "5"], "verify-rational requires --height >= 2"),
+            (["verify-rational", "--height", "5", "--max-index", "1"], "verify-rational requires --max-index >= 2"),
+            (["scan", "--max-index", "1"], "scan requires --max-index >= 2"),
+        ],
+        ids=["n-max-0", "n-max-negative", "height-1", "max-index-1", "scan-max-index-1"],
+    )
+    def test_flag_that_checks_nothing_refused(self, capsys, argv, message):
+        # a verification verb that would check nothing must not exit 0
+        assert run_cli(argv) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 _COLD_START = """
 import io
@@ -523,7 +576,8 @@ from cyclolab.cli import dispatch
 
 
 def heavy():
-    return sorted(m for m in ("cyclolab.binfloat", "mpmath", "multiprocessing", "numpy") if m in sys.modules)
+    names = ("cyclolab.binfloat", "dataclasses", "inspect", "mpmath", "multiprocessing", "numpy")
+    return sorted(m for m in names if m in sys.modules)
 
 
 assert heavy() == [], ("import", heavy())
@@ -534,7 +588,7 @@ roots.real_coincidence_roots(6, 10, 15)
 assert dispatch(["scan", "--max-index", "12", "--jobs", "1"], io.StringIO()) == 0
 assert heavy() == [], ("real", heavy())
 recs = roots.complex_roots(polycore.difference(3, 7))
-assert len(recs) == 4 and heavy() == ["cyclolab.binfloat", "numpy"], ("complex", heavy())
+assert len(recs) == 4 and heavy() == ["cyclolab.binfloat", "inspect", "numpy"], ("complex", heavy())
 """
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import io
 import json
@@ -36,6 +35,7 @@ from cyclolab.polycore import (
 )
 from cyclolab.roots import (
     IsolatingInterval,
+    RootRecord,
     _cauchy_bound,
     _gcd_list,
     _primitive,
@@ -931,7 +931,8 @@ class TestSqrt2Proof:
             re, im = r.value
             assert re.error_bound > 0 and _attains_sqrt2(r, quads)
             shift = 3 * re.error_bound
-            moved = dataclasses.replace(r, value=(BigFloat(re.value + shift, re.precision_bits, re.error_bound), im))
+            moved_re = BigFloat(re.value + shift, re.precision_bits, re.error_bound)
+            moved = RootRecord(r.poly_id, r.kind, (moved_re, im), r.modulus, r.digits, r.residual, r.multiplicity)
             assert not _attains_sqrt2(moved, quads)
 
     def test_multiplicity_mismatch_refused(self):
@@ -939,7 +940,8 @@ class TestSqrt2Proof:
         quads = _sqrt2_quadratic_roots(d)
         for r in complex_roots(d, 256):
             assert _attains_sqrt2(r, quads)
-            assert not _attains_sqrt2(dataclasses.replace(r, multiplicity=2), quads)
+            doubled = RootRecord(r.poly_id, r.kind, r.value, r.modulus, r.digits, r.residual, multiplicity=2)
+            assert not _attains_sqrt2(doubled, quads)
 
     def test_repeated_factor(self):
         p = IntPoly([2, 0, 1]) * IntPoly([2, 0, 1]) * IntPoly([2, 1, 1])
