@@ -85,10 +85,6 @@ class BigFloat(Record):
         return s
 
 
-def exact(x: Fraction | int, precision_bits: int = 64) -> BigFloat:
-    return BigFloat(Fraction(x), precision_bits, ZERO)
-
-
 def from_interval(lo: Fraction, hi: Fraction, precision_bits: int) -> BigFloat:
     if hi < lo:
         raise ValueError("empty interval")

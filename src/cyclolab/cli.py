@@ -151,8 +151,9 @@ def _cmd_roots(args, out) -> int:
         d = difference(args.m, args.n)
         if d.degree >= 1:
             cplx = [r for r in complex_mod.complex_roots(d, _complex_bits(digits)) if r.kind == "complex"]
+            # the complex roots follow the real ones, so window_violations still index them
             rec = roots_mod.CoincidenceRecord(
-                m=rec.m, n=rec.n, roots=rec.roots + tuple(cplx), max_abs_real=rec.max_abs_real
+                rec.m, rec.n, rec.roots + tuple(cplx), rec.max_abs_real, rec.window_violations
             )
     _emit(_record_line(rec, digits), out)
     return 0

@@ -1,14 +1,13 @@
 """Two total orderings of the positive integers by cyclotomic values.
 
-compare_large orders by values at any fixed x > 2: first by totient, then
-lexicographically from the highest differing coefficient of the difference
-polynomial (the comparator that agrees with evaluation).  compare_small
-orders by values on (0, 1/2]: lexicographically from the lowest differing
-coefficient.  Neither ever reports a tie for distinct indices.
+The order by values at any fixed x > 2 is one sort key (``_large_key``):
+the totient, then the coefficients from the top.  compare_small orders by
+values on (0, 1/2]: lexicographically from the lowest differing
+coefficient, the shorter one padded with zeros, so it stays a comparator.
+Neither ever reports a tie for distinct indices.
 """
 from __future__ import annotations
 
-from functools import cmp_to_key
 from math import prod
 
 from .arith import factorize, inverse_phi, is_prime, phi_prime_power_primes, profile
@@ -19,19 +18,19 @@ LESS = -1
 GREATER = 1
 
 
+def _large_key(n: int) -> tuple[int, tuple[int, ...]]:
+    # the large-argument order's key: totient, then coefficients from the top
+    return profile(n).phi, cyclotomic(n).coeffs[::-1]
+
+
 def compare_large(m: int, n: int) -> int:
     """-1 if Phi_m < Phi_n at every x > 2, +1 for the reverse."""
     if m == n:
         raise ValueError("compare_large requires m != n")
-    pm, pn = profile(m), profile(n)
-    if pm.phi != pn.phi:
-        return LESS if pm.phi < pn.phi else GREATER
-    a = cyclotomic(m).coeffs
-    b = cyclotomic(n).coeffs
-    for i in range(len(a) - 1, -1, -1):
-        if a[i] != b[i]:
-            return LESS if a[i] < b[i] else GREATER
-    raise AssertionError("distinct indices produced identical polynomials")
+    a, b = _large_key(m), _large_key(n)
+    if a == b:
+        raise AssertionError("distinct indices produced identical polynomials")
+    return LESS if a < b else GREATER
 
 
 def compare_small(m: int, n: int) -> int:
@@ -52,14 +51,17 @@ def phi_class_sorted(k: int) -> list[int]:
     """All n with phi(n) = k, ascending in the large-argument order."""
     if k < 1:
         raise ValueError("phi_class_sorted requires k >= 1")
-    return sorted(inverse_phi(k), key=cmp_to_key(compare_large))
+    keyed = sorted((_large_key(n), n) for n in inverse_phi(k))
+    if any(a == b for (a, _), (b, _) in zip(keyed, keyed[1:])):
+        raise AssertionError("distinct indices produced identical polynomials")
+    return [n for _, n in keyed]
 
 
 def ordered_prefix(K: int) -> list[int]:
     """All n with phi(n) <= K, ascending in the large-argument order.
 
     Classes of equal totient are contiguous; within a class the
-    lexicographic comparator decides.
+    coefficients from the top decide.
     """
     if K < 1:
         raise ValueError("ordered_prefix requires K >= 1")
@@ -119,29 +121,18 @@ def certify_consecutive(m: int, n: int) -> ConsecutiveCertificate:
 
     Only integers with totient between phi(m) and phi(n) can intervene, so
     the decision reduces to finitely many totient classes, all listed in
-    the certificate.
+    the certificate.  Concatenated, the sorted classes are a stretch of
+    the order; ``between`` is the part strictly between m and n.
     """
     if m == n:
         raise ValueError("certify_consecutive requires m != n")
     lo, hi = (m, n) if compare_large(m, n) == LESS else (n, m)
-    k_lo, k_hi = profile(lo).phi, profile(hi).phi
-    classes = []
-    between: list[int] = []
-    for k in range(k_lo, k_hi + 1):
-        members = phi_class_sorted(k)
-        if members:
-            classes.append((k, tuple(members)))
-        for t in members:
-            if t in (m, n):
-                continue
-            if compare_large(lo, t) == LESS and compare_large(t, hi) == LESS:
-                between.append(t)
+    classes = [(k, tuple(phi_class_sorted(k))) for k in range(profile(lo).phi, profile(hi).phi + 1)]
+    classes = [c for c in classes if c[1]]
+    run = [t for _, members in classes for t in members]
+    between = run[run.index(lo) + 1 : run.index(hi)]
     return ConsecutiveCertificate(
-        m=m,
-        n=n,
-        consecutive=not between,
-        between=tuple(between),
-        classes=tuple(classes),
+        m=m, n=n, consecutive=not between, between=tuple(between), classes=tuple(classes)
     )
 
 

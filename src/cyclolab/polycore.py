@@ -333,16 +333,10 @@ class IntPoly(Record):
             return self
         return IntPoly([0] * k + list(self.coeffs))
 
-    def content(self) -> int:
-        return _content(self.coeffs)
-
     def __call__(self, x):
         if isinstance(x, int):
             return _eval_int_scaled(self.coeffs, x, 1)
         return _eval_fraction(self.coeffs, Fraction(x))
-
-    def max_abs_coeff(self) -> int:
-        return max((abs(c) for c in self.coeffs), default=0)
 
     def __str__(self) -> str:
         if not self.coeffs:

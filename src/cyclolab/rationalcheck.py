@@ -81,7 +81,8 @@ class IntegerCoincidenceReport(Record):
 
     @property
     def holds(self) -> bool:
-        return self.coincidences == ((2, 2, 6),)
+        # Phi_2(2) = Phi_6(2) is the one coincidence, found once 6 is in the box
+        return self.coincidences == (((2, 2, 6),) if self.max_index >= 6 else ())
 
 
 def _collisions(values: dict[int, object]) -> list[tuple[int, int]]:

@@ -8,8 +8,8 @@ difference of values cached once per index, and one sign-byte scan of it
 depend only on the digit width and the degree (the padding powers, 3^D
 and the digit bias) are cached once per process too.  A pair those values
 do not clear takes the exact path: endpoint roots divided out, each
-region tested again, and a region whose test is inconclusive counted by a
-Sturm chain instead.
+region tested again, and a region whose test is inconclusive counted on
+the Sturm chain of what is left, built at most once per pair.
 One rule turns per-pair counts into the window verdict, for the library
 and the real and window-only scans alike (``window_report``).
 """
@@ -23,11 +23,12 @@ from .record import Record
 from .roots import (
     KNOWN_WINDOW_EXCEPTION,
     WINDOW_REGIONS,
+    _count_on_chain,
     _parallel_map,
     _strip_root_at,
+    _sturm_chain,
     _warm_cyclotomic_cache,
     real_coincidence_roots,
-    sturm_count,
 )
 
 # the nonzero window endpoints -2, -1/2, 1/2, 2 as (numerator, denominator),
@@ -60,14 +61,16 @@ def _window_counts(p: IntPoly) -> tuple[tuple[int, int, int, int], bool, int]:
     for a, b in _WINDOW_POINTS:
         cs, hit = _strip_root_at(cs, a, b)
         hits.append(hit)
-    # cs is now q, with no root at 0 or at an endpoint
+    # cs is now q, primitive, with no root at 0 or at an endpoint
     counts = []
     fallbacks = 0
+    chain = None  # q's Sturm chain, built by the first region that needs it
     for ts, (lo, hi), hit in zip(_region_maps(cs), _WINDOW_OPEN, hits):
         inside = 0
         if not _root_free_from(ts, 2):
-            # q has no root at lo or hi, so its count on (lo, hi] is the open region's
-            inside = sturm_count(IntPoly(cs), lo, hi)
+            # lo and hi are not roots of q, so the chain counts the open region
+            chain = chain or _sturm_chain(cs)
+            inside = _count_on_chain(chain, lo, hi)
             fallbacks += 1
         counts.append(inside + hit)
     return tuple(counts), hits[-1], fallbacks
@@ -151,8 +154,8 @@ def window_counts(m: int, n: int) -> tuple[tuple[int, int, int, int], bool]:
     The four are first read off cached per-index values
     (``_window_clear``).  A pair they do not clear takes the exact path:
     roots at -2, -1/2, 0, 1/2 and 2 are divided out, each region is tested
-    again, and a region that shows a variation is counted exactly by
-    ``sturm_count``.
+    again, and a region that shows a variation is counted exactly on the
+    Sturm chain of what is left, one chain per pair.
     """
     counts, at_two, _ = _pair_window(m, n)
     return counts, at_two

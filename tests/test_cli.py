@@ -114,6 +114,21 @@ class TestRoots:
         default = json.loads(run_cli(["roots", "3", "7", "--complex"])[1])
         assert _root_digits(json.loads(out), "1e-15") == _root_digits(default, "1e-15")
 
+    @pytest.mark.parametrize("flags", [[], ["--complex"]])
+    def test_window_violations_printed(self, monkeypatch, flags):
+        real = roots_mod.real_coincidence_roots
+
+        def planted(m, n, digits):
+            rec = real(m, n, digits)
+            return roots_mod.CoincidenceRecord(rec.m, rec.n, rec.roots, rec.max_abs_real, (0,))
+
+        monkeypatch.setattr(roots_mod, "real_coincidence_roots", planted)
+        code, out = run_cli(["roots", "3", "7", "--digits", "6", *flags])
+        obj = json.loads(out)
+        assert code == 0 and obj["window_violations"] == [0]
+        assert obj["roots"][0]["kind"] == "real"
+        assert len(obj["roots"]) == (4 if flags else 2)
+
     def test_convergence_failure_exits_one(self, monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise roots_mod.RootConvergenceError("no separation")
@@ -195,6 +210,28 @@ class TestVerifyRational:
         obj = json.loads(out)
         assert obj["integers"]["coincidences"] == [[2, 2, 6]]
         assert obj["fractions"]["coincidences"] == []
+
+    @pytest.mark.parametrize("max_index", [2, 3, 4, 5])
+    def test_box_without_index_six_holds(self, max_index):
+        # Phi_2(2) = Phi_6(2) cannot be found below index 6, and nothing else is
+        code, out = run_cli(["verify-rational", "--height", "5", "--max-index", str(max_index)])
+        assert code == 0
+        assert json.loads(out)["integers"] == {"a_max": 5, "coincidences": [], "holds": True}
+
+    @pytest.mark.parametrize("max_index", [5, 8])
+    def test_planted_integer_coincidence_fails(self, monkeypatch, max_index):
+        from cyclolab import rationalcheck
+
+        found = rationalcheck._point_coincidences
+
+        def planted(a, b, M):
+            return found(a, b, M) + ([(1, 3, 4)] if (a, b) == (3, 1) else [])
+
+        monkeypatch.setattr(rationalcheck, "_point_coincidences", planted)
+        code, out = run_cli(["verify-rational", "--height", "5", "--max-index", str(max_index)])
+        assert code == 1
+        integers = json.loads(out)["integers"]
+        assert [3, 3, 4] in integers["coincidences"] and not integers["holds"]
 
 
 class TestScan:

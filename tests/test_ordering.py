@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import combinations
+from functools import cmp_to_key
+from itertools import combinations, permutations
 
 import pytest
 
@@ -39,6 +40,8 @@ class TestCompareSmall:
         assert compare_small(1, 5) == LESS
         assert compare_small(9, 3) == LESS
         assert compare_small(2, 3) == LESS
+        # Phi_2's (1, 1) is a prefix of Phi_30's (1, 1, 0, -1, ...), and zero padding decides
+        assert compare_small(30, 2) == LESS
 
     def test_agrees_with_evaluation_to_200(self):
         pts = (Fraction(1, 2), Fraction(1, 4))
@@ -81,6 +84,10 @@ class TestPhiClasses:
             members = phi_class_sorted(k)
             vals = [eval_rational(cyclotomic(n), 3) for n in members]
             assert vals == sorted(vals)
+
+    def test_sorted_by_key_matches_comparator_sort(self):
+        for k in range(1, 97):
+            assert phi_class_sorted(k) == sorted(inverse_phi(k), key=cmp_to_key(compare_large)), k
 
     def test_total_order_on_classes(self):
         # antisymmetry and transitivity within every class of totient <= 48
@@ -127,6 +134,19 @@ class TestConsecutive:
 
     def test_across_totients(self):
         assert certify_consecutive(2, 6).consecutive  # last of phi=1 meets first of phi=2
+
+    def test_between_matches_pairwise_comparisons(self):
+        # the slice of the sorted classes against a comparison of every member
+        by_comparator = cmp_to_key(compare_large)
+        indices = [n for k in range(1, 13) for n in inverse_phi(k)]
+        for m, n in permutations(indices, 2):
+            lo, hi = (m, n) if compare_large(m, n) == LESS else (n, m)
+            ks = range(profile(lo).phi, profile(hi).phi + 1)
+            classes = tuple((k, tuple(sorted(inverse_phi(k), key=by_comparator))) for k in ks if inverse_phi(k))
+            members = [t for _, ts in classes for t in ts if t not in (m, n)]
+            want = [t for t in members if compare_large(lo, t) == LESS and compare_large(t, hi) == LESS]
+            cert = certify_consecutive(m, n)
+            assert (cert.classes, list(cert.between), cert.consecutive) == (classes, want, not want), (m, n)
 
 
 class TestCriterion3Mod4:

@@ -721,6 +721,15 @@ class TestWindow:
         assert _window_counts(p) == (counts, eval_rational(p, TWO) == 0, fallbacks)
         assert window_oracle(p) == (counts, eval_rational(p, TWO) == 0)
 
+    def test_one_prs_for_every_fallback(self, monkeypatch):
+        # four inconclusive regions are counted on one Sturm chain
+        calls = []
+        prs = roots_mod._prs
+        monkeypatch.setattr(roots_mod, "_prs", lambda a, b: calls.append(1) or prs(a, b))
+        p = from_roots((3, 1), (-3, 1), (1, 3), (-1, 3))
+        assert _window_counts(p) == ((1, 1, 1, 1), False, 4)
+        assert len(calls) == 1
+
 
 class TestComplexRoots:
     def test_pure_imaginary_pair(self):
@@ -756,7 +765,7 @@ class TestComplexRoots:
                 bound = (
                     Fraction(1, 2 ** (bits // 2))
                     * (1 + r.modulus.hi) ** d.degree
-                    * d.max_abs_coeff()
+                    * max(map(abs, d.coeffs))
                 )
                 assert r.residual.hi < bound
 
