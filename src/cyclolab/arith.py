@@ -182,14 +182,6 @@ class ArithProfile(Record):
 
     __slots__ = ("n", "phi", "mu_rad", "omega", "rad", "qpart")
 
-    def __init__(self, n: int, phi: int, mu_rad: int, omega: int, rad: int, qpart: int):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "mu_rad", mu_rad)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "rad", rad)
-        object.__setattr__(self, "qpart", qpart)
-
 
 @lru_cache(maxsize=4096)
 def factorize(n: int) -> Factorization:

@@ -33,15 +33,9 @@ from .record import Record
 class BoundReport(Record):
     """Outcome of one envelope check at one evaluation point."""
 
-    __slots__ = ("n", "point", "ratio", "side", "holds", "equality")
-
-    def __init__(self, n: int, point: object, ratio: BigFloat, side: str, holds: bool, equality: bool):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "point", point)  # Fraction for real checks, (Fraction, Fraction) for complex
-        object.__setattr__(self, "ratio", ratio)
-        object.__setattr__(self, "side", side)  # "mu_plus" or "mu_minus"
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "equality", equality)
+    __slots__ = ("n", "point",  # Fraction for real checks, (Fraction, Fraction) for complex
+                 "ratio", "side",  # "mu_plus" or "mu_minus"
+                 "holds", "equality")
 
 
 def lemma_tail_gap(x: Fraction, k: int, j_max: int = 64) -> tuple[BigFloat, BigFloat, bool]:

@@ -56,9 +56,6 @@ class BigFloat(Record):
     def hi(self) -> Fraction:
         return self.value + self.error_bound
 
-    def __float__(self) -> float:
-        return float(self.value)
-
     def decimal(self, digits: int) -> str:
         """Decimal string with ``digits`` fractional digits, correctly rounded.
 

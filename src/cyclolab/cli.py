@@ -5,7 +5,9 @@ Exit status:
   1  a verification subcommand finds a claimed invariant violated, or a
      computation fails (root iteration does not converge, an internal
      consistency check fails); the failure is one ``error:`` line on stderr;
-  2  usage errors and invalid arguments;
+  2  usage errors and invalid arguments, among them a second index to
+     ``order class``, ``prefix`` or ``gap`` and a ``scan --out`` file that
+     cannot be opened (refused before any pair is computed);
   141  stdout was closed by its reader (``cyclolab table1 | head -1``):
      the pool workers are stopped and nothing is written to stderr.
 
@@ -189,7 +191,7 @@ def _cmd_scan(args, out) -> int:
     }[kind]
     items = [(m, n) if param is None else (m, n, param) for m, n in todo]
     roots_mod._warm_cyclotomic_cache(M)
-    with open(args.out, "w" if cache is None else "a") if args.out else nullcontext(out) as sink:
+    with _open(args.out, "w" if cache is None else "a") if args.out else nullcontext(out) as sink:
         if args.out and cache is None:
             sink.write(json.dumps(header) + "\n")
         if torn:
@@ -202,7 +204,7 @@ def _cmd_scan(args, out) -> int:
     summary, ok = summarize(M, [json.loads(line) for line in merged], args)
     if args.out:
         tmp = args.out + ".tmp"
-        with open(tmp, "w") as fh:
+        with _open(tmp, "w") as fh:
             fh.write(json.dumps(header) + "\n")
             fh.writelines(line + "\n" for line in merged)
             fh.write(summary + "\n")
@@ -281,7 +283,7 @@ def _load_cache(path: str, header: dict) -> tuple[dict[tuple[int, int], str] | N
     version, kind or digits differ from this scan's is refused untouched."""
     if not os.path.exists(path):
         return None, False
-    with open(path) as fh:
+    with _open(path, "r") as fh:
         text = fh.read()
     if not text:
         return None, False
@@ -294,6 +296,15 @@ def _load_cache(path: str, header: dict) -> tuple[dict[tuple[int, int], str] | N
             raise ValueError(f"{path} holds a scan with {key} {got.get(key)!r}, not {header[key]!r}; refusing to resume it")
     objs = ((_json_obj(line), line.strip()) for line in rest)
     return {(o["m"], o["n"]): line for o, line in objs if "m" in o and "n" in o}, not text.endswith("\n")
+
+
+def _open(path: str, mode: str):
+    # a file that cannot be opened is a usage error: one line, not a traceback.
+    # Only the open is guarded, so a closed stdout still ends in BrokenPipeError
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ValueError(f"cannot open {path}: {exc.strerror or exc}") from None
 
 
 def _json_obj(line: str) -> dict:
@@ -479,6 +490,8 @@ def dispatch(argv: list[str], out=None) -> int:
         args = parser.parse_args(argv)
         if args.cmd == "order" and args.what == "consecutive" and args.n2 is None:
             parser.error("order consecutive requires two indices")
+        if args.cmd == "order" and args.what != "consecutive" and args.n2 is not None:
+            parser.error(f"order {args.what} takes one index")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -265,21 +265,9 @@ INV_SQRT2_SQ = Fraction(1, 2)
 class ComplexScanReport(Record):
     """Nonreal coincidence roots for all pairs up to M, with modulus data."""
 
-    __slots__ = ("max_index", "coprime_only", "records", "boundary_upper", "outside")
-
-    def __init__(
-        self,
-        max_index: int,
-        coprime_only: bool,
-        records: tuple[CoincidenceRecord, ...],
-        boundary_upper: tuple[tuple[int, int], ...],  # pairs attaining modulus sqrt(2) exactly
-        outside: tuple[tuple[int, int, str], ...],  # certified violations of the modulus range
-    ):
-        object.__setattr__(self, "max_index", max_index)
-        object.__setattr__(self, "coprime_only", coprime_only)
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "boundary_upper", boundary_upper)
-        object.__setattr__(self, "outside", outside)
+    __slots__ = ("max_index", "coprime_only", "records",
+                 "boundary_upper",  # pairs attaining modulus sqrt(2) exactly
+                 "outside")  # certified violations of the modulus range
 
 
 def _sqrt2_quadratic_roots(d: IntPoly) -> list[tuple[int, Fraction, int]]:

@@ -130,16 +130,6 @@ class DeltaDecomposition(Record):
 
     __slots__ = ("p", "q", "main", "delta")
 
-    def __init__(self, p: int, q: int, main: IntPoly, delta: IntPoly):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "main", main)
-        object.__setattr__(self, "delta", delta)
-
-    @property
-    def difference(self) -> IntPoly:
-        return self.main + self.delta
-
 
 def delta_decompose(p: int, q: int) -> DeltaDecomposition:
     r = _triple_r(p, q)
@@ -205,17 +195,6 @@ class TripleRecord(Record):
     """One row of the near-miss table."""
 
     __slots__ = ("p", "q", "r", "beta", "alpha", "inv_gap", "scaled_gap")
-
-    def __init__(
-        self, p: int, q: int, r: int, beta: BigFloat, alpha: BigFloat, inv_gap: BigFloat, scaled_gap: BigFloat
-    ):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "inv_gap", inv_gap)
-        object.__setattr__(self, "scaled_gap", scaled_gap)
 
 
 TABLE_ROWS = [(3, 5), (3, 7), (3, 11), (3, 13), (5, 7), (5, 13), (5, 19), (7, 11), (7, 13), (7, 19)]

@@ -101,20 +101,6 @@ class ConsecutiveCertificate(Record):
 
     __slots__ = ("m", "n", "consecutive", "between", "classes")
 
-    def __init__(
-        self,
-        m: int,
-        n: int,
-        consecutive: bool,
-        between: tuple[int, ...],
-        classes: tuple[tuple[int, tuple[int, ...]], ...],
-    ):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "consecutive", consecutive)
-        object.__setattr__(self, "between", between)
-        object.__setattr__(self, "classes", classes)
-
 
 def certify_consecutive(m: int, n: int) -> ConsecutiveCertificate:
     """Decide whether nothing sits strictly between m and n in the order.

@@ -82,10 +82,6 @@ def _add(a, b):
     return _trim(out)
 
 
-def _neg(a):
-    return [-c for c in a]
-
-
 def _sub(a, b):
     out = list(a) + [0] * max(0, len(b) - len(a))
     for i, c in enumerate(b):
@@ -288,9 +284,6 @@ class IntPoly(Record):
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         return IntPoly(_sub(list(self.coeffs), list(other.coeffs)))
 
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(_neg(self.coeffs))
-
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPoly([c * other for c in self.coeffs])
@@ -303,8 +296,6 @@ class IntPoly(Record):
         nb = _digit_bytes(sum(map(abs, a)) * sum(map(abs, b)))
         y = 1 << 8 * nb
         return IntPoly(_unpack(_packed(a, y) * _packed(b, y), nb, len(a) + len(b) - 1))
-
-    __rmul__ = __mul__
 
     def div_exact(self, other: "IntPoly") -> "IntPoly":
         """Exact quotient self / other in Z[x]; ExactDivisionError otherwise."""

@@ -71,13 +71,8 @@ def primitive_prime_divisor(a: int, b: int, n: int) -> PpdResult:
 class IntegerCoincidenceReport(Record):
     """Result of checking Phi_m(a) = Phi_n(a) over a full integer box."""
 
-    __slots__ = ("a_max", "max_index", "pairs_checked", "coincidences")
-
-    def __init__(self, a_max: int, max_index: int, pairs_checked: int, coincidences: tuple[tuple[int, int, int], ...]):
-        object.__setattr__(self, "a_max", a_max)
-        object.__setattr__(self, "max_index", max_index)
-        object.__setattr__(self, "pairs_checked", pairs_checked)
-        object.__setattr__(self, "coincidences", coincidences)  # (a, m, n) with m < n
+    __slots__ = ("a_max", "max_index", "pairs_checked",
+                 "coincidences")  # (a, m, n) with m < n
 
     @property
     def holds(self) -> bool:
@@ -148,15 +143,8 @@ def verify_integer_coincidences(a_max: int, M: int) -> IntegerCoincidenceReport:
 class RationalCoincidenceReport(Record):
     """Result over all reduced non-integer rationals of bounded height."""
 
-    __slots__ = ("height", "max_index", "points_checked", "coincidences")
-
-    def __init__(
-        self, height: int, max_index: int, points_checked: int, coincidences: tuple[tuple[str, int, int], ...]
-    ):
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "max_index", max_index)
-        object.__setattr__(self, "points_checked", points_checked)
-        object.__setattr__(self, "coincidences", coincidences)  # (point, m, n)
+    __slots__ = ("height", "max_index", "points_checked",
+                 "coincidences")  # (point, m, n)
 
     @property
     def holds(self) -> bool:

@@ -533,45 +533,19 @@ def refine_root(p: IntPoly, iv: IsolatingInterval, digits: int) -> BigFloat:
 class RootRecord(Record):
     """One certified root of a named polynomial."""
 
-    __slots__ = ("poly_id", "kind", "value", "modulus", "digits", "residual", "multiplicity")
-
-    def __init__(
-        self,
-        poly_id: object,
-        kind: str,  # "real" | "complex"
-        value: object,  # BigFloat, or (BigFloat, BigFloat) for complex
-        modulus: BigFloat,
-        digits: int,
-        residual: BigFloat,
-        multiplicity: int = 1,
-    ):
-        object.__setattr__(self, "poly_id", poly_id)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "digits", digits)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "multiplicity", multiplicity)
+    __slots__ = ("poly_id",
+                 "kind",  # "real" | "complex"
+                 "value",  # BigFloat, or (BigFloat, BigFloat) for complex
+                 "modulus", "digits", "residual", "multiplicity")
+    _defaults = {"multiplicity": 1}
 
 
 class CoincidenceRecord(Record):
     """All certified roots of Phi_m - Phi_n requested by a scan."""
 
-    __slots__ = ("m", "n", "roots", "max_abs_real", "window_violations")
-
-    def __init__(
-        self,
-        m: int,
-        n: int,
-        roots: tuple[RootRecord, ...],
-        max_abs_real: BigFloat | None = None,
-        window_violations: tuple[int, ...] = (),  # indexes into roots
-    ):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "max_abs_real", max_abs_real)
-        object.__setattr__(self, "window_violations", window_violations)
+    __slots__ = ("m", "n", "roots", "max_abs_real",
+                 "window_violations")  # indexes into roots
+    _defaults = {"max_abs_real": None, "window_violations": ()}
 
 
 def _real_root_record(poly_id, p: IntPoly, iv: IsolatingInterval, digits: int, mult: int) -> RootRecord:

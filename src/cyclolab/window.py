@@ -164,21 +164,9 @@ def window_counts(m: int, n: int) -> tuple[tuple[int, int, int, int], bool]:
 class WindowReport(Record):
     """Outcome of the outer-window certification over all pairs up to M."""
 
-    __slots__ = ("max_index", "pairs_checked", "violations", "exception_found", "sturm_fallbacks")
-
-    def __init__(
-        self,
-        max_index: int,
-        pairs_checked: int,
-        violations: tuple[tuple[int, int, str, int], ...],
-        exception_found: bool,
-        sturm_fallbacks: int = 0,  # regions whose Descartes test was inconclusive
-    ):
-        object.__setattr__(self, "max_index", max_index)
-        object.__setattr__(self, "pairs_checked", pairs_checked)
-        object.__setattr__(self, "violations", violations)
-        object.__setattr__(self, "exception_found", exception_found)
-        object.__setattr__(self, "sturm_fallbacks", sturm_fallbacks)
+    __slots__ = ("max_index", "pairs_checked", "violations", "exception_found",
+                 "sturm_fallbacks")  # regions whose Descartes test was inconclusive
+    _defaults = {"sturm_fallbacks": 0}
 
     @property
     def holds(self) -> bool:

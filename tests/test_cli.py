@@ -89,6 +89,11 @@ class TestOrder:
         code, _ = run_cli(["order", "consecutive", "18"])
         assert code == 2
 
+    @pytest.mark.parametrize("what", ["class", "prefix", "gap"])
+    def test_second_index_refused(self, capsys, what):
+        assert run_cli(["order", what, "4", "9"]) == (2, "")
+        assert capsys.readouterr().err.endswith(f"error: order {what} takes one index\n")
+
 
 class TestRoots:
     def test_exception_pair(self):
@@ -522,6 +527,18 @@ class TestScanCache:
         argv = ["scan", "--max-index", "9", "--window-only"]
         assert _resumed_scan(tmp_path, argv, small) == _fresh_scan(tmp_path, argv)
         assert _resumed_scan(tmp_path, argv, "") == _fresh_scan(tmp_path, argv)
+
+    @pytest.mark.parametrize("target, resume", [("dir", False), ("missing", False), ("dir", True)])
+    def test_out_that_cannot_be_opened(self, tmp_path, capsys, monkeypatch, target, resume):
+        # one error line and exit 2, before any pair is computed
+        calls = []
+        monkeypatch.setattr(roots_mod, "_parallel_map", lambda *a: calls.append(a) or iter(()))
+        path = tmp_path if target == "dir" else tmp_path / "missing" / "f.jsonl"
+        capsys.readouterr()
+        assert run_cli(["scan", "--max-index", "3", "--out", str(path)] + ["--resume"] * resume) == (2, "")
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: cannot open {path}: "), err
+        assert calls == []
 
     def test_real_resume_over_complex_file_has_no_traceback(self, tmp_path):
         out = tmp_path / "f.jsonl"

@@ -1,11 +1,14 @@
 """Every result record behaves as a frozen value: repr, signature, equality,
 hash, pickling and immutability are pinned, with each record's checks."""
+import importlib
 import inspect
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import cyclolab
 from cyclolab.arith import ArithProfile, Factorization
 from cyclolab.bounds import BoundReport
 from cyclolab.certified import BigFloat
@@ -14,6 +17,7 @@ from cyclolab.nearmiss import DeltaDecomposition, TripleRecord
 from cyclolab.ordering import ConsecutiveCertificate
 from cyclolab.polycore import IntPoly
 from cyclolab.rationalcheck import IntegerCoincidenceReport, PpdResult, RationalCoincidenceReport
+from cyclolab.record import Record
 from cyclolab.roots import CoincidenceRecord, IsolatingInterval, RootRecord
 from cyclolab.window import WindowReport
 
@@ -184,3 +188,44 @@ class TestRecord:
 def test_validation_still_raises(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+# every record of the package, found rather than listed: each module is
+# imported (``__main__`` would run the CLI), then Record's subclasses read
+for _mod in pkgutil.iter_modules(cyclolab.__path__):
+    if _mod.name != "__main__":
+        importlib.import_module(f"cyclolab.{_mod.name}")
+RECORDS = sorted(
+    (cls for cls in Record.__subclasses__() if cls.__module__.startswith("cyclolab.")), key=lambda cls: cls.__name__
+)
+ARGS = {case[0]: case[1] for case in CASES}
+WRITTEN_INITS = {"BigFloat", "Factorization", "IntPoly", "IsolatingInterval", "PpdResult"}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_contract(cls):
+    assert cls in ARGS, f"add a CASES entry for {cls.__name__}"
+    args = ARGS[cls]
+    params = inspect.signature(cls).parameters
+    assert list(params) == list(cls.__slots__)  # __reduce__ rebuilds a record as cls(*fields)
+    kwargs = dict(zip(params, args))
+    assert cls(**kwargs) == cls(*args)
+    for name, p in params.items():
+        if p.default is p.empty:
+            with pytest.raises(TypeError):
+                cls(**{k: v for k, v in kwargs.items() if k != name})
+    with pytest.raises(TypeError):
+        cls(*args, *[None] * (len(params) + 1 - len(args)))
+    with pytest.raises(TypeError):
+        cls(**kwargs, extra=None)
+
+
+def test_only_checking_records_write_their_init():
+    # the rest get theirs from __slots__; a generated init has no source file
+    assert {cls.__name__ for cls in RECORDS if cls.__init__.__code__.co_filename != "<string>"} == WRITTEN_INITS
+    assert set(RECORDS) == set(ARGS)  # every record CASES lists is found
+
+
+def test_defaults_only_for_trailing_fields():
+    with pytest.raises(KeyError):
+        type("Bad", (Record,), {"__slots__": ("a", "b"), "_defaults": {"a": 0}})
