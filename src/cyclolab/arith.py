@@ -191,17 +191,15 @@ def factorize(n: int) -> Factorization:
     out: list[tuple[int, int]] = []
     for p in _prime_table():
         if p * p > m:
-            break
+            break  # no prime up to sqrt(m) divides m: it is 1 or a prime
         if m % p == 0:
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
             out.append((p, e))
-    if m > 1:
-        if is_prime(m):
-            out.append((m, 1))
-        else:
+    else:
+        if m > 1 and not is_prime(m):
             # composite cofactor beyond the trial range: split recursively
             stack = [m]
             found: dict[int, int] = {}
@@ -213,9 +211,10 @@ def factorize(n: int) -> Factorization:
                 d = _pollard_brent(v)
                 stack.append(d)
                 stack.append(v // d)
-            for p in sorted(found):
-                out.append((p, found[p]))
-            out.sort()
+            out.extend(sorted(found.items()))
+            m = 1
+    if m > 1:
+        out.append((m, 1))
     return Factorization(n, tuple(out))
 
 

@@ -241,10 +241,14 @@ def _eval_int_scaled(cs, a: int, b: int) -> int:
     if not cs:
         return 0
     v = cs[-1]
+    if b == 1:  # an integer point needs no powers of b
+        for c in cs[-2::-1]:
+            v = v * a + c
+        return v
     bb = 1
-    for i in range(len(cs) - 2, -1, -1):
+    for c in cs[-2::-1]:
         bb *= b
-        v = v * a + cs[i] * bb
+        v = v * a + c * bb
     return v
 
 

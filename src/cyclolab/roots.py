@@ -8,6 +8,12 @@ its last element is gcd(p, p'), and the squarefree part is p divided by
 that element once.  The chain of a p that is not squarefree still
 counts its distinct roots between non-roots (Sturm's theorem for the
 signed remainder sequence), so no count needs a squarefree part first.
+A factor x^k with k >= 2, which the coefficient list shows, is split off
+before any PRS: Yun's factors come from the chain of q = p/x^k, with x
+joined to the factor of multiplicity k, and a squarefree q is isolated on
+that same chain.  Bisection evaluates the chain once at each point: its
+first value tells whether the point is a root and gives the isolating
+intervals' end signs.
 No real verdict, and no real bracket, depends on floating point.
 Descartes' rule of signs certifies a single bracket (``_descartes_in``):
 0 sign variations prove it empty, 1 proves it holds exactly one simple
@@ -156,16 +162,54 @@ def yun_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
     cs = _primitive(list(p.coeffs))
     if len(cs) <= 1:
         return []
-    return _yun(_sturm_chain(cs))
+    return [(IntPoly(f), mult) for f, mult, _ in _squarefree_factors(cs)]
 
 
-def _yun(chain) -> list[tuple[IntPoly, int]]:
+def _squarefree_factors(cs) -> list[tuple[list[int], int, list | None]]:
+    """Yun's factors of a primitive nonconstant cs, each with its multiplicity
+    and its Sturm chain when that chain is already built (else None).
+
+    The factors equal ``_yun(_sturm_chain(cs))``: each is primitive with a
+    positive leading coefficient except the last, which has the sign of
+    lc(cs).  When x^k divides cs with k >= 2, the coefficient list shows
+    it, and the PRS work runs on q = cs/x^k alone: Yun on q's chain, x
+    joined to q's factor of multiplicity k (or added as (x, k)), and for
+    a squarefree q its one chain also isolates.  For k <= 1 the one chain
+    of cs is Yun's start and, when cs is squarefree, the isolating chain.
+    """
+    k = next(i for i, c in enumerate(cs) if c)
+    if k <= 1:
+        chain = _sturm_chain(cs)
+        if len(chain[-1]) == 1:
+            return [(cs, 1, chain)]
+        return [(f, mult, None) for f, mult in _yun(chain)]
+    sign = 1 if cs[-1] > 0 else -1
+    q = [sign * c for c in cs[k:]]  # lc(q) > 0, so each of q's Yun factors has lc > 0
+    factors = []
+    if len(q) > 1:
+        chain = _sturm_chain(q)
+        if len(chain[-1]) == 1:
+            factors = [(q, 1, chain)]
+        else:
+            factors = [(f, mult, None) for f, mult in _yun(chain)]
+    i = next((i for i, (_, mult, _) in enumerate(factors) if mult >= k), len(factors))
+    if i < len(factors) and factors[i][1] == k:
+        factors[i] = ([0] + factors[i][0], k, None)
+    else:
+        factors.insert(i, ([0, 1], k, None))
+    if sign < 0:
+        f, mult, _ = factors[-1]
+        factors[-1] = ([-c for c in f], mult, None)
+    return factors
+
+
+def _yun(chain) -> list[tuple[list[int], int]]:
     # Yun's squarefree factors of the primitive p a Sturm chain starts
     # with; the chain ends on gcd(p, p'), where Yun starts
     cs = chain[0]
     g = _chain_gcd(chain)
     if len(g) <= 1:
-        return [(IntPoly(cs), 1)]
+        return [(cs, 1)]
     w, r = _divmod_exact(cs, g)
     if r:
         raise AssertionError("gcd must divide")
@@ -178,7 +222,7 @@ def _yun(chain) -> list[tuple[IntPoly, int]]:
     while len(w) > 1:
         gi = _gcd_list(w, z) if z else _primitive(w)
         if len(gi) > 1:
-            out.append((IntPoly(gi), i))
+            out.append((gi, i))
             w, r1 = _divmod_exact(w, gi)
             y, r2 = _divmod_exact(z, gi)
             if r1 or r2:
@@ -225,17 +269,21 @@ def _descartes_in(cs, lo: Fraction, hi: Fraction) -> int:
     return _variations(_unpack(_packed(cs, b + a * y, q + q * y), nb, d + 1))
 
 
-def _variations_at(chain, a: int, b: int) -> int:
-    # sign variations of the chain at the rational point a/b (b >= 1)
-    last = 0
+def _chain_at(chain, a: int, b: int) -> tuple[int, int]:
+    # the sign of chain[0] at the rational point a/b (b >= 1) and, when it
+    # is not 0, the chain's sign variations there
+    first = _sign(_eval_int_scaled(chain[0], a, b))
+    if not first:
+        return 0, 0
+    last = first
     var = 0
-    for cs in chain:
+    for cs in chain[1:]:
         s = _sign(_eval_int_scaled(cs, a, b))
         if s:
-            if last and s != last:
+            if s != last:
                 var += 1
             last = s
-    return var
+    return first, var
 
 
 def _cauchy_bound(cs) -> int:
@@ -263,10 +311,7 @@ def _count_on_chain(chain, lo: Fraction | None, hi: Fraction | None) -> int:
     B = _cauchy_bound(chain[0])
     lo = Fraction(-B) if lo is None else lo
     hi = Fraction(B) if hi is None else hi
-    return (
-        _variations_at(chain, lo.numerator, lo.denominator)
-        - _variations_at(chain, hi.numerator, hi.denominator)
-    )
+    return _chain_at(chain, lo.numerator, lo.denominator)[1] - _chain_at(chain, hi.numerator, hi.denominator)[1]
 
 
 def sturm_count(p: IntPoly, lo: Fraction | None, hi: Fraction | None) -> int:
@@ -321,41 +366,44 @@ def _sign_at(cs, x: Fraction) -> int:
     return _sign(_eval_int_scaled(cs, x.numerator, x.denominator))
 
 
-def _isolate_bisection(cs, chain) -> list[tuple[Fraction, Fraction]]:
-    B = _cauchy_bound(cs)
-    lo, hi = Fraction(-B), Fraction(B)
-    out: list[tuple[Fraction, Fraction]] = []
+def _isolate_bisection(cs, chain) -> list[tuple[tuple, tuple]]:
+    # one (lo, hi) bracket per distinct real root of the p the chain starts
+    # with, each end a point (x, sign of chain[0] at x, variations at x).
+    # The chain is evaluated once at each point, and its first value also
+    # tells whether x is a root: p and its squarefree part cs share roots
+    def at(x: Fraction) -> tuple:
+        return (x, *_chain_at(chain, x.numerator, x.denominator))
 
-    def recurse(a: Fraction, b: Fraction, va: int, vb: int) -> None:
-        count = va - vb
+    out: list[tuple[tuple, tuple]] = []
+
+    def recurse(lo: tuple, hi: tuple) -> None:
+        count = lo[2] - hi[2]
         if count == 0:
             return
         if count == 1:
-            out.append((a, b))
+            out.append((lo, hi))
             return
-        mid = (a + b) / 2
-        if _sign_at(cs, mid) == 0:
+        a, b = lo[0], hi[0]
+        mid = at((a + b) / 2)
+        if mid[1] == 0:
             # exact root at the midpoint; fence it off with a clean gap
             delta = (b - a) / 4
             while True:
-                l, r = mid - delta, mid + delta
-                if _sign_at(cs, l) != 0 and _sign_at(cs, r) != 0:
-                    vl = _variations_at(chain, l.numerator, l.denominator)
-                    vr = _variations_at(chain, r.numerator, r.denominator)
-                    if vl - vr == 1:
+                l = at(mid[0] - delta)
+                if l[1]:
+                    r = at(mid[0] + delta)
+                    if r[1] and l[2] - r[2] == 1:
                         break
                 delta /= 2
             out.append((l, r))
-            recurse(a, l, va, vl)
-            recurse(r, b, vr, vb)
+            recurse(lo, l)
+            recurse(r, hi)
             return
-        vm = _variations_at(chain, mid.numerator, mid.denominator)
-        recurse(a, mid, va, vm)
-        recurse(mid, b, vm, vb)
+        recurse(lo, mid)
+        recurse(mid, hi)
 
-    va = _variations_at(chain, lo.numerator, lo.denominator)
-    vb = _variations_at(chain, hi.numerator, hi.denominator)
-    recurse(lo, hi, va, vb)
+    B = _cauchy_bound(cs)
+    recurse(at(Fraction(-B)), at(Fraction(B)))
     return sorted(out)
 
 
@@ -383,8 +431,9 @@ def _isolate_chain(chain) -> tuple[list[int], list[IsolatingInterval]]:
     # isolate_real_roots(p), both read off that one chain
     cs = _squarefree_of(chain)
     out = []
-    for a, b in _isolate_bisection(cs, chain):
-        sa, sb = _sign_at(cs, a), _sign_at(cs, b)
+    for (a, sa, _), (b, sb, _) in _isolate_bisection(cs, chain):
+        if cs is not chain[0]:  # p is not squarefree: the signs are cs's own
+            sa, sb = _sign_at(cs, a), _sign_at(cs, b)
         if sa == 0 or sb == 0 or sa == sb:
             raise AssertionError("isolating interval lost its sign change")
         out.append(IsolatingInterval(a, b, sa, sb))
@@ -585,13 +634,8 @@ def real_coincidence_roots(m: int, n: int, digits: int = 15) -> CoincidenceRecor
     d = difference(a, b)
     records: list[RootRecord] = []
     if d.degree >= 1:
-        chain = _sturm_chain(_primitive(list(d.coeffs)))
-        if len(chain[-1]) == 1:  # squarefree: its Sturm chain also isolates
-            chains = [(chain, 1)]
-        else:
-            chains = [(_sturm_chain(list(f.coeffs)), mult) for f, mult in _yun(chain)]
-        for chain, mult in chains:
-            factor, ivs = _isolate_chain(chain)
+        for f, mult, chain in _squarefree_factors(_primitive(list(d.coeffs))):
+            factor, ivs = _isolate_chain(chain or _sturm_chain(f))
             for iv in ivs:
                 records.append(_real_root_record((a, b), IntPoly(factor), iv, digits, mult))
     records.sort(key=lambda r: r.value.value)

@@ -86,6 +86,25 @@ class TestFactorize:
     def test_matches_trial_division_to_ten_million(self, n):
         assert factorize(n).factors == tuple(trial_division(n))
 
+    def test_matches_trial_division_to_twenty_thousand(self):
+        # a trial division that stops at p^2 > m leaves 1 or a prime
+        assert all(factorize(n).factors == tuple(trial_division(n)) for n in range(1, 20001))
+
+    def test_two_primes_above_the_table(self, monkeypatch):
+        # a cofactor the table cannot prove prime goes to is_prime, and a
+        # composite one to Pollard
+        import cyclolab.arith as arith_mod
+
+        tested = []
+        prime = arith_mod.is_prime
+        monkeypatch.setattr(arith_mod, "is_prime", lambda v: tested.append(v) or prime(v))
+        p, q = 65537, 65539
+        assert factorize.__wrapped__(p * q).factors == ((p, 1), (q, 1))
+        assert p * q in tested
+        tested.clear()
+        assert factorize.__wrapped__(2 * 3 * 65521).factors == ((2, 1), (3, 1), (65521, 1))
+        assert tested == []
+
 
 class TestProfile:
     def test_twelve(self):

@@ -140,6 +140,33 @@ class TestEvaluation:
             assert len(plus) + len(minus) == 2 ** len(factorize(n).factors)
 
 
+def fraction_horner(cs, a, b):
+    # independent oracle: Horner in Fractions at a/b, times b^deg
+    x, v = Fraction(a, b), Fraction(0)
+    for c in reversed(cs):
+        v = v * x + c
+    return v * b ** max(len(cs) - 1, 0)
+
+
+class TestScaledHorner:
+    # _eval_int_scaled(cs, a, b) = b^deg p(a/b): integer points take the
+    # loop without powers of b
+    @given(
+        st.lists(st.one_of(st.integers(-99, 99), st.just(0), st.integers(-(1 << 90), 1 << 90)), max_size=30),
+        st.integers(-(1 << 40), 1 << 40),
+        st.one_of(st.just(1), st.integers(0, 60).map(lambda s: 1 << s), st.integers(0, 1 << 40).map(lambda k: 2 * k + 1)),
+    )
+    @example([], 5, 1)
+    @example([], -3, 4)
+    @example([7], -2, 3)
+    @example([0, 0, 0, 1], -3, 1)
+    @example([5, 0, 0, -2, 0], -7, 1 << 20)
+    @example([0, 1, 0, -1], -5, 9)
+    def test_matches_fraction_oracle(self, cs, a, b):
+        assert _eval_int_scaled(cs, a, b) == fraction_horner(cs, a, b)
+        assert _eval_int_scaled(tuple(cs), a, b) == fraction_horner(cs, a, b)
+
+
 def gaussian_horner_oracle(cs, re, im):
     # plain Fraction Horner on (vr + vi i) * (re + im i) + c
     vr, vi = Fraction(0), Fraction(0)

@@ -972,6 +972,72 @@ class TestYun:
         assert yun_decomposition(p) == [(squarefree_part(p), 1)]
 
 
+def unsplit_factors(cs):
+    # Yun's factors from the Sturm chain of cs itself, with no x^k split
+    return [(IntPoly(f), mult) for f, mult in roots_mod._yun(roots_mod._sturm_chain(cs))]
+
+
+def unsplit_real_roots(m, n):
+    # the records of real_coincidence_roots(m, n), each unsplit Yun factor
+    # isolated on its own Sturm chain
+    d = difference(m, n)
+    if d.degree < 1:
+        return ()
+    records = []
+    for f, mult in unsplit_factors(_primitive(list(d.coeffs))):
+        factor, ivs = roots_mod._isolate_chain(roots_mod._sturm_chain(list(f.coeffs)))
+        records += [roots_mod._real_root_record((m, n), IntPoly(factor), iv, 15, mult) for iv in ivs]
+    return tuple(sorted(records, key=lambda r: r.value.value))
+
+
+class TestSquarefreeSplit:
+    # x^k with k >= 2 is split off before Yun; the factors, their order and
+    # their signs, and every real record must be those of the unsplit route
+    def test_pairs_match_unsplit_route(self):
+        split_pairs, repeated_q = 0, []
+        for m in range(1, 61):
+            for n in range(m + 1, 61):
+                d = difference(m, n)
+                if d.degree < 1:
+                    continue
+                cs = _primitive(list(d.coeffs))
+                assert yun_decomposition(d) == unsplit_factors(cs), (m, n)
+                assert real_coincidence_roots(m, n, 15).roots == unsplit_real_roots(m, n), (m, n)
+                k = next(i for i, c in enumerate(cs) if c)  # x^k divides d
+                if k >= 2:
+                    split_pairs += 1
+                    if any(mult > 1 for _, mult in yun_decomposition(IntPoly(cs[k:]))):
+                        repeated_q.append((m, n))
+        assert split_pairs > 500
+        # pairs whose x-free part has a repeated root, with x joined to a
+        # factor, x last, and negative leading coefficients among them
+        assert {(20, 24), (21, 26), (13, 42), (35, 39), (40, 48)} <= set(repeated_q)
+
+    @pytest.mark.parametrize(
+        "p, expected",
+        [
+            # x joins the multiplicity-3 factor: x^3 (x - 1)^3 (x + 2), and
+            # its negation, whose last factor takes the negative sign
+            ([[0, 1]] * 3 + [[-1, 1]] * 3 + [[2, 1]], [([2, 1], 1), ([0, -1, 1], 3)]),
+            ([[-1]] + [[0, 1]] * 3 + [[-1, 1]] * 3 + [[2, 1]], [([2, 1], 1), ([0, 1, -1], 3)]),
+            # x enters before a higher multiplicity: x^2 (x - 1)^3 (x + 2)
+            ([[0, 1]] * 2 + [[-1, 1]] * 3 + [[2, 1]], [([2, 1], 1), ([0, 1], 2), ([-1, 1], 3)]),
+            ([[-1]] + [[0, 1]] * 2 + [[-1, 1]] * 3 + [[2, 1]], [([2, 1], 1), ([0, 1], 2), ([1, -1], 3)]),
+            # x comes last: x^3 (x^2 - 2) and -x^4 (x + 1)^2
+            ([[0, 1]] * 3 + [[-2, 0, 1]], [([-2, 0, 1], 1), ([0, 1], 3)]),
+            ([[-1]] + [[0, 1]] * 4 + [[1, 1]] * 2, [([1, 1], 2), ([0, -1], 4)]),
+            # a monomial
+            ([[0, -3]] * 5, [([0, -1], 5)]),
+        ],
+    )
+    def test_planted_factors(self, p, expected):
+        poly = IntPoly([1])
+        for f in p:
+            poly = poly * IntPoly(f)
+        cs = _primitive(list(poly.coeffs))
+        assert yun_decomposition(poly) == unsplit_factors(cs) == [(IntPoly(f), k) for f, k in expected]
+
+
 def two_loop_gcd(a, b):
     # the standalone gcd loop roots.py ran beside the Sturm chain before
     # both came from one PRS: unnegated primitive remainders
@@ -1027,6 +1093,36 @@ class TestPRS:
         assert count(nearmiss._largest_real_root, sq, 1) == 1
         assert nearmiss._root_in_bracket(sq, Fraction(1), Fraction(2), 1)[1] is True
         assert count(nearmiss._root_in_bracket, sq, Fraction(1), Fraction(2), 1) == 1
+
+
+class TestIsolationEvaluations:
+    def test_squarefree_part_evaluated_once_per_point(self, monkeypatch):
+        # one chain evaluation per bisection point: the squarefree part's
+        # sign there is read from chain[0], and the isolating intervals'
+        # end signs come from those same values
+        evaluated = []
+        kernel = roots_mod._eval_int_scaled
+        isolate = roots_mod._isolate_chain
+
+        def counted(cs, a, b):
+            evaluated.append((tuple(cs), a, b))
+            return kernel(cs, a, b)
+
+        def checked(chain):
+            evaluated.clear()
+            cs, ivs = isolate(chain)
+            points = [(a, b) for f, a, b in evaluated if f == tuple(cs)]
+            assert points and len(points) == len(set(points)), cs
+            calls.append(len(ivs))
+            return cs, ivs
+
+        calls = []
+        monkeypatch.setattr(roots_mod, "_eval_int_scaled", counted)
+        monkeypatch.setattr(roots_mod, "_isolate_chain", checked)
+        for m in range(1, 25):
+            for n in range(m + 1, 25):
+                real_coincidence_roots(m, n, 15)
+        assert len(calls) > 200 and sum(calls) > 200
 
 
 class TestComplexScan:
