@@ -186,132 +186,12 @@ def horner(lead, rest, z, prec: int):
 def recip_sum(z, zs, i: int, prec: int):
     """The sum over j != i, j ascending, of 1/(z - zs[j]): each difference
     rounded at prec, its reciprocal taken as (a/m, -b/m) with
-    m = a^2 + b^2 at prec + 10, and the terms added at prec.
-
-    Most of an Aberth sweep is spent here, so the loop inlines ``sub``,
-    ``add`` and ``div`` where exponents differ by at most 100 (exact sums,
-    whatever the operands, and a zero may keep any exponent) and calls
-    them otherwise."""
-    wp = prec + 10
-    (xm, xe), (ym, ye) = z
-    srm = sre = sim = sie = 0
-    for j, ((um, ue), (vm, ve)) in enumerate(zs):
-        if j == i:
-            continue
-        # a = x - u, b = y - v, rounded to nearest
-        off = xe - ue
-        if -100 <= off <= 100:
-            am, ae = ((xm << off) - um, ue) if off >= 0 else (xm - (um << -off), xe)
-            n = am.bit_length() - prec
-            if n > 0:
-                t = am >> (n - 1)
-                am = (t >> 1) + 1 if t & 1 and (t & 2 or am & ((1 << (n - 1)) - 1)) else t >> 1
-                ae += n
-            if am and not am & 1:
-                t = (am & -am).bit_length() - 1
-                am >>= t
-                ae += t
-        else:
-            am, ae = add((xm, xe), (-um, ue), prec, True)
-        off = ye - ve
-        if -100 <= off <= 100:
-            bm, be = ((ym << off) - vm, ve) if off >= 0 else (ym - (vm << -off), ye)
-            n = bm.bit_length() - prec
-            if n > 0:
-                t = bm >> (n - 1)
-                bm = (t >> 1) + 1 if t & 1 and (t & 2 or bm & ((1 << (n - 1)) - 1)) else t >> 1
-                be += n
-            if bm and not bm & 1:
-                t = (bm & -bm).bit_length() - 1
-                bm >>= t
-                be += t
-        else:
-            bm, be = add((ym, ye), (-vm, ve), prec, True)
-        # m = a^2 + b^2 toward zero at wp
-        off = 2 * (ae - be)
-        if -100 <= off <= 100:
-            mm, me = ((am * am << off) + bm * bm, 2 * be) if off >= 0 else (am * am + (bm * bm << -off), 2 * ae)
-            n = mm.bit_length() - wp
-            if n > 0:
-                mm >>= n
-                me += n
-            if mm and not mm & 1:
-                t = (mm & -mm).bit_length() - 1
-                mm >>= t
-                me += t
-        else:
-            mm, me = add(mul((am, ae), (am, ae)), mul((bm, be), (bm, be)), wp)
-        if not mm:
-            raise ZeroDivisionError("binfloat division by zero")
-        # sr += a/m: quotient and sum each rounded to nearest
-        if am:
-            extra = prec - am.bit_length() + mm.bit_length() + 5
-            if extra < 5:
-                extra = 5
-            q, r = divmod((am if am > 0 else -am) << extra, mm)
-            if r:
-                q = (q << 1) + 1
-                extra += 1
-            if am < 0:
-                q = -q
-            qe = ae - me - extra
-            n = q.bit_length() - prec
-            if n > 0:
-                t = q >> (n - 1)
-                q = (t >> 1) + 1 if t & 1 and (t & 2 or q & ((1 << (n - 1)) - 1)) else t >> 1
-                qe += n
-            if not q & 1:
-                t = (q & -q).bit_length() - 1
-                q >>= t
-                qe += t
-            off = sre - qe
-            if -100 <= off <= 100:
-                srm, sre = ((srm << off) + q, qe) if off >= 0 else (srm + (q << -off), sre)
-                n = srm.bit_length() - prec
-                if n > 0:
-                    t = srm >> (n - 1)
-                    srm = (t >> 1) + 1 if t & 1 and (t & 2 or srm & ((1 << (n - 1)) - 1)) else t >> 1
-                    sre += n
-                if srm and not srm & 1:
-                    t = (srm & -srm).bit_length() - 1
-                    srm >>= t
-                    sre += t
-            else:
-                srm, sre = add((srm, sre), (q, qe), prec, True)
-        # si += -b/m: quotient and sum each rounded to nearest
-        if bm:
-            extra = prec - bm.bit_length() + mm.bit_length() + 5
-            if extra < 5:
-                extra = 5
-            q, r = divmod((bm if bm > 0 else -bm) << extra, mm)
-            if r:
-                q = (q << 1) + 1
-                extra += 1
-            if bm > 0:
-                q = -q
-            qe = be - me - extra
-            n = q.bit_length() - prec
-            if n > 0:
-                t = q >> (n - 1)
-                q = (t >> 1) + 1 if t & 1 and (t & 2 or q & ((1 << (n - 1)) - 1)) else t >> 1
-                qe += n
-            if not q & 1:
-                t = (q & -q).bit_length() - 1
-                q >>= t
-                qe += t
-            off = sie - qe
-            if -100 <= off <= 100:
-                sim, sie = ((sim << off) + q, qe) if off >= 0 else (sim + (q << -off), sie)
-                n = sim.bit_length() - prec
-                if n > 0:
-                    t = sim >> (n - 1)
-                    sim = (t >> 1) + 1 if t & 1 and (t & 2 or sim & ((1 << (n - 1)) - 1)) else t >> 1
-                    sie += n
-                if sim and not sim & 1:
-                    t = (sim & -sim).bit_length() - 1
-                    sim >>= t
-                    sie += t
-            else:
-                sim, sie = add((sim, sie), (q, qe), prec, True)
-    # a zero sum may carry any exponent until here
-    return (srm, sre if srm else 0), (sim, sie if sim else 0)
+    m = a^2 + b^2 at prec + 10, and the terms added at prec."""
+    sr = si = ZERO
+    for j, w in enumerate(zs):
+        if j != i:
+            a, b = csub(z, w, prec)
+            m = add(mul(a, a), mul(b, b), prec + 10)
+            sr = add(sr, div(a, m, prec, True), prec, True)
+            si = add(si, div((-b[0], b[1]), m, prec, True), prec, True)
+    return sr, si

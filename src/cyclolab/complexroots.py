@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .certified import BigFloat, ZERO, _from_bracket
+from .certified import BigFloat, ZERO, _decimal_exponent, _from_bracket
 from .polycore import ExactDivisionError, IntPoly, _eval_gaussian_scaled, _eval_int_scaled, _gaussian_scale, difference
 from .record import Record
 from .roots import (
@@ -235,17 +235,10 @@ def complex_roots(p: IntPoly, precision_bits: int = 256) -> list[RootRecord]:
 
 
 def _digits(rad: Fraction, precision_bits: int) -> int:
-    # the largest dg <= precision_bits with 2*rad < 10^-dg, else 0:
-    # estimated from bit lengths (1233/4096 ~ log10 2), then settled by
-    # exact comparisons
-    w, den, dg = 2 * rad.numerator, rad.denominator, precision_bits
-    if w:
-        dg = min(dg, max(0, (den.bit_length() - w.bit_length()) * 1233 >> 12))
-        while dg and w * 10 ** dg >= den:
-            dg -= 1
-        while dg < precision_bits and w * 10 ** (dg + 1) < den:
-            dg += 1
-    return dg
+    # the largest dg <= precision_bits with 2*rad < 10^-dg, else 0
+    if not rad:
+        return precision_bits
+    return min(precision_bits, max(0, -1 - _decimal_exponent(2 * rad)))
 
 
 def _root_sort_key(rec: RootRecord):

@@ -161,8 +161,9 @@ def near_miss_root(p: int, q: int, digits: int = 15) -> BigFloat:
 
 
 class PerturbationEstimate(NamedTuple):
-    first_order: BigFloat  # alpha - delta(alpha) / (D'(alpha) - delta'(alpha))
-    crude: BigFloat        # alpha - 2^-q
+    # estimates of the root, not enclosures of it: plain rationals
+    first_order: Fraction  # alpha - delta(alpha) / (D'(alpha) - delta'(alpha))
+    crude: Fraction        # alpha - 2^-q
 
 
 def perturbation_estimate(p: int, q: int, digits: int = 15) -> PerturbationEstimate:
@@ -185,10 +186,7 @@ def perturbation_estimate(p: int, q: int, digits: int = 15) -> PerturbationEstim
     shift = eval_rational(delta, a) / (
         eval_rational(d.derivative(), a) - eval_rational(delta.derivative(), a)
     )
-    prec = alpha.precision_bits
-    first = BigFloat(a - shift, prec, alpha.error_bound)
-    crude = BigFloat(a - Fraction(1, 2 ** q), prec, alpha.error_bound)
-    return PerturbationEstimate(first_order=first, crude=crude)
+    return PerturbationEstimate(first_order=a - shift, crude=a - Fraction(1, 2 ** q))
 
 
 class TripleRecord(Record):

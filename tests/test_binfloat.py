@@ -143,7 +143,8 @@ class TestMulDivSqrt:
 
 
 # complex operands with parts near 1 or spanning 2^-1000 .. 2^1000, so the
-# inlined loops meet exponent gaps on both sides of 100
+# sums inside recip_sum and cmul meet exponent gaps on both sides of 100,
+# add's far-apart shortcut included
 PART = st.builds(
     lambda m, e: bf.rnd(m, e),
     st.integers(-(1 << 600), 1 << 600),
@@ -192,6 +193,13 @@ class TestComplex:
                 m = mp.mpf_add(mp.mpf_mul(a, a), mp.mpf_mul(b, b), prec + 10)
                 want = mp.mpc_add(want, (mp.mpf_div(a, m, prec, n), mp.mpf_div(mp.mpf_neg(b), m, prec, n)), prec, n)
         assert bf.recip_sum(zs[i], zs, i, prec) == cpair(want)
+
+    @given(st.lists(CPLX, min_size=2, max_size=6, unique=True), st.data(), st.sampled_from([53, 512]))
+    def test_recip_sum_at_another_point(self, zs, data, prec):
+        # z is zs[j] for some j != i: the term 1/(z - zs[j]) has a zero divisor
+        i, j = data.draw(st.permutations(range(len(zs))))[:2]
+        with pytest.raises(ZeroDivisionError):
+            bf.recip_sum(zs[j], zs, i, prec)
 
     @given(st.lists(st.one_of(st.none(), PART), min_size=1, max_size=8), PART, CPLX, st.sampled_from([53, 512]))
     def test_horner(self, rest, lead, z, prec):
