@@ -55,7 +55,6 @@ from .nearmiss import (
     limit_constants,
     limit_family_root,
     near_miss_root,
-    perturbation_estimate,
     psi,
     reference_alpha,
     table1,

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import signal
 import sys
 from contextlib import nullcontext
@@ -407,6 +408,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("eval", help="exact value of the n-th cyclotomic polynomial")
+    # argparse reads an argument as a positional only when it looks like a
+    # negative number, and its pattern knows -1 and -0.5 but not -2/4: widen
+    # it so that a negative a/b is a point, not an unknown option
+    p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     p.add_argument("n", type=int)
     p.add_argument("x", help="integer or a/b")
 

@@ -13,11 +13,10 @@ computable here so the two can be compared directly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from .arith import is_prime, primes_up_to, primorial, profile
 from .certified import BigFloat, from_interval
-from .polycore import IntPoly, _root_free_from, difference, eval_rational
+from .polycore import IntPoly, _root_free_from, difference
 from .record import Record
 from .roots import (
     IsolatingInterval,
@@ -158,35 +157,6 @@ def near_miss_root(p: int, q: int, digits: int = 15) -> BigFloat:
     """The largest real root of Phi_pq - Phi_r, certified and refined."""
     r = _triple_r(p, q)
     return _largest_real_root(difference(p * q, r), digits)[0]
-
-
-class PerturbationEstimate(NamedTuple):
-    # estimates of the root, not enclosures of it: plain rationals
-    first_order: Fraction  # alpha - delta(alpha) / (D'(alpha) - delta'(alpha))
-    crude: Fraction        # alpha - 2^-q
-
-
-def perturbation_estimate(p: int, q: int, digits: int = 15) -> PerturbationEstimate:
-    """First-order estimate of the near-miss root from the reference root.
-
-    The perturbation is taken relative to the reference main term
-    psi_{p+1}(x) * x^(phi(pq) - (p+1)), whose largest root is the
-    reference alpha; the first-order shift of a simple root under an
-    additive perturbation delta is -delta(alpha)/f'(alpha) with
-    f' = D' - delta'.
-    """
-    r = _triple_r(p, q)
-    d = difference(p * q, r)
-    phi_pq = profile(p * q).phi
-    ref_main = psi(p + 1).shift(phi_pq - (p + 1))
-    delta = d - ref_main
-    work = digits + 10
-    alpha = reference_alpha(p, work)
-    a = alpha.value
-    shift = eval_rational(delta, a) / (
-        eval_rational(d.derivative(), a) - eval_rational(delta.derivative(), a)
-    )
-    return PerturbationEstimate(first_order=a - shift, crude=a - Fraction(1, 2 ** q))
 
 
 class TripleRecord(Record):

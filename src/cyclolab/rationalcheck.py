@@ -6,6 +6,9 @@ a^k - b^k.  One always exists except in two classical situations: n = 2
 with a + b a power of two, and (a, b, n) = (2, 1, 6).  Primitive primes
 are found by factoring the much smaller homogeneous cyclotomic value at
 (a, b) and testing multiplicative orders.
+
+The coincidence checks evaluate every Phi_n at each point a/b and at -a/b
+directly, weighted to a common power of b, and compare exact integers.
 """
 from __future__ import annotations
 
@@ -80,58 +83,25 @@ class IntegerCoincidenceReport(Record):
         return self.coincidences == (((2, 2, 6),) if self.max_index >= 6 else ())
 
 
-def _collisions(values: dict[int, object]) -> list[tuple[int, int]]:
-    seen: dict[object, int] = {}
-    out = []
-    for m in sorted(values):
-        v = values[m]
-        if v in seen:
-            out.append((seen[v], m))
-        else:
-            seen[v] = m
-    return out
-
-
-def _negative_index_value(m: int, a: int, b: int = 1):
-    # value of Phi_m at -a/b expressed through positive-argument data:
-    # odd m >= 3 maps to index 2m, m = 2 mod 4 (m >= 6) to m/2, 4 | m to m.
-    # m = 1 and m = 2 pick up a sign and stay separate.
-    if m == 1:
-        return ("neg", a + b)  # -(a+b)/b
-    if m == 2:
-        return ("neg2", a - b)  # (b-a)/b = -(a-b)/b
-    if m % 2 == 1:
-        return ("pos", 2 * m)
-    if m % 4 == 2:
-        return ("pos", m // 2)
-    return ("pos", m)
-
-
 def _point_coincidences(a: int, b: int, M: int) -> list[tuple[int, int, int]]:
     """Pairs m < n <= M whose values agree at a/b, then at -a/b, as (sign, m, n).
 
-    Each value is b^(2M - phi(m)) b^phi(m) Phi_m(a/b), an integer since
-    phi(m) < 2M for every index compared, so equality is exact; at b = 1
-    every weight is 1.  An index is evaluated only when it is compared.
+    Each value is b^M Phi_n(s a/b) = Phi_n(s a, b) b^(M - phi(n)), an integer
+    since phi(n) <= M, so equality is exact; at b = 1 every weight is 1.
+    Each pair is reported with the least index of its value.
     """
-    weighted: dict[int, int] = {}
-
-    def value(m: int) -> int:
-        if m not in weighted:
-            weighted[m] = eval_homogeneous_cyclotomic(m, a, b) * b ** (2 * M - profile(m).phi)
-        return weighted[m]
-
-    found = [(1, m, n) for m, n in _collisions({m: value(m) for m in range(1, M + 1)})]
-    neg: dict[int, object] = {}
-    for m in range(1, M + 1):
-        tag, idx = _negative_index_value(m, a, b)
-        neg[m] = ("v", value(idx)) if tag == "pos" else (tag, idx)
-    return found + [(-1, m, n) for m, n in _collisions(neg)]
+    found = []
+    for s in (1, -1):
+        least: dict[int, int] = {}
+        for n in range(1, M + 1):
+            m = least.setdefault(eval_homogeneous_cyclotomic(n, s * a, b) * b ** (M - profile(n).phi), n)
+            if m != n:
+                found.append((s, m, n))
+    return found
 
 
 def verify_integer_coincidences(a_max: int, M: int) -> IntegerCoincidenceReport:
-    """Exhaustively compare Phi_m(a) for 2 <= a <= a_max and m < n <= M,
-    covering negative arguments through the index transformations."""
+    """Exhaustively compare Phi_m(a) for 2 <= |a| <= a_max and m < n <= M."""
     if a_max < 2 or M < 2:
         raise ValueError("requires a_max >= 2 and M >= 2")
     found = [(s * a, m, n) for a in range(2, a_max + 1) for s, m, n in _point_coincidences(a, 1, M)]
@@ -156,7 +126,7 @@ def verify_rational_coincidences(H: int, M: int) -> RationalCoincidenceReport:
     confirm the homogeneous values cannot agree (both signs of a/b).
 
     Comparison clears denominators to a common weight so it is exact
-    integer equality: Phi_m(a,b) * b^(2M - phi(m)) against the same for n.
+    integer equality: Phi_m(a,b) * b^(M - phi(m)) against the same for n.
     """
     if H < 2 or M < 2:
         raise ValueError("requires H >= 2 and M >= 2")

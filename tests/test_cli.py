@@ -57,6 +57,12 @@ class TestEval:
     def test_fraction_point(self):
         assert run_cli(["eval", "4", "1/2"]) == (0, "5/4\n")
 
+    def test_negative_fraction_point(self):
+        # -2/4 is the point -1/2, not an option
+        assert run_cli(["eval", "7", "-2/4"]) == (0, "43/64\n")
+        assert run_cli(["eval", "3", "-1/2"]) == (0, "3/4\n")
+        assert run_cli(["eval", "3", "-2"]) == (0, "3\n")
+
     def test_zero_denominator(self, capsys):
         assert run_cli(["eval", "5", "1/0"]) == (2, "")
         err = capsys.readouterr().err.splitlines()

@@ -14,7 +14,6 @@ from cyclolab.nearmiss import (
     limit_constants,
     limit_family_root,
     near_miss_root,
-    perturbation_estimate,
     psi,
     reference_alpha,
     table1,
@@ -116,22 +115,6 @@ class TestNearMissRoot:
     )
     def test_values(self, p, q, digits, expect):
         assert near_miss_root(p, q, digits).decimal(digits) == expect
-
-    def test_first_order_estimate_quality(self):
-        est = perturbation_estimate(3, 5, 16)
-        alpha = reference_alpha(3, 20).value
-        beta = near_miss_root(3, 5, 20).value
-        true_gap = alpha - beta
-        est_gap = alpha - est.first_order
-        assert Fraction(1, 2) < est_gap / true_gap < 2
-
-    def test_crude_estimate_scale(self):
-        est = perturbation_estimate(5, 13, 16)
-        beta = near_miss_root(5, 13, 16).value
-        # the crude shift 2^-q lands within a small factor of the true gap
-        crude_gap = reference_alpha(5, 16).value - est.crude
-        true_gap = reference_alpha(5, 16).value - beta
-        assert Fraction(1, 4) < crude_gap / true_gap < 4
 
 
 class TestTable:

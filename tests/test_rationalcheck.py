@@ -115,19 +115,40 @@ class TestRationalCoincidences:
 
 
 class TestPointKernel:
-    def test_indices_evaluated_only_when_compared(self, monkeypatch):
-        # per point the m <= M, and 2m only for the odd m in (M/2, M]
-        # that the negative point reads: 50 + 12 indices at M = 50
+    def test_each_index_evaluated_once_per_sign(self, monkeypatch):
+        # per point every m <= M at a/b and again at -a/b: 2 * 50 indices
         calls = []
         evaluate = rationalcheck.eval_homogeneous_cyclotomic
         monkeypatch.setattr(
-            rationalcheck, "eval_homogeneous_cyclotomic", lambda m, a, b: calls.append(m) or evaluate(m, a, b)
+            rationalcheck, "eval_homogeneous_cyclotomic", lambda m, a, b: calls.append((m, a, b)) or evaluate(m, a, b)
         )
         rep = verify_rational_coincidences(5, 50)
         assert (rep.points_checked, rep.coincidences) == (5, ())
-        assert len(calls) == 5 * 62
-        assert sorted(set(calls)) == list(range(1, 51)) + list(range(54, 101, 4))
+        assert len(calls) == 500
+        assert sorted(calls) == sorted((m, s * a, b) for a, b in ((3, 2), (4, 3), (5, 2), (5, 3), (5, 4))
+                                       for s in (1, -1) for m in range(1, 51))
         calls.clear()
         rep = verify_integer_coincidences(10, 50)
         assert (rep.pairs_checked, rep.coincidences) == (22050, ((2, 2, 6),))
-        assert len(calls) == 9 * 62
+        assert len(calls) == 900
+        assert sorted(calls) == sorted((m, s * a, 1) for a in range(2, 11) for s in (1, -1) for m in range(1, 51))
+
+
+class TestBruteForceOracle:
+    @staticmethod
+    def equal_pairs(x, M):
+        values = [eval_rational(cyclotomic(m), x) for m in range(1, M + 1)]
+        return [(m, n) for m in range(1, M + 1) for n in range(m + 1, M + 1) if values[m - 1] == values[n - 1]]
+
+    @pytest.mark.parametrize("M", [6, 12, 20])
+    def test_reports_list_exactly_the_equal_pairs(self, M):
+        # every pair found by evaluating the full polynomials at +-x, with no
+        # use of the kernel or of the negative-argument identities
+        integers = [(s * a, m, n) for a in range(2, 7) for s in (1, -1) for m, n in self.equal_pairs(s * a, M)]
+        assert verify_integer_coincidences(6, M).coincidences == tuple(sorted(integers))
+        fractions = [
+            (f"{s * a}/{b}", m, n)
+            for a in range(3, 6) for b in range(2, a) if gcd(a, b) == 1
+            for s in (1, -1) for m, n in self.equal_pairs(Fraction(s * a, b), M)
+        ]
+        assert verify_rational_coincidences(5, M).coincidences == tuple(sorted(fractions))
