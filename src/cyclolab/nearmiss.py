@@ -97,7 +97,7 @@ def _largest_real_root(poly: IntPoly, digits: int) -> tuple[BigFloat, bool]:
     if top is not None:
         return refine_root(poly, top, digits), False
     chain = _sturm_chain(list(poly.coeffs))
-    sf, ivs = _isolate_chain(chain)
+    sf, ivs, _ = _isolate_chain(chain)
     if not ivs:
         raise ValueError("polynomial has no real roots")
     top = ivs[-1]

@@ -50,7 +50,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, lcm, prod
+from math import gcd, isfinite, lcm, prod
 from operator import add, sub
 
 from .arith import factorize, profile
@@ -245,11 +245,59 @@ def _eval_int_scaled(cs, a: int, b: int) -> int:
         for c in cs[-2::-1]:
             v = v * a + c
         return v
+    if not b & (b - 1):  # b = 2^s: each power of b is a shift
+        s = b.bit_length() - 1
+        sh = 0
+        for c in cs[-2::-1]:
+            sh += s
+            v = v * a + (c << sh)
+        return v
     bb = 1
     for c in cs[-2::-1]:
         bb *= b
         v = v * a + c * bb
     return v
+
+
+def _float_root(cs, lo: int, hi: int, d: int, flo: int, fhi: int) -> float | None:
+    """A float estimate of the one root of p in (lo/d, hi/d), or None.
+
+    flo and fhi are p's scaled values at the ends, of opposite signs.
+    Newton's method on float coefficients starts at the secant through
+    them and stays inside the float bracket, which each iterate's float
+    sign narrows; a step that would leave the bracket, or that is not
+    half the one before, bisects it instead.  The estimate only predicts
+    where the root is and proves nothing.  Overflow, or no Newton step
+    below 2^-50 |x| within 100 iterations, gives None.
+    """
+    try:
+        fcs = [float(c) for c in reversed(cs)]
+        a, b = lo / d, hi / d
+        x = a + (b - a) * (flo / (flo - fhi))
+    except OverflowError:
+        return None
+    up = flo < 0  # p rises through the root
+    step = b - a
+    for _ in range(100):
+        v = dv = 0.0
+        for c in fcs:
+            dv = dv * x + v
+            v = v * x + c
+        if not (isfinite(v) and isfinite(dv)):
+            return None
+        if (v < 0) == up:
+            a = x
+        else:
+            b = x
+        dx = v / dv if dv else b - a
+        if abs(dx) <= abs(x) * 2 ** -50:
+            return x - dx
+        nx = x - dx
+        if not (a < nx < b and 2 * abs(dx) <= step):
+            nx = (a + b) / 2
+        step = abs(nx - x)
+        x = nx
+    return None
 
 
 def _eval_fraction(cs, x: Fraction) -> Fraction:

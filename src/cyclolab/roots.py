@@ -13,7 +13,8 @@ before any PRS: Yun's factors come from the chain of q = p/x^k, with x
 joined to the factor of multiplicity k, and a squarefree q is isolated on
 that same chain.  Bisection evaluates the chain once at each point: its
 first value tells whether the point is a root and gives the isolating
-intervals' end signs.
+intervals' end signs.  At -B and B it takes the chain's signs at
+-+infinity from the leading terms, and at 0 the constant terms.
 No real verdict, and no real bracket, depends on floating point.
 Descartes' rule of signs certifies a single bracket (``_descartes_in``):
 0 sign variations prove it empty, 1 proves it holds exactly one simple
@@ -22,10 +23,12 @@ root.  Its transformed polynomial is one packed homogeneous value
 kernel that also packs the window's values.
 Refinement walks the bisection grid on integers by quadratic interval
 refinement, returns the bracket bisection would, and recovers rational
-roots exactly.  Records are built from the integers in hand, and a
-Fraction is formed only for a field a BigFloat stores: a real record's
-residual and modulus come from the refined bracket's integer ends over
-one denominator.
+roots exactly; past the rational-root test a float Newton estimate only
+chooses the grid point of its next step.  Records are built from the
+integers in hand, and a Fraction is formed only for a field a BigFloat
+stores: a real record's refinement starts from bisection's values at the
+interval's ends, and its residual is |p| at the final cell's ends, which
+refinement holds.
 This module also holds what the window and the complex path share: the
 window's regions and its known exception, the root records and the
 worker pool.  The root-window certificate lives in ``window``, and complex
@@ -37,6 +40,7 @@ from __future__ import annotations
 import os
 import signal
 from fractions import Fraction
+from math import frexp
 
 from .certified import BigFloat, ZERO, _from_bracket, _round_half_even
 from .polycore import (
@@ -45,6 +49,7 @@ from .polycore import (
     _digit_bytes,
     _divmod_exact,
     _eval_int_scaled,
+    _float_root,
     _gaussian_scale,
     _packed,
     _sub,
@@ -270,20 +275,24 @@ def _descartes_in(cs, lo: Fraction, hi: Fraction) -> int:
 
 
 def _chain_at(chain, a: int, b: int) -> tuple[int, int]:
-    # the sign of chain[0] at the rational point a/b (b >= 1) and, when it
-    # is not 0, the chain's sign variations there
-    first = _sign(_eval_int_scaled(chain[0], a, b))
-    if not first:
-        return 0, 0
-    last = first
-    var = 0
-    for cs in chain[1:]:
-        s = _sign(_eval_int_scaled(cs, a, b))
-        if s:
-            if s != last:
-                var += 1
-            last = s
-    return first, var
+    # chain[0]'s scaled value b^deg p(a/b) at a point a/b in lowest terms
+    # (b >= 1) and, when it is not 0, the chain's sign variations there;
+    # at 0 each value is the constant term
+    if not a:
+        values = (cs[0] for cs in chain)
+    else:
+        values = (_eval_int_scaled(cs, a, b) for cs in chain)
+    first = next(values)
+    return (first, _variations([first, *values])) if first else (0, 0)
+
+
+def _variations_at(chain, x: Fraction | None, side: int) -> int:
+    # the chain's sign variations at x, not a root of chain[0], or at side *
+    # infinity (side = +-1) when x is None: there each element has the sign
+    # of its leading coefficient, times (-1)^deg at -infinity
+    if x is None:
+        return _variations([cs[-1] if side > 0 or len(cs) % 2 else -cs[-1] for cs in chain])
+    return _chain_at(chain, x.numerator, x.denominator)[1]
 
 
 def _cauchy_bound(cs) -> int:
@@ -306,12 +315,8 @@ def _strip_root_at(cs, a: int, b: int):
 
 def _count_on_chain(chain, lo: Fraction | None, hi: Fraction | None) -> int:
     # distinct roots in (lo, hi) of the p a Sturm chain starts with, lo and
-    # hi not roots of p; an infinite end (None) is -B or B, B the Cauchy
-    # bound of p, which every root lies strictly inside
-    B = _cauchy_bound(chain[0])
-    lo = Fraction(-B) if lo is None else lo
-    hi = Fraction(B) if hi is None else hi
-    return _chain_at(chain, lo.numerator, lo.denominator)[1] - _chain_at(chain, hi.numerator, hi.denominator)[1]
+    # hi not roots of p; an infinite end is None
+    return _variations_at(chain, lo, -1) - _variations_at(chain, hi, 1)
 
 
 def sturm_count(p: IntPoly, lo: Fraction | None, hi: Fraction | None) -> int:
@@ -320,8 +325,8 @@ def sturm_count(p: IntPoly, lo: Fraction | None, hi: Fraction | None) -> int:
     ``None`` endpoints mean -infinity / +infinity.  Endpoints that happen
     to be roots are divided out of p exactly and re-accounted; the count
     is then read off the Sturm chain of what is left, which counts
-    distinct roots whether or not it is squarefree.  An infinite end is
-    replaced by -B or B, B the Cauchy bound, past which there is no root.
+    distinct roots whether or not it is squarefree.  At an infinite end
+    each chain element has the sign of its leading term.
     """
     if p.is_zero():
         raise ValueError("sturm_count is undefined for the zero polynomial")
@@ -368,9 +373,12 @@ def _sign_at(cs, x: Fraction) -> int:
 
 def _isolate_bisection(cs, chain) -> list[tuple[tuple, tuple]]:
     # one (lo, hi) bracket per distinct real root of the p the chain starts
-    # with, each end a point (x, sign of chain[0] at x, variations at x).
-    # The chain is evaluated once at each point, and its first value also
-    # tells whether x is a root: p and its squarefree part cs share roots
+    # with, each end a point (x, chain[0]'s scaled value at x, variations at
+    # x).  The chain is evaluated once at each point, and its first value
+    # also tells whether x is a root: p and its squarefree part cs share
+    # roots.  The ends -B and B of the Cauchy bound take the variations at
+    # -infinity and infinity, with no value: no root of p lies beyond them,
+    # and each count is a difference against a point between them
     def at(x: Fraction) -> tuple:
         return (x, *_chain_at(chain, x.numerator, x.denominator))
 
@@ -403,7 +411,7 @@ def _isolate_bisection(cs, chain) -> list[tuple[tuple, tuple]]:
         recurse(mid, hi)
 
     B = _cauchy_bound(cs)
-    recurse(at(Fraction(-B)), at(Fraction(B)))
+    recurse((Fraction(-B), None, _variations_at(chain, None, -1)), (Fraction(B), None, _variations_at(chain, None, 1)))
     return sorted(out)
 
 
@@ -426,18 +434,22 @@ def isolate_real_roots(p: IntPoly) -> list[IsolatingInterval]:
     return _isolate_chain(_sturm_chain(cs))[1]
 
 
-def _isolate_chain(chain) -> tuple[list[int], list[IsolatingInterval]]:
-    # the squarefree part of the primitive p a Sturm chain starts with, and
-    # isolate_real_roots(p), both read off that one chain
+def _isolate_chain(chain) -> tuple[list[int], list[IsolatingInterval], list[tuple[int, int]]]:
+    # the squarefree part cs of the primitive p a Sturm chain starts with,
+    # isolate_real_roots(p), and cs's scaled values at each interval's ends,
+    # each over that end's own denominator, all read off that one chain
     cs = _squarefree_of(chain)
-    out = []
-    for (a, sa, _), (b, sb, _) in _isolate_bisection(cs, chain):
-        if cs is not chain[0]:  # p is not squarefree: the signs are cs's own
-            sa, sb = _sign_at(cs, a), _sign_at(cs, b)
+    out, ends = [], []
+    for (a, va, _), (b, vb, _) in _isolate_bisection(cs, chain):
+        # cs's own values where p is not squarefree, and at -B and B
+        va, vb = (_eval_int_scaled(cs, x.numerator, x.denominator) if v is None or cs is not chain[0] else v
+                  for x, v in ((a, va), (b, vb)))
+        sa, sb = _sign(va), _sign(vb)
         if sa == 0 or sb == 0 or sa == sb:
             raise AssertionError("isolating interval lost its sign change")
         out.append(IsolatingInterval(a, b, sa, sb))
-    return cs, out
+        ends.append((va, vb))
+    return cs, out, ends
 
 
 def _first_level(a: int, den: int) -> int:
@@ -448,7 +460,7 @@ def _first_level(a: int, den: int) -> int:
     return k + (a >= den << k)
 
 
-def _qir_cell(cs, lo: int, w: int, den: int, cell: tuple, K: int) -> tuple | Fraction:
+def _qir_cell(cs, lo: int, w: int, den: int, cell: tuple, K: int, guess: tuple | None = None) -> tuple | Fraction:
     """Quadratic interval refinement on the bisection grid of (lo, lo + w)/den.
 
     Cell j of level k is ((lo 2^k + j w), (lo 2^k + (j + 1) w)) / (den 2^k).
@@ -462,8 +474,10 @@ def _qir_cell(cs, lo: int, w: int, den: int, cell: tuple, K: int) -> tuple | Fra
     points: the cell from one of them to the far end is taken when it is
     a cell of the grid, and one bisection step is taken when neither is,
     so no grid point is evaluated twice.  With g = 1 a step is one
-    bisection step.  Returns the cell of level K, or the root itself
-    when an evaluated grid point is one.
+    bisection step.  A ``guess`` (u, v) is the first step's predictor in
+    place of the secant: the grid point nearest u/v.
+    Returns the cell of level K, or the root itself when an evaluated
+    grid point is one.
     """
     deg = len(cs) - 1
     k, j, flo, fhi, g = cell
@@ -472,8 +486,13 @@ def _qir_cell(cs, lo: int, w: int, den: int, cell: tuple, K: int) -> tuple | Fra
         g = min(g, K - k)
         n = 1 << g
         base, d = (lo << k + g) + (j << g) * w, den << k + g
-        a, b = abs(flo), abs(fhi)
-        m = min(max((2 * a * n + a + b) // (2 * (a + b)), 1), n - 1)  # nearest grid point to the secant root
+        if guess:  # the grid point nearest u/v
+            (u, v), guess = guess, None
+            m = (2 * (u * d - base * v) + w * v) // (2 * w * v)
+        else:  # the grid point nearest the secant root
+            a, b = abs(flo), abs(fhi)
+            m = (2 * a * n + a + b) // (2 * (a + b))
+        m = min(max(m, 1), n - 1)
         fm = _eval_int_scaled(cs, base + m * w, d)
         if not fm:
             return Fraction(base + m * w, d)
@@ -545,12 +564,29 @@ def refine_root(p: IntPoly, iv: IsolatingInterval, digits: int) -> BigFloat:
     point that is a root is returned exactly, as bisection returns it: it
     meets that point as a midpoint, unless the candidate test finds the
     same root first.
+
+    Once the candidate test has failed, the root is irrational, no grid
+    point is a root, and the result is the one cell of the first level
+    from K on that rounds, whatever path leads there.  A float Newton
+    estimate (``polycore._float_root``) then places QIR's next step: its
+    nearest grid point predicts the cell at K at once, or at the level
+    about 2^-50 |x| wide when K is finer.  Exact signs accept or reject
+    that cell as they do any other, and a rejected guess only halves the
+    step.
     """
+    return _refine(list(p.coeffs), iv, digits)[0]
+
+
+def _refine(cs, iv: IsolatingInterval, digits: int, ends=(None, None)) -> tuple[BigFloat, Fraction]:
+    # refine_root(p, iv, digits) and max |p| at the ends of its bracket (0
+    # at an exact root): the residual.  ``ends`` holds p's scaled values at
+    # iv's ends where known, each over that end's own dyadic denominator
     if digits < 1:
         raise ValueError("digits must be positive")
-    cs = list(p.coeffs)
     lo, hi, den = _gaussian_scale(iv.lo, iv.hi)  # the bracket is (lo/den, hi/den)
-    flo, fhi = _eval_int_scaled(cs, lo, den), _eval_int_scaled(cs, hi, den)
+    deg = len(cs) - 1
+    flo, fhi = (_eval_int_scaled(cs, x, den) if v is None else v << (den.bit_length() - e.denominator.bit_length()) * deg
+                for x, e, v in ((lo, iv.lo, ends[0]), (hi, iv.hi, ends[1])))
     if _sign(flo) != iv.sign_lo or _sign(fhi) != iv.sign_hi:
         raise ValueError("interval endpoint signs are not those of p")
     lead, scale = abs(cs[-1]), 10 ** digits
@@ -559,19 +595,25 @@ def refine_root(p: IntPoly, iv: IsolatingInterval, digits: int) -> BigFloat:
     kt = _first_level(w * lead, den)
     cell = _qir_cell(cs, lo, w, den, (0, 0, flo, fhi, 1), kt)
     if isinstance(cell, Fraction):
-        return BigFloat(cell, prec, ZERO)
+        return BigFloat(cell, prec, ZERO), ZERO
     a, dt = (lo << kt) + cell[1] * w, den << kt
     c = -(-a * lead // dt)  # c/L, c = ceil(L * a/dt): the one multiple of 1/L left
     if a * lead < c * dt < (a + w) * lead and _eval_int_scaled(cs, c, lead) == 0:
-        return BigFloat(Fraction(c, lead), prec, ZERO)
+        return BigFloat(Fraction(c, lead), prec, ZERO), ZERO
     level = max(kt, _first_level(w * scale, den))
+    x = _float_root(cs, a, a + w, dt, cell[2], cell[3])
+    g = min(level, w.bit_length() - den.bit_length() + 50 - frexp(x)[1]) - kt if x else 0
+    guess = None
+    if g > 0:  # one step to K, or to the level about 2^-50 |x| wide, that x predicts
+        cell, guess = cell[:4] + (g,), x.as_integer_ratio()
     while True:
-        cell = _qir_cell(cs, lo, w, den, cell, level)
+        cell = _qir_cell(cs, lo, w, den, cell, level, guess)
         if isinstance(cell, Fraction):
-            return BigFloat(cell, prec, ZERO)
+            return BigFloat(cell, prec, ZERO), ZERO
+        guess = None
         a, d = (lo << level) + cell[1] * w, den << level
         if _round_half_even(a * scale, d) == _round_half_even((a + w) * scale, d):
-            return _from_bracket(a, a + w, d, prec)
+            return _from_bracket(a, a + w, d, prec), Fraction(max(abs(cell[2]), abs(cell[3])), d ** deg)
         level += 1
 
 
@@ -597,14 +639,15 @@ class CoincidenceRecord(Record):
     _defaults = {"max_abs_real": None, "window_violations": ()}
 
 
-def _real_root_record(poly_id, p: IntPoly, iv: IsolatingInterval, digits: int, mult: int) -> RootRecord:
-    # residuals are taken against the squarefree factor that carries the
-    # root.  The bracket is (c -+ r)/den, so |p| at its ends is two scaled
-    # integer values, and the modulus is the value itself, its negation, or
-    # [0, max(|ends|)] when the bracket straddles 0
-    val = refine_root(p, iv, digits)
+def _real_root_record(poly_id, p: IntPoly, iv: IsolatingInterval, digits: int, mult: int,
+                      ends=(None, None)) -> RootRecord:
+    # residuals are |p| at the refined bracket's ends, p the squarefree
+    # factor that carries the root, as refinement leaves them (``ends`` as
+    # _refine takes them).  The bracket is (c -+ r)/den, and the modulus is
+    # the value itself, its negation, or [0, max(|ends|)] when the bracket
+    # straddles 0
+    val, res = _refine(list(p.coeffs), iv, digits, ends)
     c, r, den = _gaussian_scale(val.value, val.error_bound)
-    res = max(abs(_eval_int_scaled(p.coeffs, x, den)) for x in {c - r, c + r})
     if c >= r:
         modulus = val
     elif c <= -r:
@@ -617,7 +660,7 @@ def _real_root_record(poly_id, p: IntPoly, iv: IsolatingInterval, digits: int, m
         value=val,
         modulus=modulus,
         digits=digits,
-        residual=BigFloat(Fraction(res, den ** p.degree), val.precision_bits, ZERO),
+        residual=BigFloat(res, val.precision_bits, ZERO),
         multiplicity=mult,
     )
 
@@ -635,9 +678,9 @@ def real_coincidence_roots(m: int, n: int, digits: int = 15) -> CoincidenceRecor
     records: list[RootRecord] = []
     if d.degree >= 1:
         for f, mult, chain in _squarefree_factors(_primitive(list(d.coeffs))):
-            factor, ivs = _isolate_chain(chain or _sturm_chain(f))
-            for iv in ivs:
-                records.append(_real_root_record((a, b), IntPoly(factor), iv, digits, mult))
+            factor, ivs, ends = _isolate_chain(chain or _sturm_chain(f))
+            for iv, e in zip(ivs, ends):
+                records.append(_real_root_record((a, b), IntPoly(factor), iv, digits, mult, e))
     records.sort(key=lambda r: r.value.value)
     max_abs = None
     violations = []

@@ -166,6 +166,15 @@ class TestScaledHorner:
         assert _eval_int_scaled(cs, a, b) == fraction_horner(cs, a, b)
         assert _eval_int_scaled(tuple(cs), a, b) == fraction_horner(cs, a, b)
 
+    @pytest.mark.parametrize("s", range(201))
+    def test_dyadic_points(self, s):
+        # b = 2^s takes the shifts c << s k in place of powers of b
+        b = 1 << s
+        polys = [[], [7], [0, 0, 0, 1], [5, 0, 0, -2, 0], [-1, 1] * 9 + [3], [1 << 90, 0, -(1 << 70), 3]]
+        for cs in polys:
+            for a in (0, 1, -1, -3, b + 1, -b - 1, -(1 << 61) + 1, 12345 * b - 1):
+                assert _eval_int_scaled(cs, a, b) == fraction_horner(cs, a, b), (cs, a, s)
+
 
 def gaussian_horner_oracle(cs, re, im):
     # plain Fraction Horner on (vr + vi i) * (re + im i) + c

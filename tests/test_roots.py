@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from cyclolab import complexroots as complex_mod, nearmiss, roots as roots_mod, window as window_mod
+from cyclolab import complexroots as complex_mod, nearmiss, polycore as polycore_mod, roots as roots_mod, window as window_mod
 from cyclolab.certified import BigFloat, ZERO, decimal_in_interval, from_interval, sqrt_interval
 from cyclolab.cli import _record_line, _root_record_obj, dispatch
 from cyclolab.complexroots import (
@@ -985,7 +985,7 @@ def unsplit_real_roots(m, n):
         return ()
     records = []
     for f, mult in unsplit_factors(_primitive(list(d.coeffs))):
-        factor, ivs = roots_mod._isolate_chain(roots_mod._sturm_chain(list(f.coeffs)))
+        factor, ivs, _ = roots_mod._isolate_chain(roots_mod._sturm_chain(list(f.coeffs)))
         records += [roots_mod._real_root_record((m, n), IntPoly(factor), iv, 15, mult) for iv in ivs]
     return tuple(sorted(records, key=lambda r: r.value.value))
 
@@ -1099,7 +1099,10 @@ class TestIsolationEvaluations:
     def test_squarefree_part_evaluated_once_per_point(self, monkeypatch):
         # one chain evaluation per bisection point: the squarefree part's
         # sign there is read from chain[0], and the isolating intervals'
-        # end signs come from those same values
+        # end signs come from those same values.  A chain with no real root
+        # needs no evaluation (its signs at +-infinity are those of its
+        # leading terms), so the guard against a vacuous pass is the number
+        # of points over all chains
         evaluated = []
         kernel = roots_mod._eval_int_scaled
         isolate = roots_mod._isolate_chain
@@ -1110,19 +1113,132 @@ class TestIsolationEvaluations:
 
         def checked(chain):
             evaluated.clear()
-            cs, ivs = isolate(chain)
+            cs, ivs, ends = isolate(chain)
             points = [(a, b) for f, a, b in evaluated if f == tuple(cs)]
-            assert points and len(points) == len(set(points)), cs
+            assert len(points) == len(set(points)), cs
+            npoints.append(len(points))
             calls.append(len(ivs))
-            return cs, ivs
+            return cs, ivs, ends
 
-        calls = []
+        calls, npoints = [], []
         monkeypatch.setattr(roots_mod, "_eval_int_scaled", counted)
         monkeypatch.setattr(roots_mod, "_isolate_chain", checked)
         for m in range(1, 25):
             for n in range(m + 1, 25):
                 real_coincidence_roots(m, n, 15)
         assert len(calls) > 200 and sum(calls) > 200
+        assert sum(npoints) > 1000  # 1209 points
+
+
+class TestRealEvaluationCount:
+    def test_pairs_up_to_24(self, monkeypatch):
+        # exact evaluations of real_coincidence_roots over the pairs
+        # m < n <= 24, counted at every binding of the kernel: 8939, against
+        # 16982 when refinement restarted QIR at one bit per step, the
+        # chains were evaluated at -B, 0 and B, and refinement and the
+        # records evaluated the bracket ends again
+        calls = []
+        kernel = polycore_mod._eval_int_scaled
+
+        def counted(cs, a, b):
+            calls.append(1)
+            return kernel(cs, a, b)
+
+        for mod in (polycore_mod, roots_mod):
+            monkeypatch.setattr(mod, "_eval_int_scaled", counted)
+        for m in range(1, 25):
+            for n in range(m + 1, 25):
+                real_coincidence_roots(m, n, 15)
+        assert len(calls) <= 8939
+
+
+def _predictor_cases():
+    # every root of the pairs up to 24, the ten near-miss roots, the limit
+    # families and the table1 rows (refined at 27 digits)
+    out = [(real_coincidence_roots, m, n, 15) for n in range(2, 25) for m in range(1, n)]
+    out += [(nearmiss.near_miss_root, p, q, 15) for p in (2, 3)
+            for q, _ in nearmiss.find_triples(p, 200) if 128 < (p - 1) * (q - 1) <= 200]
+    primes = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    params = {"three_p": primes, "six_p": primes, "thirty_p": [7, 11, 13], "primorial": [3, 4]}
+    out += [(nearmiss.limit_family_root, f, k, 14) for f, ks in params.items() for k in ks]
+    out.append((nearmiss.table1, nearmiss.TABLE_ROWS, 15))
+    return out
+
+
+@pytest.fixture(scope="module")
+def unpatched_results():
+    return [fn(*args) for fn, *args in _predictor_cases()]
+
+
+class TestFloatPredictor:
+    # the float estimate only chooses which grid point QIR evaluates next:
+    # no estimate, a wrong one, or a rough one gives the same values, error
+    # bounds and residuals
+    @pytest.mark.parametrize("predictor", ["none", "lower-end", "off-by-1e-3", "real"])
+    def test_cannot_change_a_result(self, monkeypatch, unpatched_results, predictor):
+        estimate = roots_mod._float_root
+        calls = []
+
+        def patched(cs, lo, hi, d, flo, fhi):
+            calls.append(1)
+            x = estimate(cs, lo, hi, d, flo, fhi)
+            return {"none": None, "lower-end": lo / d, "off-by-1e-3": x and x + 1e-3, "real": x}[predictor]
+
+        monkeypatch.setattr(roots_mod, "_float_root", patched)
+        cases = _predictor_cases()
+        assert len(cases) == 276 + 10 + 35 + 1
+        for (fn, *args), want in zip(cases, unpatched_results):
+            assert fn(*args) == want, (fn.__name__, args[:2])
+        assert len(calls) > 250  # 259 estimates
+
+
+class TestInfiniteEnds:
+    # isolation and sturm_count take a chain's signs at -infinity and
+    # infinity from its leading terms, where the chain used to be evaluated
+    # at -B and B, B the Cauchy bound of its squarefree part.  A later
+    # element may change sign beyond B, so the variations there can
+    # differ, but each count is a difference against a point between -B
+    # and B, beyond which p has no root
+    PLANTED = [-3, 3, 0, 0, 1, 3]  # 3x^5 + x^4 + 3x - 3, B = 2
+
+    @staticmethod
+    def variations_at_bound(chain, x, side, variations_at=roots_mod._variations_at):
+        # an infinite end evaluated at side * B
+        if x is not None:
+            return variations_at(chain, x, side)
+        B = _cauchy_bound(roots_mod._squarefree_of(chain))
+        signs = [v > 0 for v in (_eval_int_scaled(cs, side * B, 1) for cs in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    @staticmethod
+    def changes_beyond_bound(chain):
+        # the (index, side) of each chain element whose sign at side * B
+        # is not its sign at side * infinity
+        B = _cauchy_bound(roots_mod._squarefree_of(chain))
+        return [(i, side) for i, cs in enumerate(chain) for side in (-1, 1)
+                if (_eval_int_scaled(cs, side * B, 1) > 0) != ((cs[-1] if side > 0 or len(cs) % 2 else -cs[-1]) > 0)]
+
+    def chains(self):
+        out = [_primitive(list(difference(m, n).coeffs)) for n in range(2, 37) for m in range(1, n)]
+        return [roots_mod._sturm_chain(cs) for cs in out + [self.PLANTED] if len(cs) > 1]
+
+    def test_witnesses_change_sign_beyond_bound(self):
+        planted = roots_mod._sturm_chain(self.PLANTED)
+        assert planted[2] == [57, -45, 0, 1]
+        assert self.changes_beyond_bound(planted) == [(2, -1), (2, 1)]
+        for n, side in ((13, -1), (15, 1), (17, -1)):
+            chain = roots_mod._sturm_chain(_primitive(list(difference(1, n).coeffs)))
+            assert self.changes_beyond_bound(chain) == [(4, side)]
+        assert sum(bool(self.changes_beyond_bound(chain)) for chain in self.chains()) > 100
+
+    def test_isolation_and_count_match_evaluation_at_bound(self, monkeypatch):
+        chains = self.chains()
+        assert len(chains) == 629 + 1
+        got = [(roots_mod._isolate_chain(chain), sturm_count(IntPoly(chain[0]), None, None)) for chain in chains]
+        monkeypatch.setattr(roots_mod, "_variations_at", self.variations_at_bound)
+        for chain, (isolated, count) in zip(chains, got):
+            assert isolated == roots_mod._isolate_chain(chain), chain[0]
+            assert count == sturm_count(IntPoly(chain[0]), None, None) == len(isolated[1]), chain[0]
 
 
 class TestComplexScan:
