@@ -16,18 +16,10 @@ from fractions import Fraction
 
 from .arith import is_prime, primes_up_to, primorial, profile
 from .certified import BigFloat, from_interval
-from .polycore import IntPoly, _root_free_from, difference
+from .polycore import IntPoly, _descartes_in, _eval_int_scaled, difference
 from .record import Record
-from .roots import (
-    IsolatingInterval,
-    _count_on_chain,
-    _descartes_in,
-    _isolate_chain,
-    _sign_at,
-    _squarefree_of,
-    _sturm_chain,
-    refine_root,
-)
+from .roots import (IsolatingInterval, _count_on_chain, _isolate_chain, _refine, _roots_in, _sign, _squarefree_of,
+                    _sturm_chain)
 
 
 def psi(k: int) -> IntPoly:
@@ -54,27 +46,26 @@ def reference_alpha(p: int, digits: int = 15) -> BigFloat:
     return alpha_root(p + 1, digits)
 
 
-def _top_bracket(cs) -> IsolatingInterval | None:
-    # an isolating interval for the largest real root when it lies in
-    # (0, 2), or None.  [2, inf) is root-free when p(2 + t) has a nonzero
-    # constant term and no sign variation; (0, 2) is then bisected
-    # rightmost first, each open piece passed over proven empty (0
-    # variations) and its left end proven no root, until a piece shows 1
-    # variation and a sign change
-    if not _root_free_from(cs, 2):
-        return None
+def _top_bracket(cs, vhi: int) -> tuple[IsolatingInterval, tuple[int, int]] | None:
+    # an isolating interval for the largest real root of a p with no root
+    # in [2, inf), vhi = p(2), and p's scaled values at its ends; or None.
+    # (0, 2) is bisected rightmost first, each open piece passed over proven
+    # empty (0 variations) and its left end, the next piece's right end,
+    # proven no root, until a piece shows 1 variation and its left end is
+    # no root: the one simple root inside then changes p's sign
     stack = [(Fraction(0), Fraction(2))]
     while stack:
         lo, hi = stack.pop()
         count = _descartes_in(cs, lo, hi)
-        slo = _sign_at(cs, lo)
-        if count == 0:
-            if slo == 0:
-                return None
-            continue
-        if count == 1 and slo:
-            shi = _sign_at(cs, hi)
-            return IsolatingInterval(lo, hi, slo, shi) if shi and shi != slo else None
+        if count <= 1:
+            vlo = _eval_int_scaled(cs, lo.numerator, lo.denominator)
+            if count == 0:
+                if not vlo:
+                    return None
+                vhi = vlo
+                continue
+            if vlo:
+                return IsolatingInterval(lo, hi, _sign(vlo), _sign(vhi)), (vlo, vhi)
         if hi - lo < Fraction(1, 1 << 64):
             return None  # close or multiple roots: leave them to the fallback
         mid = (lo + hi) / 2
@@ -85,25 +76,29 @@ def _top_bracket(cs) -> IsolatingInterval | None:
 def _largest_real_root(poly: IntPoly, digits: int) -> tuple[BigFloat, bool]:
     """The largest real root of poly, refined, and whether it fell back.
 
-    Descartes route: p(2) != 0, no sign variation in p(2 + t), and a
-    rightmost-first Descartes bisection of (0, 2) ending on a bracket with
-    one variation and a sign change (``_top_bracket``); the root is then
-    refined on poly itself.  Otherwise the fallback builds the Sturm chain
-    of poly once and reads off it the squarefree part, the isolation of
-    every real root, and a count that confirms no root above the top
-    bracket; it refines there on the squarefree part.
+    Descartes route: p(2) != 0, no variation on (2, inf) (the count of
+    ``roots._roots_in``), and a rightmost-first Descartes bisection of
+    (0, 2) ending on a bracket with one variation (``_top_bracket``); the
+    root is then refined on poly itself, from the values its bracket was
+    proved with.  Otherwise the fallback isolates every real root on the
+    Sturm chain of poly, the one the (2, inf) count built when it showed
+    two or more variations, and refines the top bracket on the squarefree
+    part read off that chain, after a count on it confirms no root above
+    that bracket.
     """
-    top = _top_bracket(list(poly.coeffs))
+    cs = list(poly.coeffs)
+    v2 = _eval_int_scaled(cs, 2, 1)
+    above, chain = _roots_in(cs, 2, None) if v2 else (None, None)
+    top = _top_bracket(cs, v2) if above == 0 and chain is None else None
     if top is not None:
-        return refine_root(poly, top, digits), False
-    chain = _sturm_chain(list(poly.coeffs))
-    sf, ivs, _ = _isolate_chain(chain)
+        return _refine(cs, top[0], digits, top[1])[0], False
+    chain = chain or _sturm_chain(cs)
+    sf, ivs, ends = _isolate_chain(chain)
     if not ivs:
         raise ValueError("polynomial has no real roots")
-    top = ivs[-1]
-    if _count_on_chain(chain, top.hi, None):
+    if _count_on_chain(chain, ivs[-1].hi, None):
         raise AssertionError("isolation missed a root above the top bracket")
-    return refine_root(IntPoly(sf), top, digits), True
+    return _refine(sf, ivs[-1], digits, ends[-1])[0], True
 
 
 def find_triples(p: int, q_max: int) -> list[tuple[int, int]]:
@@ -209,24 +204,20 @@ def limit_constants(digits: int = 13) -> tuple[BigFloat, BigFloat]:
 
 def _root_in_bracket(poly: IntPoly, lo: Fraction, hi: Fraction, digits: int) -> tuple[BigFloat, bool]:
     # the one root of poly in (lo, hi), refined, and whether it fell back:
-    # one Descartes variation and a sign change certify the bracket for
-    # poly itself; otherwise one Sturm chain of poly gives the squarefree
-    # part, whose endpoint signs must differ, and the count between them
+    # one Descartes variation certifies the bracket for poly itself, and
+    # otherwise the Sturm chain that counts the root gives the squarefree
+    # part it is refined on
     cs = list(poly.coeffs)
-    slo, shi = _sign_at(cs, lo), _sign_at(cs, hi)
-    if slo and shi and slo != shi and _descartes_in(cs, lo, hi) == 1:
-        return refine_root(poly, IsolatingInterval(lo, hi, slo, shi), digits), False
-    chain = _sturm_chain(cs)
-    sf = _squarefree_of(chain)
-    slo, shi = _sign_at(sf, lo), _sign_at(sf, hi)
-    if slo == 0 or shi == 0:
+    ends = [_eval_int_scaled(cs, x.numerator, x.denominator) for x in (lo, hi)]
+    if not all(ends):
         raise ValueError("bracket endpoints must not be roots")
-    count = _count_on_chain(chain, lo, hi)
+    count, chain = _roots_in(cs, lo, hi)
     if count != 1:
         raise ValueError(f"bracket ({float(lo)}, {float(hi)}) holds {count} roots, need exactly 1")
-    if slo == shi:
-        raise ValueError("bracket endpoints must produce a sign change")
-    return refine_root(IntPoly(sf), IsolatingInterval(lo, hi, slo, shi), digits), True
+    sf = _squarefree_of(chain) if chain else cs
+    if sf != cs:
+        cs, ends = sf, [_eval_int_scaled(sf, x.numerator, x.denominator) for x in (lo, hi)]
+    return _refine(cs, IsolatingInterval(lo, hi, *map(_sign, ends)), digits, ends)[0], chain is not None
 
 
 LIMIT_FAMILIES = ("three_p", "six_p", "thirty_p", "primorial")

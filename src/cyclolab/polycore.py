@@ -34,15 +34,16 @@ base-Y digits once nb bytes hold each of them:
 - Taylor shifts, p(x + s) at a = Y + s, b = 1 (``_packed_shift``);
 - Descartes brackets: for the interval (u/q, w/q), the polynomial
   (q + q t)^d * p((w + u t)/(q + q t)) at t = Y, that is a = w + u Y and
-  b = q + q Y (``roots._descartes_in``);
+  b = q + q Y;
 - products, by Kronecker substitution: the product of two values at Y
   (``IntPoly.__mul__``).
 
-``_packed_root_free`` decides from the packed integer itself, with no
+``_descartes_in`` is the one count of Descartes' sign variations on an
+interval, bounded (a bracket) or with one infinite end (a Taylor shift).
+``_packed_root_free`` decides from a packed Taylor shift itself, with no
 unpacking, whether the constant term is nonzero and the signs never
 change, which proves no root x >= s: the root-window certificate applies
-it to differences of cached per-index values, and the near-miss search to
-[2, inf).
+it to differences of cached per-index values.
 """
 from __future__ import annotations
 
@@ -188,16 +189,36 @@ def _packed_root_free(v: int, nb: int, n: int) -> bool:
     return min(raw[nb - 1::nb]) >= 0x80
 
 
-def _root_free_from(cs, s: int) -> bool:
-    """Whether Descartes' rule proves p has no real root x >= s.
+def _variations(cs) -> int:
+    # sign changes along a coefficient list, zeros skipped
+    signs = [c > 0 for c in cs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    The test of ``_packed_root_free`` on p(s + t), the Taylor shift that
-    ``_packed_shift`` packs: a nonzero constant term p(s) and no sign
-    variation.
+
+def _descartes_in(cs, lo, hi) -> int:
+    """Descartes' sign variations of p on the open interval (lo, hi).
+
+    By Descartes' rule of signs the count bounds the number of roots of p
+    in (lo, hi) from above and matches it in parity: 0 proves the interval
+    holds no root, 1 that it holds exactly one root, and that this root is
+    simple.  A bounded interval is mapped to t > 0 by x = (lo + hi t)/(1 + t);
+    with lo = a/q and hi = b/q the count is that of the reversal times q^d,
+    Q(t) = (q + q t)^d * p((b + a t)/(q + q t)), whose coefficients are at
+    most ||p||_1 * max(|a| + |b|, 2q)^d in absolute value.  With nb bytes
+    above that bound and Y = 2^(8 nb), Q(Y) is one packed evaluation whose
+    signed base-Y digits are those coefficients.  An infinite end is None,
+    the other end then an integer: (s, inf) counts the Taylor shift
+    p(s + t) (``_packed_shift``), and (-inf, s) that of p(-x) at -s.
     """
-    if not cs:
-        return False  # the zero polynomial vanishes everywhere
-    return _packed_root_free(*_packed_shift(cs, s), len(cs))
+    if lo is None:  # x < hi exactly when -x > -hi
+        return _descartes_in([-c if i % 2 else c for i, c in enumerate(cs)], -hi, None)
+    if hi is None:
+        return _variations(_unpack(*_packed_shift(cs, lo), len(cs)))
+    a, b, q = _gaussian_scale(lo, hi)  # lo = a/q, hi = b/q
+    d = len(cs) - 1
+    nb = _digit_bytes(sum(map(abs, cs)) * max(abs(a) + abs(b), 2 * q) ** d)
+    y = 1 << 8 * nb
+    return _variations(_unpack(_packed(cs, b + a * y, q + q * y), nb, d + 1))
 
 
 def _content(cs) -> int:

@@ -16,19 +16,18 @@ first value tells whether the point is a root and gives the isolating
 intervals' end signs.  At -B and B it takes the chain's signs at
 -+infinity from the leading terms, and at 0 the constant terms.
 No real verdict, and no real bracket, depends on floating point.
-Descartes' rule of signs certifies a single bracket (``_descartes_in``):
-0 sign variations prove it empty, 1 proves it holds exactly one simple
-root.  Its transformed polynomial is one packed homogeneous value
-(``polycore._packed``) whose digits ``polycore._unpack`` reads, the
-kernel that also packs the window's values.
+One rule counts the roots in an interval (``_roots_in``) for the
+window's exact path and the near-miss brackets: 0 or 1 Descartes sign
+variation (``polycore._descartes_in``) settles the count, and any other
+is read off a Sturm chain built at most once per polynomial.
 Refinement walks the bisection grid on integers by quadratic interval
 refinement, returns the bracket bisection would, and recovers rational
 roots exactly; past the rational-root test a float Newton estimate only
 chooses the grid point of its next step.  Records are built from the
 integers in hand, and a Fraction is formed only for a field a BigFloat
-stores: a real record's refinement starts from bisection's values at the
-interval's ends, and its residual is |p| at the final cell's ends, which
-refinement holds.
+stores: refinement starts from the values at the bracket's ends that
+isolation or the near-miss search proved it with, and a real record's
+residual is |p| at the final cell's ends, which refinement holds.
 This module also holds what the window and the complex path share: the
 window's regions and its known exception, the root records and the
 worker pool.  The root-window certificate lives in ``window``, and complex
@@ -46,15 +45,14 @@ from .certified import BigFloat, ZERO, _from_bracket, _round_half_even
 from .polycore import (
     IntPoly,
     _content,
-    _digit_bytes,
+    _descartes_in,
     _divmod_exact,
     _eval_int_scaled,
     _float_root,
     _gaussian_scale,
-    _packed,
     _sub,
     _trim,
-    _unpack,
+    _variations,
     cyclotomic,
     difference,
 )
@@ -247,33 +245,6 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _variations(cs) -> int:
-    # sign changes along a coefficient list, zeros skipped
-    signs = [c > 0 for c in cs if c]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _descartes_in(cs, lo: Fraction, hi: Fraction) -> int:
-    """Sign variations of (1+t)^d * p((lo + hi*t)/(1+t)), d = deg p.
-
-    By Descartes' rule of signs this bounds the number of roots of p in
-    the open interval (lo, hi) from above and matches it in parity: 0
-    proves the interval holds no root, 1 that it holds exactly one root,
-    and that this root is simple.  Built on integers, with lo = a/q and
-    hi = b/q: the count is that of the reversal times q^d,
-    Q(t) = (q + q t)^d * p((b + a t)/(q + q t)), whose coefficients are at
-    most ||p||_1 * max(|a| + |b|, 2q)^d in absolute value.  With nb bytes
-    above that bound and Y = 2^(8 nb), Q(Y) is one packed evaluation
-    (``polycore._packed``) whose signed base-Y digits are those
-    coefficients (``polycore._unpack``).
-    """
-    a, b, q = _gaussian_scale(lo, hi)  # lo = a/q, hi = b/q
-    d = len(cs) - 1
-    nb = _digit_bytes(sum(map(abs, cs)) * max(abs(a) + abs(b), 2 * q) ** d)
-    y = 1 << 8 * nb
-    return _variations(_unpack(_packed(cs, b + a * y, q + q * y), nb, d + 1))
-
-
 def _chain_at(chain, a: int, b: int) -> tuple[int, int]:
     # chain[0]'s scaled value b^deg p(a/b) at a point a/b in lowest terms
     # (b >= 1) and, when it is not 0, the chain's sign variations there;
@@ -317,6 +288,18 @@ def _count_on_chain(chain, lo: Fraction | None, hi: Fraction | None) -> int:
     # distinct roots in (lo, hi) of the p a Sturm chain starts with, lo and
     # hi not roots of p; an infinite end is None
     return _variations_at(chain, lo, -1) - _variations_at(chain, hi, 1)
+
+
+def _roots_in(cs, lo, hi, chain=None) -> tuple[int, list | None]:
+    # (distinct roots of p in (lo, hi), the chain that counted them), lo
+    # and hi not roots of p, an infinite end None as _descartes_in takes
+    # it: 0 or 1 variation settles the count with no chain (None), and
+    # otherwise p's Sturm chain counts, the one given or one built here
+    count = _descartes_in(cs, lo, hi)
+    if count <= 1:
+        return count, None
+    chain = chain or _sturm_chain(cs)
+    return _count_on_chain(chain, lo, hi), chain
 
 
 def sturm_count(p: IntPoly, lo: Fraction | None, hi: Fraction | None) -> int:
@@ -365,10 +348,6 @@ class IsolatingInterval(Record):
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "sign_lo", sign_lo)
         object.__setattr__(self, "sign_hi", sign_hi)
-
-
-def _sign_at(cs, x: Fraction) -> int:
-    return _sign(_eval_int_scaled(cs, x.numerator, x.denominator))
 
 
 def _isolate_bisection(cs, chain) -> list[tuple[tuple, tuple]]:
@@ -580,12 +559,12 @@ def refine_root(p: IntPoly, iv: IsolatingInterval, digits: int) -> BigFloat:
 def _refine(cs, iv: IsolatingInterval, digits: int, ends=(None, None)) -> tuple[BigFloat, Fraction]:
     # refine_root(p, iv, digits) and max |p| at the ends of its bracket (0
     # at an exact root): the residual.  ``ends`` holds p's scaled values at
-    # iv's ends where known, each over that end's own dyadic denominator
+    # iv's ends where known, each over that end's own denominator
     if digits < 1:
         raise ValueError("digits must be positive")
     lo, hi, den = _gaussian_scale(iv.lo, iv.hi)  # the bracket is (lo/den, hi/den)
     deg = len(cs) - 1
-    flo, fhi = (_eval_int_scaled(cs, x, den) if v is None else v << (den.bit_length() - e.denominator.bit_length()) * deg
+    flo, fhi = (_eval_int_scaled(cs, x, den) if v is None else v * (den // e.denominator) ** deg
                 for x, e, v in ((lo, iv.lo, ends[0]), (hi, iv.hi, ends[1])))
     if _sign(flo) != iv.sign_lo or _sign(fhi) != iv.sign_hi:
         raise ValueError("interval endpoint signs are not those of p")

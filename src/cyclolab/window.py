@@ -7,9 +7,10 @@ difference of values cached once per index, and one sign-byte scan of it
 (``polycore._packed_root_free``) decides the region.  The integers that
 depend only on the digit width and the degree (the padding powers, 3^D
 and the digit bias) are cached once per process too.  A pair those values
-do not clear takes the exact path: endpoint roots divided out, each
-region tested again, and a region whose test is inconclusive counted on
-the Sturm chain of what is left, built at most once per pair.
+do not clear takes the exact path: endpoint roots divided out, and each
+region counted by ``roots._roots_in``, by Descartes when it shows 0 or 1
+variation and otherwise on the Sturm chain of what is left, built at most
+once per pair.
 One rule turns per-pair counts into the window verdict, for the library
 and the real and window-only scans alike (``window_report``).
 """
@@ -18,15 +19,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .polycore import IntPoly, _digit_bytes, _packed, _packed_root_free, _root_free_from, cyclotomic, difference
+from .polycore import IntPoly, _digit_bytes, _packed, _packed_root_free, cyclotomic, difference
 from .record import Record
 from .roots import (
     KNOWN_WINDOW_EXCEPTION,
     WINDOW_REGIONS,
-    _count_on_chain,
     _parallel_map,
+    _roots_in,
     _strip_root_at,
-    _sturm_chain,
     _warm_cyclotomic_cache,
     real_coincidence_roots,
 )
@@ -34,12 +34,8 @@ from .roots import (
 # the nonzero window endpoints -2, -1/2, 1/2, 2 as (numerator, denominator),
 # each closing one of the regions (-inf,-2], [-1/2,0), (0,1/2], [2,inf)
 _WINDOW_POINTS = ((-2, 1), (-1, 2), (1, 2), (2, 1))
-_WINDOW_OPEN = (
-    (None, Fraction(-2)),
-    (Fraction(-1, 2), Fraction(0)),
-    (Fraction(0), Fraction(1, 2)),
-    (Fraction(2), None),
-)
+# the open regions, an infinite end (None) beside an integer one
+_WINDOW_OPEN = ((None, -2), (Fraction(-1, 2), 0), (0, Fraction(1, 2)), (2, None))
 _DIGIT_BUCKET = 8  # packed digit widths round up to a multiple of this many bytes
 
 
@@ -61,17 +57,13 @@ def _window_counts(p: IntPoly) -> tuple[tuple[int, int, int, int], bool, int]:
     for a, b in _WINDOW_POINTS:
         cs, hit = _strip_root_at(cs, a, b)
         hits.append(hit)
-    # cs is now q, primitive, with no root at 0 or at an endpoint
-    counts = []
-    fallbacks = 0
-    chain = None  # q's Sturm chain, built by the first region that needs it
-    for ts, (lo, hi), hit in zip(_region_maps(cs), _WINDOW_OPEN, hits):
-        inside = 0
-        if not _root_free_from(ts, 2):
-            # lo and hi are not roots of q, so the chain counts the open region
-            chain = chain or _sturm_chain(cs)
-            inside = _count_on_chain(chain, lo, hi)
-            fallbacks += 1
+    # cs is now q, with no root at 0 or at an endpoint; the regions share
+    # q's Sturm chain, built by the first one Descartes does not settle
+    counts, fallbacks, chain = [], 0, None
+    for (lo, hi), hit in zip(_WINDOW_OPEN, hits):
+        inside, used = _roots_in(cs, lo, hi, chain)
+        if used is not None:
+            chain, fallbacks = used, fallbacks + 1
         counts.append(inside + hit)
     return tuple(counts), hits[-1], fallbacks
 
@@ -153,9 +145,9 @@ def window_counts(m: int, n: int) -> tuple[tuple[int, int, int, int], bool]:
     sign variation proves the region empty (Descartes' rule of signs).
     The four are first read off cached per-index values
     (``_window_clear``).  A pair they do not clear takes the exact path:
-    roots at -2, -1/2, 0, 1/2 and 2 are divided out, each region is tested
-    again, and a region that shows a variation is counted exactly on the
-    Sturm chain of what is left, one chain per pair.
+    roots at -2, -1/2, 0, 1/2 and 2 are divided out, a region that shows
+    0 or 1 variation is counted by Descartes, and one that shows two or
+    more on the Sturm chain of what is left, one chain per pair.
     """
     counts, at_two, _ = _pair_window(m, n)
     return counts, at_two
@@ -165,7 +157,7 @@ class WindowReport(Record):
     """Outcome of the outer-window certification over all pairs up to M."""
 
     __slots__ = ("max_index", "pairs_checked", "violations", "exception_found",
-                 "sturm_fallbacks")  # regions whose Descartes test was inconclusive
+                 "sturm_fallbacks")  # regions with 2 or more Descartes variations
     _defaults = {"sturm_fallbacks": 0}
 
     @property

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyclolab import roots as roots_mod
 from cyclolab.arith import primes_up_to
 from cyclolab.nearmiss import (
     TABLE_ROWS,
@@ -193,6 +194,24 @@ class TestLimitFamilies:
             limit_family_root("primorial", 2, 10)
         with pytest.raises(ValueError):
             limit_family_root("three_p", 2, 10)  # no root near the limit yet
+
+    def test_bracket_refusals(self, monkeypatch):
+        # an end that is a root is refused before any count; 0 roots are
+        # counted by Descartes alone, 2 on one Sturm chain
+        calls = []
+        prs = roots_mod._prs
+        monkeypatch.setattr(roots_mod, "_prs", lambda a, b: calls.append(1) or prs(a, b))
+        with pytest.raises(ValueError, match="must not be roots"):
+            _root_in_bracket(IntPoly([-1, 2]) * IntPoly([-3, 0, 1]), Fraction(1, 2), Fraction(1), 10)
+        with pytest.raises(ValueError, match="must not be roots"):
+            _root_in_bracket(IntPoly([-1, 2]) * IntPoly([-3, 0, 1]), Fraction(0), Fraction(1, 2), 10)
+        assert calls == []
+        with pytest.raises(ValueError, match="holds 0 roots"):
+            _root_in_bracket(*_family_bracket("three_p", 3), 10)
+        assert calls == []
+        with pytest.raises(ValueError, match="holds 2 roots"):
+            _root_in_bracket(IntPoly([-1, 3]) * IntPoly([-2, 3]), Fraction(0), Fraction(1), 10)
+        assert len(calls) == 1
 
     def test_termwise_series_limit(self):
         # low-order coefficients approach the 1/(1+x+x^2) expansion:

@@ -11,6 +11,7 @@ from cyclolab.polycore import (
     PACKED_BLOCK,
     ExactDivisionError,
     IntPoly,
+    _descartes_in,
     _digit_bytes,
     _eval_gaussian,
     _eval_gaussian_scaled,
@@ -21,15 +22,14 @@ from cyclolab.polycore import (
     _packed,
     _packed_root_free,
     _packed_shift,
-    _root_free_from,
     _unpack,
+    _variations,
     cyclotomic,
     difference,
     eval_homogeneous_cyclotomic,
     eval_rational,
     poly_to_json,
 )
-from cyclolab.roots import _descartes_in, _variations
 
 X_MINUS_1 = IntPoly([-1, 1])
 
@@ -355,11 +355,18 @@ def packed_digits(draw):
     return nb, ds, sum(d << (8 * nb * i) for i, d in enumerate(ds))
 
 
+def flipped(cs):
+    # p(-x)
+    return [-c if i % 2 else c for i, c in enumerate(cs)]
+
+
 class TestPackedRootFree:
     @given(KERNEL_LISTS)
     def test_matches_unpacked_shift(self, cs):
-        cs2 = packed_taylor_shift(cs, 2)
-        assert _root_free_from(cs, 2) == (cs2[0] != 0 and _variations(cs2) == 0)
+        # an infinite end: the variations of the Taylor shift, of p(-x) for
+        # (-inf, -2)
+        assert _descartes_in(cs, 2, None) == _variations(packed_taylor_shift(cs, 2))
+        assert _descartes_in(cs, None, -2) == _variations(packed_taylor_shift(flipped(cs), 2))
 
     @given(packed_digits())
     def test_digits_at_the_bound(self, case):
@@ -378,10 +385,16 @@ class TestPackedRootFree:
             ([0, -2, 1], False),  # root at 2, a zero constant term
             ([1, 0, 0, 1], True),
             ([-1, -1, -1], True),
+            ([-30, 0, 0, 1, 1], False),  # x^4 + x^3 - 30: a root past 2
         ],
     )
     def test_edge_cases(self, cs, expected):
-        assert _root_free_from(cs, 2) is expected
+        # no root in [2, inf) by Descartes: p(2) != 0 and 0 variations on
+        # (2, inf); the mirror (-inf, -2) of p(-x) counts the same
+        count = _descartes_in(cs, 2, None)
+        assert count == _variations(packed_taylor_shift(cs, 2))
+        assert count == _descartes_in(flipped(cs), None, -2)
+        assert (_eval_int_scaled(cs, 2, 1) != 0 and count == 0) is expected
 
 
 def five_step_bracket(cs, lo, hi):

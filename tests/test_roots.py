@@ -348,8 +348,8 @@ def _near_miss_brackets():
     for p in (2, 3):
         for q, r in nearmiss.find_triples(p, 200):
             if 128 < (p - 1) * (q - 1) <= 200:
-                d = difference(p * q, r)
-                out.append((d, nearmiss._top_bracket(list(d.coeffs))))
+                cs = list(difference(p * q, r).coeffs)
+                out.append((IntPoly(cs), nearmiss._top_bracket(cs, _eval_int_scaled(cs, 2, 1))[0]))
     return out
 
 
@@ -460,6 +460,39 @@ class TestRefine:
         iv = roots_mod.IsolatingInterval(Fraction(1), Fraction(2), -1, 1)
         v = refine_root(IntPoly([-2, 0, 1]), iv, 12)
         assert v.error_bound > 0 and v.decimal(12) == "1.414213562373"
+
+
+class TestRefineGivenEnds:
+    # _refine from end values its caller already holds, each over its own
+    # end's denominator, gives what it gives when it evaluates the ends itself
+    @pytest.mark.parametrize("digits", [1, 15, 40])
+    @pytest.mark.parametrize(
+        "poly,lo,hi",
+        [
+            (IntPoly([1, 2, 1, 1]), Fraction(-13, 20), Fraction(-1, 2)),  # rho
+            # rounds at 1 digit as given: the residual is |p| at the ends
+            (IntPoly([1, 2, 1, 1]), Fraction(-13, 20), Fraction(-14, 25)),
+            (difference(3 * 7, 4), Fraction(-13, 20), Fraction(-1, 2)),
+            (difference(6 * 11, 4), Fraction(1, 2), Fraction(13, 20)),
+            (difference(30, 4), Fraction(2, 5), Fraction(3, 5)),  # sigma
+            (difference(30, 4), Fraction(1, 4), Fraction(3, 4)),
+            (difference(30 * 7, 4 * 7), Fraction(2, 5), Fraction(3, 5)),
+            (IntPoly([-1, 3]), Fraction(1, 7), Fraction(2, 5)),  # a rational root
+            # dyadic
+            (IntPoly([-2, 0, 1]), Fraction(5, 4), Fraction(3, 2)),
+            (IntPoly([-2, 0, 1]), Fraction(1), Fraction(2)),
+            (IntPoly([-1, 2]) * IntPoly([-3, 0, 1]), Fraction(0), Fraction(1)),
+            (difference(3 * 5, 7), Fraction(1), Fraction(2)),
+        ],
+    )
+    def test_same_as_evaluated_ends(self, poly, lo, hi, digits):
+        cs = list(poly.coeffs)
+        ends = [_eval_int_scaled(cs, x.numerator, x.denominator) for x in (lo, hi)]
+        iv = IsolatingInterval(lo, hi, *(1 if v > 0 else -1 for v in ends))
+        want = roots_mod._refine(cs, iv, digits)
+        assert want[0] == refine_root(poly, iv, digits)
+        for given in (ends, (ends[0], None), (None, ends[1])):
+            assert roots_mod._refine(cs, iv, digits, given) == want, given
 
 
 def descartes_oracle(p, lo, hi):
@@ -696,25 +729,34 @@ class TestWindow:
         assert calls == []
 
     X2_6X_10 = IntPoly([10, -6, 1])  # roots 3 +- i: variations past 2, no real root
+    R = IntPoly([1, -6, 10])  # 10x^2 - 6x + 1, roots (3 +- i)/10: variations on (0, 1/2)
+    R_NEG = IntPoly([1, 6, 10])  # R(-x), roots (-3 +- i)/10: variations on (-1/2, 0)
 
     @pytest.mark.parametrize(
         "p,counts,fallbacks",
         [
             (X2_6X_10, (0, 0, 0, 0), 1),
-            (from_roots((3, 1)), (0, 0, 0, 1), 1),
-            (from_roots((-3, 1)), (1, 0, 0, 0), 1),
-            (from_roots((1, 3)), (0, 0, 1, 0), 1),
-            (from_roots((-1, 3)), (0, 1, 0, 0), 1),
-            (from_roots((3, 1), (-3, 1), (1, 3), (-1, 3)), (1, 1, 1, 1), 4),
+            # one variation per region: Descartes counts the root
+            (from_roots((3, 1)), (0, 0, 0, 1), 0),
+            (from_roots((-3, 1)), (1, 0, 0, 0), 0),
+            (from_roots((1, 3)), (0, 0, 1, 0), 0),
+            (from_roots((-1, 3)), (0, 1, 0, 0), 0),
+            (from_roots((3, 1), (-3, 1), (1, 3), (-1, 3)), (1, 1, 1, 1), 0),
             # squared and cubed factors: counts are of distinct roots
             (from_roots((3, 1), (3, 1), (-3, 1), (-3, 1), (-3, 1)) * X2_6X_10, (1, 0, 0, 1), 2),
             (from_roots((1, 3), (1, 3), (5, 2)) * X2_6X_10 * X2_6X_10, (0, 0, 1, 1), 2),
             # exact endpoint roots are divided out and need no fallback
             (from_roots((2, 1), (2, 1), (-1, 2), (0, 1), (0, 1)), (0, 1, 0, 1), 0),
-            (from_roots((2, 1), (3, 1), (1, 2), (1, 5), (-2, 1)), (1, 0, 2, 2), 2),
+            (from_roots((2, 1), (3, 1), (1, 2), (1, 5), (-2, 1)), (1, 0, 2, 2), 0),
             # the root at 0 is divided out before the count on (-1/2, 0]
-            (from_roots((0, 1), (0, 1), (-1, 3)), (0, 1, 0, 0), 1),
+            (from_roots((0, 1), (0, 1), (-1, 3)), (0, 1, 0, 0), 0),
             (IntPoly([-7]), (0, 0, 0, 0), 0),
+            # complex pairs send the inner regions to the chain
+            (R, (0, 0, 0, 0), 1),
+            (R_NEG, (0, 0, 0, 0), 1),
+            (from_roots((1, 3)) * R, (0, 0, 1, 0), 1),
+            (from_roots((-1, 3), (-1, 3)) * R_NEG, (0, 1, 0, 0), 1),
+            (R * R_NEG, (0, 0, 0, 0), 2),
         ],
     )
     def test_sturm_fallback(self, p, counts, fallbacks):
@@ -722,13 +764,75 @@ class TestWindow:
         assert window_oracle(p) == (counts, eval_rational(p, TWO) == 0)
 
     def test_one_prs_for_every_fallback(self, monkeypatch):
-        # four inconclusive regions are counted on one Sturm chain
+        # four regions of two or more variations are counted on one Sturm chain
         calls = []
         prs = roots_mod._prs
         monkeypatch.setattr(roots_mod, "_prs", lambda a, b: calls.append(1) or prs(a, b))
-        p = from_roots((3, 1), (-3, 1), (1, 3), (-1, 3))
+        q_neg = IntPoly([10, 6, 1])  # X2_6X_10 at -x: variations past -2
+        p = from_roots((3, 1), (-3, 1), (1, 3), (-1, 3)) * self.X2_6X_10 * q_neg * self.R * self.R_NEG
         assert _window_counts(p) == ((1, 1, 1, 1), False, 4)
         assert len(calls) == 1
+
+
+def window_stripped(p):
+    # p with its roots at 0 and at the window's endpoints divided out, as the
+    # window's exact path leaves it
+    cs = list(p.coeffs)
+    cs = cs[next(i for i, c in enumerate(cs) if c):]
+    for a, b in window_mod._WINDOW_POINTS:
+        cs, _ = roots_mod._strip_root_at(cs, a, b)
+    return cs
+
+
+class TestRootsIn:
+    # the one count rule: 0 or 1 Descartes variation settles the count with
+    # no chain, and any other count is read off the Sturm chain, the one
+    # given or one built and handed back
+    def check(self, cs, lo, hi):
+        count, chain = roots_mod._roots_in(cs, lo, hi)
+        assert count == sturm_count(IntPoly(cs), lo, hi), (cs, lo, hi)
+        assert (chain is None) == (_descartes_in(cs, lo, hi) <= 1), (cs, lo, hi)
+        if chain is not None:
+            assert roots_mod._roots_in(cs, lo, hi, chain) == (count, chain)
+        return chain is not None
+
+    def test_window_regions_to_36(self):
+        polys = [window_stripped(difference(m, n)) for n in range(2, 37) for m in range(1, n)]
+        polys = [cs for cs in polys if len(cs) > 1]
+        assert len(polys) > 600
+        for cs in polys:
+            for lo, hi in window_mod._WINDOW_OPEN:
+                self.check(cs, lo, hi)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            TestWindow.R * TestWindow.R_NEG * from_roots((-3, 1), (3, 1), (1, 3)),
+            from_roots((1, 3), (1, 3), (5, 2)) * TestWindow.X2_6X_10 * TestWindow.X2_6X_10,
+            from_roots((3, 1), (3, 1), (-3, 1), (-3, 1), (-3, 1)) * TestWindow.X2_6X_10,
+            from_roots((1, 5), (1, 4), (2, 5)),  # three roots in (0, 1/2)
+        ],
+    )
+    def test_planted_chain_counts(self, p):
+        cs = window_stripped(p)
+        fallbacks = [self.check(cs, lo, hi) for lo, hi in window_mod._WINDOW_OPEN]
+        assert any(fallbacks)
+
+    @given(bracket_cases())
+    def test_brackets_against_sturm_count(self, case):
+        p, lo, hi = case
+        if p.degree >= 1 and eval_rational(p, lo) and eval_rational(p, hi):
+            self.check(list(p.coeffs), lo, hi)
+
+    def test_given_chain_is_reused(self, monkeypatch):
+        calls = []
+        prs = roots_mod._prs
+        monkeypatch.setattr(roots_mod, "_prs", lambda a, b: calls.append(1) or prs(a, b))
+        cs = list((TestWindow.R * TestWindow.R_NEG).coeffs)
+        count, chain = roots_mod._roots_in(cs, 0, HALF)
+        assert count == 0 and chain is not None and len(calls) == 1
+        assert roots_mod._roots_in(cs, -HALF, 0, chain) == (0, chain) and len(calls) == 1
+        assert roots_mod._roots_in(cs, 2, None, chain) == (0, None) and len(calls) == 1
 
 
 class TestComplexRoots:
@@ -1093,6 +1197,12 @@ class TestPRS:
         assert count(nearmiss._largest_real_root, sq, 1) == 1
         assert nearmiss._root_in_bracket(sq, Fraction(1), Fraction(2), 1)[1] is True
         assert count(nearmiss._root_in_bracket, sq, Fraction(1), Fraction(2), 1) == 1
+        # the pair 3 +- i shows two variations on (2, inf): the chain that
+        # counts no root there is the one the fallback isolates on
+        pair = IntPoly([10, -6, 1]) * IntPoly([-3, 0, 1])
+        v, fell_back = nearmiss._largest_real_root(pair, 14)
+        assert fell_back and v.decimal(14) == "1.73205080756888"
+        assert count(nearmiss._largest_real_root, pair, 1) == 1
 
 
 class TestIsolationEvaluations:
@@ -1150,6 +1260,34 @@ class TestRealEvaluationCount:
             for n in range(m + 1, 25):
                 real_coincidence_roots(m, n, 15)
         assert len(calls) <= 8939
+
+    def test_near_miss_and_limit_items(self, monkeypatch):
+        # the near-miss, table1, limit-family and limit-constant items of the
+        # benchmark's real-roots workload: 1075 exact evaluations, against
+        # 1209 when the near-miss search and refinement both evaluated the
+        # bracket ends
+        calls = []
+        kernel = polycore_mod._eval_int_scaled
+
+        def counted(cs, a, b):
+            calls.append(1)
+            return kernel(cs, a, b)
+
+        for mod in (polycore_mod, roots_mod, nearmiss):
+            monkeypatch.setattr(mod, "_eval_int_scaled", counted)
+        primes = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+        params = {"three_p": primes, "six_p": primes, "thirty_p": [7, 11, 13], "primorial": [3, 4]}
+        for p in (2, 3):
+            for q, _ in nearmiss.find_triples(p, 200):
+                if 128 < (p - 1) * (q - 1) <= 200:
+                    nearmiss.near_miss_root(p, q, 15)
+        for row in nearmiss.TABLE_ROWS:
+            nearmiss.table1([row], 15)
+        for family, ks in params.items():
+            for k in ks:
+                nearmiss.limit_family_root(family, k, 14)
+        nearmiss.limit_constants(13)
+        assert len(calls) <= 1075
 
 
 def _predictor_cases():
