@@ -18,8 +18,7 @@ from .arith import is_prime, primes_up_to, primorial, profile
 from .certified import BigFloat, from_interval
 from .polycore import IntPoly, _descartes_in, _eval_int_scaled, difference
 from .record import Record
-from .roots import (IsolatingInterval, _count_on_chain, _isolate_chain, _refine, _roots_in, _sign, _squarefree_of,
-                    _sturm_chain)
+from .roots import _count_on_chain, _isolate_chain, _refine, _roots_in, _squarefree_of, _sturm_chain
 
 
 def psi(k: int) -> IntPoly:
@@ -46,14 +45,14 @@ def reference_alpha(p: int, digits: int = 15) -> BigFloat:
     return alpha_root(p + 1, digits)
 
 
-def _top_bracket(cs, vhi: int) -> tuple[IsolatingInterval, tuple[int, int]] | None:
-    # an isolating interval for the largest real root of a p with no root
-    # in [2, inf), vhi = p(2), and p's scaled values at its ends; or None.
-    # (0, 2) is bisected rightmost first, each open piece passed over proven
-    # empty (0 variations) and its left end, the next piece's right end,
-    # proven no root, until a piece shows 1 variation and its left end is
-    # no root: the one simple root inside then changes p's sign
-    stack = [(Fraction(0), Fraction(2))]
+def _top_bracket(cs) -> tuple | None:
+    # a bracket (lo, hi, vlo, vhi) for the largest real root of p = cs, or
+    # None.  Rightmost first, (2, inf) and then the bisection of (0, 2): each
+    # piece passed over is proven empty (0 variations) and its left end, the
+    # next piece's right end, no root, until a piece of (0, 2) shows 1
+    # variation and its left end is no root: its one simple root changes
+    # p's sign.  A root at or above 2, or complex roots there, give None
+    stack = [(Fraction(0), Fraction(2)), (2, None)]  # (2, inf) with the integer end _descartes_in takes
     while stack:
         lo, hi = stack.pop()
         count = _descartes_in(cs, lo, hi)
@@ -64,10 +63,10 @@ def _top_bracket(cs, vhi: int) -> tuple[IsolatingInterval, tuple[int, int]] | No
                     return None
                 vhi = vlo
                 continue
-            if vlo:
-                return IsolatingInterval(lo, hi, _sign(vlo), _sign(vhi)), (vlo, vhi)
-        if hi - lo < Fraction(1, 1 << 64):
-            return None  # close or multiple roots: leave them to the fallback
+            if vlo and hi is not None:
+                return lo, hi, vlo, vhi
+        if hi is None or hi - lo < Fraction(1, 1 << 64):
+            return None  # a root above 2, or close or multiple roots: leave them to the fallback
         mid = (lo + hi) / 2
         stack += [(lo, mid), (mid, hi)]
     return None
@@ -76,29 +75,25 @@ def _top_bracket(cs, vhi: int) -> tuple[IsolatingInterval, tuple[int, int]] | No
 def _largest_real_root(poly: IntPoly, digits: int) -> tuple[BigFloat, bool]:
     """The largest real root of poly, refined, and whether it fell back.
 
-    Descartes route: p(2) != 0, no variation on (2, inf) (the count of
-    ``roots._roots_in``), and a rightmost-first Descartes bisection of
-    (0, 2) ending on a bracket with one variation (``_top_bracket``); the
-    root is then refined on poly itself, from the values its bracket was
-    proved with.  Otherwise the fallback isolates every real root on the
-    Sturm chain of poly, the one the (2, inf) count built when it showed
-    two or more variations, and refines the top bracket on the squarefree
-    part read off that chain, after a count on it confirms no root above
-    that bracket.
+    Descartes route: a rightmost-first Descartes search from (2, inf)
+    through the bisection of (0, 2) ends on a bracket with one variation
+    (``_top_bracket``); the root is then refined on poly itself, from the
+    values its bracket was proved with.  Otherwise the fallback builds the
+    one Sturm chain of poly, isolates every real root on it, and refines
+    the top bracket on the squarefree part read off that chain, after a
+    count on it confirms no root above that bracket.
     """
     cs = list(poly.coeffs)
-    v2 = _eval_int_scaled(cs, 2, 1)
-    above, chain = _roots_in(cs, 2, None) if v2 else (None, None)
-    top = _top_bracket(cs, v2) if above == 0 and chain is None else None
+    top = _top_bracket(cs)
     if top is not None:
-        return _refine(cs, top[0], digits, top[1])[0], False
-    chain = chain or _sturm_chain(cs)
-    sf, ivs, ends = _isolate_chain(chain)
-    if not ivs:
+        return _refine(cs, top, digits)[0], False
+    chain = _sturm_chain(cs)
+    sf, brackets = _isolate_chain(chain)
+    if not brackets:
         raise ValueError("polynomial has no real roots")
-    if _count_on_chain(chain, ivs[-1].hi, None):
+    if _count_on_chain(chain, brackets[-1][1], None):
         raise AssertionError("isolation missed a root above the top bracket")
-    return _refine(sf, ivs[-1], digits, ends[-1])[0], True
+    return _refine(sf, brackets[-1], digits)[0], True
 
 
 def find_triples(p: int, q_max: int) -> list[tuple[int, int]]:
@@ -167,15 +162,16 @@ def table1(rows: list[tuple[int, int]] | None = None, digits: int = 15) -> list[
     """Near-miss table: for each triple, the root beta, the reference
     alpha, and the inverse gaps (alpha - beta)^-1 and 1/(2^q (alpha - beta)).
 
-    Internal precision is pushed well past ``digits`` so the derived
-    columns are certified at their printed precision.
+    Internal precision is pushed well past ``digits``, and past the about
+    0.30 q digits that alpha - beta ~ 2^-q cancels, so the derived columns
+    are certified at their printed precision, long rows included.
     """
     if rows is None:
         rows = list(TABLE_ROWS)
     out = []
     for p, q in rows:
         r = _triple_r(p, q)
-        work = max(digits + 12, 26)
+        work = max(digits + 12, 26, digits + (31 * q) // 100 + 6)
         beta = near_miss_root(p, q, work)
         alpha = reference_alpha(p, work)
         gap_lo = alpha.lo - beta.hi
@@ -217,7 +213,7 @@ def _root_in_bracket(poly: IntPoly, lo: Fraction, hi: Fraction, digits: int) -> 
     sf = _squarefree_of(chain) if chain else cs
     if sf != cs:
         cs, ends = sf, [_eval_int_scaled(sf, x.numerator, x.denominator) for x in (lo, hi)]
-    return _refine(cs, IsolatingInterval(lo, hi, *map(_sign, ends)), digits, ends)[0], chain is not None
+    return _refine(cs, (lo, hi, *ends), digits)[0], chain is not None
 
 
 LIMIT_FAMILIES = ("three_p", "six_p", "thirty_p", "primorial")

@@ -12,22 +12,23 @@ A factor x^k with k >= 2, which the coefficient list shows, is split off
 before any PRS: Yun's factors come from the chain of q = p/x^k, with x
 joined to the factor of multiplicity k, and a squarefree q is isolated on
 that same chain.  Bisection evaluates the chain once at each point: its
-first value tells whether the point is a root and gives the isolating
-intervals' end signs.  At -B and B it takes the chain's signs at
+first value tells whether the point is a root and gives the brackets'
+end values.  At -B and B it takes the chain's signs at
 -+infinity from the leading terms, and at 0 the constant terms.
 No real verdict, and no real bracket, depends on floating point.
 One rule counts the roots in an interval (``_roots_in``) for the
 window's exact path and the near-miss brackets: 0 or 1 Descartes sign
 variation (``polycore._descartes_in``) settles the count, and any other
 is read off a Sturm chain built at most once per polynomial.
-Refinement walks the bisection grid on integers by quadratic interval
-refinement, returns the bracket bisection would, and recovers rational
-roots exactly; past the rational-root test a float Newton estimate only
-chooses the grid point of its next step.  Records are built from the
-integers in hand, and a Fraction is formed only for a field a BigFloat
-stores: refinement starts from the values at the bracket's ends that
-isolation or the near-miss search proved it with, and a real record's
-residual is |p| at the final cell's ends, which refinement holds.
+A real bracket is one tuple (lo, hi, vlo, vhi) from where it is proved
+(isolation, the near-miss search) to refinement, which starts from p's
+scaled values vlo and vhi at its ends.  Refinement walks the bisection
+grid on integers by quadratic interval refinement, returns the bracket
+bisection would, and recovers rational roots exactly; past the
+rational-root test a float Newton estimate only chooses the grid point
+of its next step.  A real record's residual is |p| at the final cell's
+ends, which refinement holds, and a Fraction is formed only for a field
+a BigFloat stores.
 This module also holds what the window and the complex path share: the
 window's regions and its known exception, the root records and the
 worker pool.  The root-window certificate lives in ``window``, and complex
@@ -350,50 +351,6 @@ class IsolatingInterval(Record):
         object.__setattr__(self, "sign_hi", sign_hi)
 
 
-def _isolate_bisection(cs, chain) -> list[tuple[tuple, tuple]]:
-    # one (lo, hi) bracket per distinct real root of the p the chain starts
-    # with, each end a point (x, chain[0]'s scaled value at x, variations at
-    # x).  The chain is evaluated once at each point, and its first value
-    # also tells whether x is a root: p and its squarefree part cs share
-    # roots.  The ends -B and B of the Cauchy bound take the variations at
-    # -infinity and infinity, with no value: no root of p lies beyond them,
-    # and each count is a difference against a point between them
-    def at(x: Fraction) -> tuple:
-        return (x, *_chain_at(chain, x.numerator, x.denominator))
-
-    out: list[tuple[tuple, tuple]] = []
-
-    def recurse(lo: tuple, hi: tuple) -> None:
-        count = lo[2] - hi[2]
-        if count == 0:
-            return
-        if count == 1:
-            out.append((lo, hi))
-            return
-        a, b = lo[0], hi[0]
-        mid = at((a + b) / 2)
-        if mid[1] == 0:
-            # exact root at the midpoint; fence it off with a clean gap
-            delta = (b - a) / 4
-            while True:
-                l = at(mid[0] - delta)
-                if l[1]:
-                    r = at(mid[0] + delta)
-                    if r[1] and l[2] - r[2] == 1:
-                        break
-                delta /= 2
-            out.append((l, r))
-            recurse(lo, l)
-            recurse(r, hi)
-            return
-        recurse(lo, mid)
-        recurse(mid, hi)
-
-    B = _cauchy_bound(cs)
-    recurse((Fraction(-B), None, _variations_at(chain, None, -1)), (Fraction(B), None, _variations_at(chain, None, 1)))
-    return sorted(out)
-
-
 def isolate_real_roots(p: IntPoly) -> list[IsolatingInterval]:
     """Disjoint sign-change intervals, one per distinct real root of p.
 
@@ -410,25 +367,57 @@ def isolate_real_roots(p: IntPoly) -> list[IsolatingInterval]:
     cs = _primitive(list(p.coeffs))
     if len(cs) <= 1:
         return []
-    return _isolate_chain(_sturm_chain(cs))[1]
+    brackets = _isolate_chain(_sturm_chain(cs))[1]
+    return [IsolatingInterval(lo, hi, _sign(vlo), _sign(vhi)) for lo, hi, vlo, vhi in brackets]
 
 
-def _isolate_chain(chain) -> tuple[list[int], list[IsolatingInterval], list[tuple[int, int]]]:
+def _isolate_chain(chain) -> tuple[list[int], list[tuple]]:
     # the squarefree part cs of the primitive p a Sturm chain starts with,
-    # isolate_real_roots(p), and cs's scaled values at each interval's ends,
-    # each over that end's own denominator, all read off that one chain
+    # and one bracket (lo, hi, vlo, vhi) per distinct real root of p, in
+    # ascending order: cs's scaled values at lo and hi, each over its own
+    # end's denominator, of opposite signs.  Bisection evaluates the chain
+    # once at each point (x, chain[0]'s value, its variations): p and cs
+    # share roots.  The Cauchy bounds -B and B take the variations at
+    # -+infinity, with no value, as no root lies beyond them
     cs = _squarefree_of(chain)
-    out, ends = [], []
-    for (a, va, _), (b, vb, _) in _isolate_bisection(cs, chain):
+    out: list[tuple] = []
+
+    def at(x: Fraction) -> tuple:
+        return (x, *_chain_at(chain, x.numerator, x.denominator))
+
+    def bracket(lo: tuple, hi: tuple) -> None:
         # cs's own values where p is not squarefree, and at -B and B
-        va, vb = (_eval_int_scaled(cs, x.numerator, x.denominator) if v is None or cs is not chain[0] else v
-                  for x, v in ((a, va), (b, vb)))
-        sa, sb = _sign(va), _sign(vb)
-        if sa == 0 or sb == 0 or sa == sb:
+        vlo, vhi = (_eval_int_scaled(cs, x.numerator, x.denominator) if v is None or cs is not chain[0] else v
+                    for x, v, _ in (lo, hi))
+        if _sign(vlo) * _sign(vhi) != -1:
             raise AssertionError("isolating interval lost its sign change")
-        out.append(IsolatingInterval(a, b, sa, sb))
-        ends.append((va, vb))
-    return cs, out, ends
+        out.append((lo[0], hi[0], vlo, vhi))
+
+    def recurse(lo: tuple, hi: tuple) -> None:
+        count = lo[2] - hi[2]
+        if count == 1:
+            bracket(lo, hi)
+        if count <= 1:
+            return
+        a, b = lo[0], hi[0]
+        l = r = at((a + b) / 2)
+        if l[1] == 0:
+            # exact root at the midpoint; fence it off with a clean gap
+            mid, delta = l[0], (b - a) / 4
+            while True:
+                l = at(mid - delta)
+                if l[1]:
+                    r = at(mid + delta)
+                    if r[1] and l[2] - r[2] == 1:
+                        break
+                delta /= 2
+            bracket(l, r)
+        recurse(lo, l)
+        recurse(r, hi)
+
+    B = _cauchy_bound(cs)
+    recurse((Fraction(-B), None, _variations_at(chain, None, -1)), (Fraction(B), None, _variations_at(chain, None, 1)))
+    return cs, sorted(out)
 
 
 def _first_level(a: int, den: int) -> int:
@@ -521,14 +510,14 @@ def _qir_cell(cs, lo: int, w: int, den: int, cell: tuple, K: int, guess: tuple |
 def refine_root(p: IntPoly, iv: IsolatingInterval, digits: int) -> BigFloat:
     """Narrow a certified interval below 10^-digits on the bisection grid.
 
-    ``iv`` must carry p's own signs at its endpoints (ValueError
-    otherwise).  The result is the one plain bisection of ``iv`` returns,
-    reached in far fewer exact evaluations, and it rounds stably at
-    ``digits`` fractional digits.  A rational root is recovered exactly
-    (error bound zero): every rational root of p is a multiple of 1/L,
-    L = |lc(p)|, so once bisection's bracket is narrower than 1/L its one
-    candidate multiple is tested exactly, and no interval is returned
-    before that test.
+    ``digits`` must be positive, and then ``iv`` must carry p's own signs
+    at its endpoints (ValueError otherwise).  The result is the one plain
+    bisection of ``iv`` returns, reached in far fewer exact evaluations,
+    and it rounds stably at ``digits`` fractional digits.  A rational root
+    is recovered exactly (error bound 0): each rational root of p is a
+    multiple of 1/L, L = |lc(p)|, so once bisection's bracket is narrower
+    than 1/L its one candidate multiple is tested exactly, and no
+    interval is returned before that test.
 
     The cells of bisection from ``iv`` form a dyadic grid, and the levels
     where bisection tests the candidate (kt, narrower than 1/L) and first
@@ -553,21 +542,25 @@ def refine_root(p: IntPoly, iv: IsolatingInterval, digits: int) -> BigFloat:
     that cell as they do any other, and a rejected guess only halves the
     step.
     """
-    return _refine(list(p.coeffs), iv, digits)[0]
-
-
-def _refine(cs, iv: IsolatingInterval, digits: int, ends=(None, None)) -> tuple[BigFloat, Fraction]:
-    # refine_root(p, iv, digits) and max |p| at the ends of its bracket (0
-    # at an exact root): the residual.  ``ends`` holds p's scaled values at
-    # iv's ends where known, each over that end's own denominator
     if digits < 1:
         raise ValueError("digits must be positive")
-    lo, hi, den = _gaussian_scale(iv.lo, iv.hi)  # the bracket is (lo/den, hi/den)
-    deg = len(cs) - 1
-    flo, fhi = (_eval_int_scaled(cs, x, den) if v is None else v * (den // e.denominator) ** deg
-                for x, e, v in ((lo, iv.lo, ends[0]), (hi, iv.hi, ends[1])))
-    if _sign(flo) != iv.sign_lo or _sign(fhi) != iv.sign_hi:
+    cs = list(p.coeffs)
+    vlo, vhi = (_eval_int_scaled(cs, x.numerator, x.denominator) for x in (iv.lo, iv.hi))
+    if _sign(vlo) != iv.sign_lo or _sign(vhi) != iv.sign_hi:
         raise ValueError("interval endpoint signs are not those of p")
+    return _refine(cs, (iv.lo, iv.hi, vlo, vhi), digits)[0]
+
+
+def _refine(cs, bracket: tuple, digits: int) -> tuple[BigFloat, Fraction]:
+    # refine_root from a bracket (lo, hi, vlo, vhi) of p = cs, each value
+    # over its own end's denominator, and max |p| at the final cell's ends
+    # (0 at an exact root): the residual
+    if digits < 1:
+        raise ValueError("digits must be positive")
+    x, y, vx, vy = bracket
+    lo, hi, den = _gaussian_scale(x, y)  # the bracket is (lo/den, hi/den)
+    deg = len(cs) - 1
+    flo, fhi = vx * (den // x.denominator) ** deg, vy * (den // y.denominator) ** deg
     lead, scale = abs(cs[-1]), 10 ** digits
     prec = max(24, int(digits * 3.33) + 16)
     w = hi - lo
@@ -618,14 +611,12 @@ class CoincidenceRecord(Record):
     _defaults = {"max_abs_real": None, "window_violations": ()}
 
 
-def _real_root_record(poly_id, p: IntPoly, iv: IsolatingInterval, digits: int, mult: int,
-                      ends=(None, None)) -> RootRecord:
-    # residuals are |p| at the refined bracket's ends, p the squarefree
-    # factor that carries the root, as refinement leaves them (``ends`` as
-    # _refine takes them).  The bracket is (c -+ r)/den, and the modulus is
-    # the value itself, its negation, or [0, max(|ends|)] when the bracket
-    # straddles 0
-    val, res = _refine(list(p.coeffs), iv, digits, ends)
+def _real_root_record(poly_id, cs, bracket: tuple, digits: int, mult: int) -> RootRecord:
+    # residuals are |p| at the refined bracket's ends, p = cs the squarefree
+    # factor that carries the root, as refinement leaves them.  The refined
+    # bracket is (c -+ r)/den, and the modulus is the value itself, its
+    # negation, or [0, max(|ends|)] when it straddles 0
+    val, res = _refine(cs, bracket, digits)
     c, r, den = _gaussian_scale(val.value, val.error_bound)
     if c >= r:
         modulus = val
@@ -657,9 +648,8 @@ def real_coincidence_roots(m: int, n: int, digits: int = 15) -> CoincidenceRecor
     records: list[RootRecord] = []
     if d.degree >= 1:
         for f, mult, chain in _squarefree_factors(_primitive(list(d.coeffs))):
-            factor, ivs, ends = _isolate_chain(chain or _sturm_chain(f))
-            for iv, e in zip(ivs, ends):
-                records.append(_real_root_record((a, b), IntPoly(factor), iv, digits, mult, e))
+            factor, brackets = _isolate_chain(chain or _sturm_chain(f))
+            records += [_real_root_record((a, b), factor, br, digits, mult) for br in brackets]
     records.sort(key=lambda r: r.value.value)
     max_abs = None
     violations = []

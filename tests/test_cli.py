@@ -197,6 +197,16 @@ class TestTable:
         _, plain = run_cli(["table1"])
         assert set(plain.splitlines()) < set(out.splitlines())
 
+    def test_extend_to_long_rows(self):
+        # rows with q up to 59, whose gap alpha - beta cancels more digits
+        # than a fixed working precision keeps, all render
+        code, out = run_cli(["table1", "--extend", "60"])
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == 34
+        _, shorter = run_cli(["table1", "--extend", "40"])
+        assert set(shorter.splitlines()[1:]) <= set(rows)
+
     @pytest.mark.parametrize("qmax", ["0", "2"])
     def test_extend_below_every_triple_lists_none(self, qmax):
         # no triple has q <= 2, so only the header is printed

@@ -9,6 +9,7 @@ from cyclolab.nearmiss import (
     _family_bracket,
     _largest_real_root,
     _root_in_bracket,
+    _top_bracket,
     alpha_root,
     delta_decompose,
     find_triples,
@@ -19,7 +20,7 @@ from cyclolab.nearmiss import (
     reference_alpha,
     table1,
 )
-from cyclolab.polycore import IntPoly, cyclotomic, difference
+from cyclolab.polycore import IntPoly, _eval_int_scaled, cyclotomic, difference
 from test_acceptance import NEAR_MISS_LIST
 
 
@@ -140,6 +141,15 @@ class TestTable:
         for rec in table1():
             assert Fraction(1, 2) < rec.scaled_gap.value < 2
 
+    def test_long_rows_render_at_printed_precision(self):
+        # alpha - beta ~ 2^-q cancels about 0.30 q digits, which the working
+        # precision must cover for every column to round at 15 digits
+        rows = table1([(3, 41), (7, 59), (13, 43), (3, 97)], 15)
+        assert [(rec.p, rec.q) for rec in rows] == [(3, 41), (7, 59), (13, 43), (3, 97)]
+        for rec in rows:
+            for col in (rec.beta, rec.alpha, rec.inv_gap, rec.scaled_gap):
+                col.significant(15)  # raises when the interval is too wide to round
+
 
 class TestLimitFamilies:
     def test_constants(self):
@@ -235,6 +245,57 @@ BENCH_FAMILIES = [
     *(("thirty_p", p) for p in (7, 11, 13)),
     *(("primorial", k) for k in (3, 4, 5)),
 ]
+
+
+def assert_bracket(cs, bracket):
+    # a bracket (lo, hi, vlo, vhi): p's scaled values at its ends, each over
+    # its own end's denominator, of opposite signs
+    lo, hi, vlo, vhi = bracket
+    assert lo < hi
+    assert (vlo, vhi) == tuple(_eval_int_scaled(cs, x.numerator, x.denominator) for x in (lo, hi))
+    assert (vlo > 0) != (vhi > 0) and vlo and vhi
+
+
+# the ten near-miss differences of degree 129-200 and the bracket (lo, hi,
+# vlo) the Descartes search proved each with; vhi is p(2)
+NEAR_MISS_BRACKETS = {
+    (2, 139): (1, 2, -136), (2, 151): (1, 2, -148), (2, 181): (1, 2, -178), (2, 193): (1, 2, -190),
+    (2, 199): (1, 2, -196), (3, 67): (1, 2, -130), (3, 71): (1, 2, -138), (3, 83): (1, 2, -162),
+    (3, 97): (1, 2, -190), (3, 101): (1, 2, -198),
+}
+
+
+class TestTopBracket:
+    def test_near_miss_differences(self):
+        got = {}
+        for p in (2, 3):
+            for q, r in find_triples(p, 200):
+                if 128 < (p - 1) * (q - 1) <= 200:
+                    cs = list(difference(p * q, r).coeffs)
+                    bracket = _top_bracket(cs)
+                    assert_bracket(cs, bracket)
+                    assert bracket[3] == _eval_int_scaled(cs, 2, 1)
+                    got[p, q] = bracket[:3]
+        assert got == NEAR_MISS_BRACKETS
+
+    def test_table_rows_and_psi(self):
+        polys = [difference(p * q, p * q - p - q) for p, q in TABLE_ROWS] + [psi(k) for k in range(2, 13)]
+        for poly in polys:
+            cs = list(poly.coeffs)
+            assert_bracket(cs, _top_bracket(cs))
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            IntPoly([-3, 2]) * IntPoly([-1, 0, 2]) * IntPoly([1297, -1440, 400]),  # 3/2, a bisection point
+            IntPoly([-3, 1]) * IntPoly([-2, 0, 1]),  # a root above 2
+            IntPoly([-2, 1]) * IntPoly([-1, 0, 2]) * IntPoly([-1, 0, 8]),  # a root at 2
+            IntPoly([-3, 0, 1]) * IntPoly([-3, 0, 1]),  # a double root
+            IntPoly([10, -6, 1]) * IntPoly([-3, 0, 1]),  # the pair 3 +- i beside sqrt(3)
+        ],
+    )
+    def test_fallback_polynomials(self, poly):
+        assert _top_bracket(list(poly.coeffs)) is None
 
 
 class TestDescartesRoute:

@@ -41,6 +41,7 @@ from cyclolab.roots import (
     _primitive,
     _pseudo_rem_even,
     _descartes_in,
+    _sign,
     isolate_real_roots,
     real_coincidence_roots,
     refine_root,
@@ -341,6 +342,27 @@ def _small_difference_brackets():
     return out
 
 
+class TestBracketInvariant:
+    # every bracket _isolate_chain returns holds the squarefree part's scaled
+    # values at its ends, each over its own end's denominator, of opposite
+    # signs, and the brackets are ascending and disjoint
+    def check(self, p):
+        cs = _primitive(list(p.coeffs))
+        sf, brackets = roots_mod._isolate_chain(roots_mod._sturm_chain(cs))
+        assert sf == list(squarefree_part(p).coeffs)
+        for lo, hi, vlo, vhi in brackets:
+            assert lo < hi
+            assert (vlo, vhi) == tuple(_eval_int_scaled(sf, x.numerator, x.denominator) for x in (lo, hi))
+            assert vlo and vhi and (vlo > 0) != (vhi > 0)
+        assert all(a[1] <= b[0] for a, b in zip(brackets, brackets[1:]))
+        return len(brackets)
+
+    def test_small_differences(self):
+        polys = [difference(m, n) for n in range(2, 25) for m in range(1, n)]
+        polys = [p for p in polys if p.degree >= 1] + [IntPoly([4, 0, -4, 0, 1]), difference(9, 24)]
+        assert sum(map(self.check, polys)) > 500
+
+
 def _near_miss_brackets():
     # the ten near-miss differences Phi_pq - Phi_r of degree 129-200, with
     # the Descartes bracket near_miss_root refines
@@ -349,8 +371,15 @@ def _near_miss_brackets():
         for q, r in nearmiss.find_triples(p, 200):
             if 128 < (p - 1) * (q - 1) <= 200:
                 cs = list(difference(p * q, r).coeffs)
-                out.append((IntPoly(cs), nearmiss._top_bracket(cs, _eval_int_scaled(cs, 2, 1))[0]))
+                lo, hi, vlo, vhi = nearmiss._top_bracket(cs)
+                out.append((IntPoly(cs), IsolatingInterval(lo, hi, _sign(vlo), _sign(vhi))))
     return out
+
+
+def bracket_of(p, iv):
+    # p's coefficients and the bracket (lo, hi, vlo, vhi) _refine takes for iv
+    cs = list(p.coeffs)
+    return cs, (iv.lo, iv.hi, *(_eval_int_scaled(cs, x.numerator, x.denominator) for x in (iv.lo, iv.hi)))
 
 
 def _refined(v):
@@ -428,7 +457,7 @@ class TestRefine:
         ivs = isolate_real_roots(p)
         assert len(ivs) == 2
         for iv in ivs:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="interval endpoint signs are not those of p"):
                 refine_root(p, iv, 10)
         got = [refine_root(squarefree_part(p), iv, 10).decimal(10) for iv in ivs]
         assert got == ["-1.4142135624", "1.4142135624"]
@@ -453,6 +482,15 @@ class TestRefine:
         v = refine_root(IntPoly([-1, 3]), roots_mod.IsolatingInterval(Fraction(0), Fraction(1), -1, 1), 12)
         assert v.error_bound == 0 and v.value == Fraction(1, 3)
 
+    def test_rejects_nonpositive_digits(self):
+        # refused before the signs are read: these signs are not p's either
+        p = IntPoly([4, 0, -4, 0, 1])
+        for iv in isolate_real_roots(p):
+            with pytest.raises(ValueError, match="digits must be positive"):
+                refine_root(p, iv, 0)
+        with pytest.raises(ValueError, match="digits must be positive"):
+            refine_root(IntPoly([-2, 0, 1]), roots_mod.IsolatingInterval(Fraction(1), Fraction(2), -1, 1), 0)
+
     def test_candidate_on_lo(self):
         # (1, 2) for x^2 - 2 halves to (1, 3/2), narrower than 1/L = 1: the
         # candidate ceil(lo * L) / L is lo itself, no root, and bisection
@@ -463,8 +501,10 @@ class TestRefine:
 
 
 class TestRefineGivenEnds:
-    # _refine from end values its caller already holds, each over its own
-    # end's denominator, gives what it gives when it evaluates the ends itself
+    # _refine from a bracket (lo, hi, vlo, vhi), its end values each over its
+    # own end's denominator, gives what refine_root gives from the interval
+    # with p's signs and what plain bisection gives, and its residual is |p|
+    # at the final cell's ends: non-dyadic ends are rescaled to the grid's
     @pytest.mark.parametrize("digits", [1, 15, 40])
     @pytest.mark.parametrize(
         "poly,lo,hi",
@@ -487,12 +527,12 @@ class TestRefineGivenEnds:
     )
     def test_same_as_evaluated_ends(self, poly, lo, hi, digits):
         cs = list(poly.coeffs)
-        ends = [_eval_int_scaled(cs, x.numerator, x.denominator) for x in (lo, hi)]
-        iv = IsolatingInterval(lo, hi, *(1 if v > 0 else -1 for v in ends))
-        want = roots_mod._refine(cs, iv, digits)
-        assert want[0] == refine_root(poly, iv, digits)
-        for given in (ends, (ends[0], None), (None, ends[1])):
-            assert roots_mod._refine(cs, iv, digits, given) == want, given
+        va, vb = (_eval_int_scaled(cs, x.numerator, x.denominator) for x in (lo, hi))
+        iv = IsolatingInterval(lo, hi, _sign(va), _sign(vb))
+        got, residual = roots_mod._refine(cs, (lo, hi, va, vb), digits)
+        assert got == refine_root(poly, iv, digits)
+        assert _refined(got) == _refined(bisection_oracle(poly, iv, digits))
+        assert residual == real_record_oracle(poly, iv, digits)[1].value
 
 
 def descartes_oracle(p, lo, hi):
@@ -598,13 +638,13 @@ class TestRealRecordIntegers:
         cases = _small_difference_brackets() + [STRADDLE]
         signs = set()
         for p, iv in cases:
-            rec = roots_mod._real_root_record(None, p, iv, digits, 1)
+            rec = roots_mod._real_root_record(None, *bracket_of(p, iv), digits, 1)
             assert (rec.modulus, rec.residual) == real_record_oracle(p, iv, digits), (p, iv)
             signs.add((rec.value.lo > 0) - (rec.value.hi < 0))
         assert signs == {-1, 0, 1}  # negative, straddling (or exact 0) and positive values
 
     def test_straddling_bracket(self):
-        rec = roots_mod._real_root_record(None, *STRADDLE, 1, 1)
+        rec = roots_mod._real_root_record(None, *bracket_of(*STRADDLE), 1, 1)
         assert (rec.value.lo, rec.value.hi) == (Fraction(-1, 64), Fraction(1, 32))
         assert (rec.modulus.lo, rec.modulus.hi) == (0, Fraction(1, 32))
 
@@ -1089,8 +1129,8 @@ def unsplit_real_roots(m, n):
         return ()
     records = []
     for f, mult in unsplit_factors(_primitive(list(d.coeffs))):
-        factor, ivs, _ = roots_mod._isolate_chain(roots_mod._sturm_chain(list(f.coeffs)))
-        records += [roots_mod._real_root_record((m, n), IntPoly(factor), iv, 15, mult) for iv in ivs]
+        factor, brackets = roots_mod._isolate_chain(roots_mod._sturm_chain(list(f.coeffs)))
+        records += [roots_mod._real_root_record((m, n), factor, br, 15, mult) for br in brackets]
     return tuple(sorted(records, key=lambda r: r.value.value))
 
 
@@ -1197,8 +1237,8 @@ class TestPRS:
         assert count(nearmiss._largest_real_root, sq, 1) == 1
         assert nearmiss._root_in_bracket(sq, Fraction(1), Fraction(2), 1)[1] is True
         assert count(nearmiss._root_in_bracket, sq, Fraction(1), Fraction(2), 1) == 1
-        # the pair 3 +- i shows two variations on (2, inf): the chain that
-        # counts no root there is the one the fallback isolates on
+        # the pair 3 +- i shows two variations on (2, inf), which sends the
+        # call to the fallback and its one chain
         pair = IntPoly([10, -6, 1]) * IntPoly([-3, 0, 1])
         v, fell_back = nearmiss._largest_real_root(pair, 14)
         assert fell_back and v.decimal(14) == "1.73205080756888"
@@ -1208,8 +1248,8 @@ class TestPRS:
 class TestIsolationEvaluations:
     def test_squarefree_part_evaluated_once_per_point(self, monkeypatch):
         # one chain evaluation per bisection point: the squarefree part's
-        # sign there is read from chain[0], and the isolating intervals'
-        # end signs come from those same values.  A chain with no real root
+        # sign there is read from chain[0], and the brackets' end values
+        # are those same values.  A chain with no real root
         # needs no evaluation (its signs at +-infinity are those of its
         # leading terms), so the guard against a vacuous pass is the number
         # of points over all chains
@@ -1223,12 +1263,12 @@ class TestIsolationEvaluations:
 
         def checked(chain):
             evaluated.clear()
-            cs, ivs, ends = isolate(chain)
+            cs, brackets = isolate(chain)
             points = [(a, b) for f, a, b in evaluated if f == tuple(cs)]
             assert len(points) == len(set(points)), cs
             npoints.append(len(points))
-            calls.append(len(ivs))
-            return cs, ivs, ends
+            calls.append(len(brackets))
+            return cs, brackets
 
         calls, npoints = [], []
         monkeypatch.setattr(roots_mod, "_eval_int_scaled", counted)
