@@ -1,12 +1,12 @@
 """Verification of the value-envelope inequalities.
 
 For x >= 2 the normalized value Phi_n(x)/x^phi(n) is pinned between
-(x^q - 1)/x^q and x^q/(x^q - 1) (q = q(n)), on the side selected by the
-Mobius value of the radical, and always between 1/2 and 2; the same
-factor-two envelope holds for complex |z| >= 2.  On (0, 1/2] the log-ratio
-of two cyclotomic values is certified nonzero.  All comparisons are exact,
-made on integers after clearing the denominators of the point; logs use
-certified enclosures.
+(x^q - 1)/x^q and x^q/(x^q - 1) (q = q(n)), on the side mu(rad(n))
+selects (a BoundReport keeps the ratio and verdict, not the side), and
+always between 1/2 and 2; the same factor-two envelope holds for complex
+|z| >= 2.  On (0, 1/2] the log-ratio of two cyclotomic values is certified
+nonzero.  All comparisons are exact, made on integers after clearing the
+denominators of the point; logs use certified enclosures.
 
 No check builds cyclotomic coefficients.  Real values come from the
 Moebius product on integers, and the complex modulus from the product of
@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .arith import profile
-from .certified import BigFloat, ZERO, _from_bracket, _log_bounds, from_interval
+from .certified import BigFloat, _from_bracket, _log_bounds, from_interval
 from .polycore import (
     _gaussian_scale,
     _moebius_exponents,
@@ -34,48 +34,50 @@ class BoundReport(Record):
     """Outcome of one envelope check at one evaluation point."""
 
     __slots__ = ("n", "point",  # Fraction for real checks, (Fraction, Fraction) for complex
-                 "ratio", "side",  # "mu_plus" or "mu_minus"
-                 "holds", "equality")
+                 "ratio", "holds", "equality")
 
 
-def lemma_tail_gap(x: Fraction, k: int, j_max: int = 64) -> tuple[BigFloat, BigFloat, bool]:
+TAIL_DEPTH = 64  # lemma_tail_gap sums the terms j <= TAIL_DEPTH one by one
+
+
+def lemma_tail_gap(x: Fraction, k: int) -> tuple[BigFloat, BigFloat, bool]:
     """Compare |log(1 - x^-k)| against the whole tail sum over j > k.
 
     Returns (left, right_tail, holds) where right_tail includes a rigorous
-    geometric bound on the remainder beyond j_max.
+    geometric bound on the remainder beyond TAIL_DEPTH.
     """
     x = Fraction(x)
     if x < 2:
         raise ValueError("tail gap comparison requires x >= 2")
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if j_max <= k:
-        raise ValueError("j_max must exceed k")
+    if k >= TAIL_DEPTH:
+        raise ValueError(f"k must be below the tail depth {TAIL_DEPTH}")
     prec = 96
     a, b = x.numerator, x.denominator
     # 1 - x^-j = (a^j - b^j)/a^j; the log bounds are numerators over 2^prec
     ak, bk = a ** k, b ** k
     llo, lhi = _log_bounds(ak - bk, ak, prec)
-    left = _from_bracket(-lhi, -llo, 1 << prec, prec)
+    left = _from_bracket(-lhi, -llo, 1 << prec)
 
     slo = shi = 0
-    for _ in range(k + 1, j_max + 1):
+    for _ in range(k + 1, TAIL_DEPTH + 1):
         ak *= a
         bk *= b
         jlo, jhi = _log_bounds(ak - bk, ak, prec)
         slo -= jhi
         shi -= jlo
-    # |log(1-t)| <= t/(1-t); geometric sum of x^-j for j > j_max, which is
-    # t_head / ((1 - 1/x)(1 - t_head)) with t_head = x^-(j_max+1)
+    # |log(1-t)| <= t/(1-t); geometric sum of x^-j for j > TAIL_DEPTH, which
+    # is t_head / ((1 - 1/x)(1 - t_head)) with t_head = x^-(TAIL_DEPTH+1)
     ak *= a
     bk *= b
     tail = Fraction(bk * a, (a - b) * (ak - bk))
     s = 1 << prec
-    right = from_interval(Fraction(slo, s), Fraction(shi, s) + tail, prec)
+    right = from_interval(Fraction(slo, s), Fraction(shi, s) + tail)
     return left, right, left.lo > right.hi
 
 
-def f_ratio(n: int, x: Fraction, precision_bits: int = 64) -> BigFloat:
+def f_ratio(n: int, x: Fraction) -> BigFloat:
     """Phi_n(x) / x^phi(n), exactly.
 
     With x = a/b this is b^phi Phi_n(a/b) / a^phi, taken from the
@@ -93,7 +95,7 @@ def f_ratio(n: int, x: Fraction, precision_bits: int = 64) -> BigFloat:
         mirrored = Fraction(eval_homogeneous_cyclotomic(n, y.numerator, y.denominator), y.denominator ** phi)
         if mirrored != ratio:
             raise AssertionError("reciprocal identity failed; corrupted cyclotomic values")
-    return BigFloat(ratio, precision_bits, ZERO)
+    return BigFloat(ratio)
 
 
 def check_real_bounds(n: int, x: Fraction) -> BoundReport:
@@ -115,7 +117,6 @@ def check_real_bounds(n: int, x: Fraction) -> BoundReport:
     aq, bq = a ** q, b ** q  # x^q = aq / bq
     equality = False
     if prof.mu_rad == 1:
-        side = "mu_plus"
         # the lower bound (x^q - 1)/x^q * x^phi, scaled by b^phi
         lower = (aq - bq) * a ** (prof.phi - q)
         # the sharp lower bound is attained exactly when n = 1 (any x);
@@ -125,14 +126,12 @@ def check_real_bounds(n: int, x: Fraction) -> BoundReport:
         factor_two = power <= 2 * value and (not equality or (n == 1 and x == 2))
         holds = envelope and factor_two
     else:
-        side = "mu_minus"
         # the upper bound x^q/(x^q - 1) * x^phi, cross-multiplied
         holds = power < value < 2 * power and value * (aq - bq) < aq * power
     return BoundReport(
         n=n,
         point=x,
-        ratio=BigFloat(Fraction(value, power), 64, ZERO),
-        side=side,
+        ratio=BigFloat(Fraction(value, power)),
         holds=holds,
         equality=equality,
     )
@@ -164,21 +163,20 @@ def check_complex_bounds(n: int, z: tuple[Fraction, Fraction]) -> BoundReport:
     return BoundReport(
         n=n,
         point=(re, im),
-        ratio=_from_bracket(r, r + 1, 1 << 64, 64),
-        side="complex",
+        ratio=_from_bracket(r, r + 1, 1 << 64),
         holds=holds,
         equality=equality,
     )
 
 
-def g_value(m: int, n: int, x: Fraction, precision_bits: int = 64) -> BigFloat:
+def g_value(m: int, n: int, x: Fraction) -> BigFloat:
     """Certified log(Phi_m(x) / Phi_n(x)) for 0 < x <= 1/2, sign nonzero.
 
     Computed from the divisor expansion over the radicals:
         sum_{d | rad(m)} mu(rad(m)/d) log(1 - x^(d q(m)))
       - sum_{e | rad(n)} mu(rad(n)/e) log(1 - x^(e q(n)))
-    The enclosure is tightened until it excludes zero, and its sign is
-    cross-checked against the exact rational sign of Phi_m(x) - Phi_n(x).
+    From 64 bits the precision doubles, to 1024 at most, until the enclosure
+    excludes zero; its sign is cross-checked against the exact sign.
     """
     x = Fraction(x)
     if not (0 < x <= Fraction(1, 2)):
@@ -195,7 +193,7 @@ def g_value(m: int, n: int, x: Fraction, precision_bits: int = 64) -> BigFloat:
     terms = [(sgn, b ** k - a ** k, b ** k) for sgn, ks in signed for k in ks]
 
     exact_sign = _exact_ratio_sign(m, n, x)
-    prec = precision_bits
+    prec = 64
     while True:
         # numerators over 2^prec: each log bound is one, so the sums are exact
         lo = hi = 0
@@ -210,11 +208,11 @@ def g_value(m: int, n: int, x: Fraction, precision_bits: int = 64) -> BigFloat:
         if lo > 0 or hi < 0:
             break
         prec *= 2
-        if prec > 16 * precision_bits:
+        if prec > 1024:
             raise AssertionError("g enclosure failed to separate from zero")
     if (1 if lo > 0 else -1) != exact_sign:
         raise AssertionError("certified log sign disagrees with exact evaluation")
-    return _from_bracket(lo, hi, 1 << prec, prec)
+    return _from_bracket(lo, hi, 1 << prec)
 
 
 def _exact_ratio_sign(m: int, n: int, x: Fraction) -> int:
@@ -232,7 +230,10 @@ def _exact_ratio_sign(m: int, n: int, x: Fraction) -> int:
 
 
 def real_bounds_grid(n_max: int, xs: list[Fraction]):
-    """Yield BoundReports over the full (n, x) grid, n ascending then x."""
+    """Yield BoundReports over the (n, x) grid, n ascending then x; x < 2 is refused before any."""
+    xs = [Fraction(x) for x in xs]
+    if any(x < 2 for x in xs):
+        raise ValueError("real bounds require x >= 2")
     for n in range(1, n_max + 1):
         for x in xs:
-            yield check_real_bounds(n, Fraction(x))
+            yield check_real_bounds(n, x)

@@ -1,9 +1,11 @@
 """Certified arbitrary-precision values and interval transcendentals.
 
-Everything here is built on exact rational arithmetic.  A BigFloat is a
-midpoint plus a proven error radius; log and sqrt enclosures are computed
-with rational series partial sums and explicit tail bounds, so no verdict
-anywhere in the package ever rests on unproven floating-point rounding.
+Everything here is built on exact rational arithmetic.  A BigFloat is
+value +- error_bound, a midpoint plus a proven error radius and nothing
+more: the precision that produced it stays with the computation.  Log
+and sqrt enclosures are computed with rational series partial sums and
+explicit tail bounds, so no verdict anywhere in the package ever rests
+on unproven floating-point rounding.
 
 Rendering runs on integers.  ``BigFloat.decimal`` rounds value +- error
 over one common denominator, two half-even roundings of integers, and
@@ -32,20 +34,16 @@ ZERO = Fraction(0)
 class BigFloat(Record):
     """A real value known to lie within [value - error_bound, value + error_bound].
 
-    ``precision_bits`` records the working precision the value was produced
-    at; ``error_bound`` is a rigorous bound, not an estimate.  Exact values
+    ``error_bound`` is a rigorous bound, not an estimate.  Exact values
     carry error_bound 0.
     """
 
-    __slots__ = ("value", "precision_bits", "error_bound")
+    __slots__ = ("value", "error_bound")
 
-    def __init__(self, value: Fraction, precision_bits: int, error_bound: Fraction = ZERO):
-        if precision_bits < 1:
-            raise ValueError("precision_bits must be positive")
+    def __init__(self, value: Fraction, error_bound: Fraction = ZERO):
         if error_bound < 0:
             raise ValueError("error_bound must be nonnegative")
         object.__setattr__(self, "value", value)
-        object.__setattr__(self, "precision_bits", precision_bits)
         object.__setattr__(self, "error_bound", error_bound)
 
     @property
@@ -82,16 +80,15 @@ class BigFloat(Record):
         return s
 
 
-def from_interval(lo: Fraction, hi: Fraction, precision_bits: int) -> BigFloat:
+def from_interval(lo: Fraction, hi: Fraction) -> BigFloat:
     if hi < lo:
         raise ValueError("empty interval")
-    mid = (lo + hi) / 2
-    return BigFloat(mid, precision_bits, (hi - lo) / 2)
+    return BigFloat((lo + hi) / 2, (hi - lo) / 2)
 
 
-def _from_bracket(lo: int, hi: int, den: int, precision_bits: int) -> BigFloat:
+def _from_bracket(lo: int, hi: int, den: int) -> BigFloat:
     # [lo/den, hi/den] (den > 0) as from_interval gives it, from the integers
-    return BigFloat(Fraction(lo + hi, 2 * den), precision_bits, Fraction(hi - lo, 2 * den))
+    return BigFloat(Fraction(lo + hi, 2 * den), Fraction(hi - lo, 2 * den))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .certified import BigFloat, ZERO, _decimal_exponent, _from_bracket
+from .certified import BigFloat, ZERO, _from_bracket
 from .polycore import ExactDivisionError, IntPoly, _eval_gaussian_scaled, _eval_int_scaled, _gaussian_scale, difference
 from .record import Record
 from .roots import (
@@ -96,7 +96,7 @@ def _aberth_sweeps(cs, prec_bits: int, budget: int):
     return zs
 
 
-def _certified_disks(cs, precision_bits: int, budget: int = 200):
+def _certified_disks(cs, precision_bits: int):
     """Aberth centers with rigorous per-root inclusion radii.
 
     radius_i = deg * |p(z_i)| / (|lc| * prod |z_i - z_j|): the numerator is
@@ -116,9 +116,9 @@ def _certified_disks(cs, precision_bits: int, budget: int = 200):
     # bits (a dyadic rational; exponents differ from root to root); all
     # certification below happens at the rounded points
     keep = precision_bits + 48
-    for mult in (2, 4):
+    for mult in (2, 4):  # at most 200 Aberth sweeps at each precision
         P = precision_bits * mult
-        pts = [(bf.rnd(*re, keep, True), bf.rnd(*im, keep, True)) for re, im in _aberth_sweeps(cs, P, budget)]
+        pts = [(bf.rnd(*re, keep, True), bf.rnd(*im, keep, True)) for re, im in _aberth_sweeps(cs, P, 200)]
         # prod_i = prod_{j != i} |z_i - z_j|, j ascending.  Rounded
         # subtraction is symmetric, so |z_i - z_j| = |z_j - z_i| bit for
         # bit and each distance is taken once
@@ -140,7 +140,7 @@ def _certified_disks(cs, precision_bits: int, budget: int = 200):
             vr, vi = _eval_gaussian_scaled(cs, a, b, 1 << s)
             N, e = vr * vr + vi * vi, 2 * deg * s
             if N == 0:
-                rad, res = Fraction(0), BigFloat(ZERO, precision_bits)  # exact dyadic root
+                rad, res = Fraction(0), BigFloat(ZERO)  # exact dyadic root
             else:
                 # r = floor(2^P |p|), so |p| < (r + 1)/2^P, and the residual
                 # enclosure at precision_bits is floor(2^p |p|) = r >> (P - p)
@@ -148,7 +148,7 @@ def _certified_disks(cs, precision_bits: int, budget: int = 200):
                 num, den, sh = deg * (r + 1), pman * ((1 << k) - 1) * lead, k - P - pexp
                 rad = Fraction(num << sh, den) if sh >= 0 else Fraction(num, den << -sh)
                 rp = r >> (P - precision_bits)
-                res = _from_bracket(rp, rp + 1, 1 << precision_bits, precision_bits)
+                res = _from_bracket(rp, rp + 1, 1 << precision_bits)
             out.append((Fraction(a, 1 << s), Fraction(b, 1 << s), rad, res))
         if _disks_disjoint(out):
             return out
@@ -207,38 +207,20 @@ def complex_roots(p: IntPoly, precision_bits: int = 256) -> list[RootRecord]:
                     slo, shi = (_sign(_eval_int_scaled(cs, x, den)) for x in (c - r, c + r))
                     if slo != 0 and shi != 0 and slo != shi:
                         kind = "real"
-            prec = precision_bits
             if kind == "real":
-                value, im = BigFloat(re, prec, rad), ZERO  # its centre is re alone
+                value, im = BigFloat(re, rad), ZERO  # its centre is re alone
             else:
-                value = (BigFloat(re, prec, rad), BigFloat(im, prec, rad))
-            # |centre| lies in [q, q + 1]/2^prec (the point 0 at 0), q from one
-            # integer square root of the centre's norm; the modulus widens
-            # that by rad on each side, clamped at 0
+                value = (BigFloat(re, rad), BigFloat(im, rad))
+            # |centre| lies in [q, q + 1]/2^precision_bits (the point 0 at 0),
+            # q from one integer square root of the centre's norm; the modulus
+            # widens that by rad on each side, clamped at 0
             a, b, d = _gaussian_scale(re, im)
-            q = isqrt(((a * a + b * b) << 2 * prec) // (d * d))
-            rn, rd = rad.numerator << prec, rad.denominator
-            modulus = _from_bracket(max(0, q * rd - rn), (q + (1 if a or b else 0)) * rd + rn, rd << prec, prec)
-            records.append(
-                RootRecord(
-                    poly_id=None,
-                    kind=kind,
-                    value=value,
-                    modulus=modulus,
-                    digits=_digits(rad, precision_bits),
-                    residual=res,
-                    multiplicity=mult,
-                )
-            )
+            q = isqrt(((a * a + b * b) << 2 * precision_bits) // (d * d))
+            rn, rd = rad.numerator << precision_bits, rad.denominator
+            modulus = _from_bracket(max(0, q * rd - rn), (q + (1 if a or b else 0)) * rd + rn, rd << precision_bits)
+            records.append(RootRecord(kind, value, modulus, res, mult))
     records.sort(key=_root_sort_key)
     return records
-
-
-def _digits(rad: Fraction, precision_bits: int) -> int:
-    # the largest dg <= precision_bits with 2*rad < 10^-dg, else 0
-    if not rad:
-        return precision_bits
-    return min(precision_bits, max(0, -1 - _decimal_exponent(2 * rad)))
 
 
 def _root_sort_key(rec: RootRecord):

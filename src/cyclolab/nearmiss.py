@@ -178,8 +178,8 @@ def table1(rows: list[tuple[int, int]] | None = None, digits: int = 15) -> list[
         gap_hi = alpha.hi - beta.lo
         if gap_lo <= 0:
             raise AssertionError("reference root must exceed the near-miss root")
-        inv = from_interval(1 / gap_hi, 1 / gap_lo, beta.precision_bits)
-        scaled = from_interval(inv.lo / 2 ** q, inv.hi / 2 ** q, beta.precision_bits)
+        inv = from_interval(1 / gap_hi, 1 / gap_lo)
+        scaled = from_interval(inv.lo / 2 ** q, inv.hi / 2 ** q)
         out.append(
             TripleRecord(p=p, q=q, r=r, beta=beta, alpha=alpha, inv_gap=inv, scaled_gap=scaled)
         )

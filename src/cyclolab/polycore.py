@@ -578,8 +578,5 @@ def eval_gaussian(p: IntPoly, re: Fraction, im: Fraction) -> tuple[Fraction, Fra
 # serialization
 
 
-def poly_to_json(p: IntPoly, n: int | None = None) -> str:
-    obj = {"coeffs": [str(c) for c in p.coeffs]}
-    if n is not None:
-        obj = {"n": n, **obj}
-    return json.dumps(obj)
+def poly_to_json(p: IntPoly, n: int) -> str:
+    return json.dumps({"n": n, "coeffs": [str(c) for c in p.coeffs]})

@@ -182,13 +182,9 @@ def _squarefree_factors(cs) -> list[tuple[list[int], int, list | None]]:
     of cs is Yun's start and, when cs is squarefree, the isolating chain.
     """
     k = next(i for i, c in enumerate(cs) if c)
-    if k <= 1:
-        chain = _sturm_chain(cs)
-        if len(chain[-1]) == 1:
-            return [(cs, 1, chain)]
-        return [(f, mult, None) for f, mult in _yun(chain)]
     sign = 1 if cs[-1] > 0 else -1
-    q = [sign * c for c in cs[k:]]  # lc(q) > 0, so each of q's Yun factors has lc > 0
+    # for k >= 2, lc(q) > 0, so each of q's Yun factors has lc > 0
+    q = cs if k <= 1 else [sign * c for c in cs[k:]]
     factors = []
     if len(q) > 1:
         chain = _sturm_chain(q)
@@ -196,6 +192,8 @@ def _squarefree_factors(cs) -> list[tuple[list[int], int, list | None]]:
             factors = [(q, 1, chain)]
         else:
             factors = [(f, mult, None) for f, mult in _yun(chain)]
+    if k <= 1:
+        return factors
     i = next((i for i, (_, mult, _) in enumerate(factors) if mult >= k), len(factors))
     if i < len(factors) and factors[i][1] == k:
         factors[i] = ([0] + factors[i][0], k, None)
@@ -562,16 +560,15 @@ def _refine(cs, bracket: tuple, digits: int) -> tuple[BigFloat, Fraction]:
     deg = len(cs) - 1
     flo, fhi = vx * (den // x.denominator) ** deg, vy * (den // y.denominator) ** deg
     lead, scale = abs(cs[-1]), 10 ** digits
-    prec = max(24, int(digits * 3.33) + 16)
     w = hi - lo
     kt = _first_level(w * lead, den)
     cell = _qir_cell(cs, lo, w, den, (0, 0, flo, fhi, 1), kt)
     if isinstance(cell, Fraction):
-        return BigFloat(cell, prec, ZERO), ZERO
+        return BigFloat(cell), ZERO
     a, dt = (lo << kt) + cell[1] * w, den << kt
     c = -(-a * lead // dt)  # c/L, c = ceil(L * a/dt): the one multiple of 1/L left
     if a * lead < c * dt < (a + w) * lead and _eval_int_scaled(cs, c, lead) == 0:
-        return BigFloat(Fraction(c, lead), prec, ZERO), ZERO
+        return BigFloat(Fraction(c, lead)), ZERO
     level = max(kt, _first_level(w * scale, den))
     x = _float_root(cs, a, a + w, dt, cell[2], cell[3])
     g = min(level, w.bit_length() - den.bit_length() + 50 - frexp(x)[1]) - kt if x else 0
@@ -581,11 +578,11 @@ def _refine(cs, bracket: tuple, digits: int) -> tuple[BigFloat, Fraction]:
     while True:
         cell = _qir_cell(cs, lo, w, den, cell, level, guess)
         if isinstance(cell, Fraction):
-            return BigFloat(cell, prec, ZERO), ZERO
+            return BigFloat(cell), ZERO
         guess = None
         a, d = (lo << level) + cell[1] * w, den << level
         if _round_half_even(a * scale, d) == _round_half_even((a + w) * scale, d):
-            return _from_bracket(a, a + w, d, prec), Fraction(max(abs(cell[2]), abs(cell[3])), d ** deg)
+            return _from_bracket(a, a + w, d), Fraction(max(abs(cell[2]), abs(cell[3])), d ** deg)
         level += 1
 
 
@@ -594,13 +591,11 @@ def _refine(cs, bracket: tuple, digits: int) -> tuple[BigFloat, Fraction]:
 
 
 class RootRecord(Record):
-    """One certified root of a named polynomial."""
+    """One certified root of a polynomial."""
 
-    __slots__ = ("poly_id",
-                 "kind",  # "real" | "complex"
+    __slots__ = ("kind",  # "real" | "complex"
                  "value",  # BigFloat, or (BigFloat, BigFloat) for complex
-                 "modulus", "digits", "residual", "multiplicity")
-    _defaults = {"multiplicity": 1}
+                 "modulus", "residual", "multiplicity")
 
 
 class CoincidenceRecord(Record):
@@ -611,7 +606,7 @@ class CoincidenceRecord(Record):
     _defaults = {"max_abs_real": None, "window_violations": ()}
 
 
-def _real_root_record(poly_id, cs, bracket: tuple, digits: int, mult: int) -> RootRecord:
+def _real_root_record(cs, bracket: tuple, digits: int, mult: int) -> RootRecord:
     # residuals are |p| at the refined bracket's ends, p = cs the squarefree
     # factor that carries the root, as refinement leaves them.  The refined
     # bracket is (c -+ r)/den, and the modulus is the value itself, its
@@ -621,18 +616,10 @@ def _real_root_record(poly_id, cs, bracket: tuple, digits: int, mult: int) -> Ro
     if c >= r:
         modulus = val
     elif c <= -r:
-        modulus = BigFloat(-val.value, val.precision_bits, val.error_bound)
+        modulus = BigFloat(-val.value, val.error_bound)
     else:
-        modulus = _from_bracket(0, r + abs(c), den, val.precision_bits)
-    return RootRecord(
-        poly_id=poly_id,
-        kind="real",
-        value=val,
-        modulus=modulus,
-        digits=digits,
-        residual=BigFloat(res, val.precision_bits, ZERO),
-        multiplicity=mult,
-    )
+        modulus = _from_bracket(0, r + abs(c), den)
+    return RootRecord(kind="real", value=val, modulus=modulus, residual=BigFloat(res), multiplicity=mult)
 
 
 def real_coincidence_roots(m: int, n: int, digits: int = 15) -> CoincidenceRecord:
@@ -649,7 +636,7 @@ def real_coincidence_roots(m: int, n: int, digits: int = 15) -> CoincidenceRecor
     if d.degree >= 1:
         for f, mult, chain in _squarefree_factors(_primitive(list(d.coeffs))):
             factor, brackets = _isolate_chain(chain or _sturm_chain(f))
-            records += [_real_root_record((a, b), factor, br, digits, mult) for br in brackets]
+            records += [_real_root_record(factor, br, digits, mult) for br in brackets]
     records.sort(key=lambda r: r.value.value)
     max_abs = None
     violations = []

@@ -22,7 +22,7 @@ class TestTailGap:
     def test_base_point(self):
         left, right, holds = lemma_tail_gap(Fraction(2), 1)
         assert holds
-        # partial sums to the default cutoff, plus a rigorous tail
+        # partial sums to the fixed tail depth, plus a rigorous tail
         assert abs(left.value - Fraction(693147, 10 ** 6)) < Fraction(1, 10 ** 5)
         assert abs(right.value - Fraction(548915, 10 ** 6)) < Fraction(1, 10 ** 3)
 
@@ -38,6 +38,12 @@ class TestTailGap:
     def test_rejects_small_x(self):
         with pytest.raises(ValueError):
             lemma_tail_gap(Fraction(3, 2), 1)
+
+    def test_rejects_k_at_the_tail_depth(self):
+        assert bounds_mod.TAIL_DEPTH == 64
+        lemma_tail_gap(Fraction(2), 63)
+        with pytest.raises(ValueError, match="tail depth 64"):
+            lemma_tail_gap(Fraction(2), 64)
 
     def test_holds_on_grid(self):
         for x in (Fraction(2), Fraction(5, 2), Fraction(3), Fraction(10)):
@@ -76,12 +82,14 @@ class TestRealBounds:
 
     def test_mu_minus_simple(self):
         rep = check_real_bounds(2, Fraction(2))
-        assert rep.holds and not rep.equality and rep.side == "mu_minus"
+        # mu(rad(2)) = -1: the value lies above x^phi
+        assert rep.holds and not rep.equality and profile(2).mu_rad == -1 and rep.ratio.value > 1
         assert 2 < eval_rational(cyclotomic(2), 2) < 4
 
     def test_mu_plus_simple(self):
         rep = check_real_bounds(6, Fraction(3))
-        assert rep.holds and rep.side == "mu_plus"
+        # mu(rad(6)) = 1: the value lies below x^phi
+        assert rep.holds and profile(6).mu_rad == 1 and rep.ratio.value < 1
         assert Fraction(2, 3) * 9 <= 7 < 9
 
     def test_rejects_below_two(self):
@@ -105,17 +113,15 @@ def real_bounds_fraction_form(n, x):
     xq = x ** prof.qpart
     equality = False
     if prof.mu_rad == 1:
-        side = "mu_plus"
         lower = (xq - 1) / xq * power
         envelope = lower <= value < power and (value > lower or n == 1)
         equality = value == power / 2
         factor_two = power / 2 <= value and (not equality or (n == 1 and x == 2))
         holds = envelope and factor_two
     else:
-        side = "mu_minus"
         upper = xq / (xq - 1) * power
         holds = power < value < upper and value < 2 * power
-    return holds, equality, side, value / power
+    return holds, equality, value / power
 
 
 class TestRealBoundsIntegerForm:
@@ -125,7 +131,7 @@ class TestRealBoundsIntegerForm:
         for n in range(1, 301):
             for x in xs:
                 rep = check_real_bounds(n, x)
-                got = (rep.holds, rep.equality, rep.side, rep.ratio.value)
+                got = (rep.holds, rep.equality, rep.ratio.value)
                 assert got == real_bounds_fraction_form(n, x), (n, x)
 
 

@@ -223,6 +223,11 @@ class TestBounds:
         eq = [(r["n"], r["point"]) for r in rows if r["equality"]]
         assert eq == [(1, "2")]
 
+    @pytest.mark.parametrize("xs", ["2,1", "3,5/2,3/2", "1"])
+    def test_point_below_two_refused_before_any_row(self, capsys, xs):
+        assert run_cli(["bounds", "--n-max", "3", "--xs", xs]) == (2, "")
+        assert capsys.readouterr().err == "error: real bounds require x >= 2\n"
+
 
 class TestVerifyRational:
     def test_small(self):

@@ -535,6 +535,6 @@ class TestSerialization:
         assert [int(c) for c in obj["coeffs"]] == list(p.coeffs) and obj["n"] == 105
 
     def test_coeffs_are_strings(self):
-        obj = json.loads(poly_to_json(IntPoly([1, -2]), None))
-        assert obj["coeffs"] == ["1", "-2"]
-        assert "n" not in obj
+        obj = json.loads(poly_to_json(IntPoly([1, -2]), 3))
+        assert obj == {"n": 3, "coeffs": ["1", "-2"]}
+        assert list(obj) == ["n", "coeffs"]

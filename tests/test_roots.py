@@ -13,7 +13,6 @@ from cyclolab.certified import BigFloat, ZERO, decimal_in_interval, from_interva
 from cyclolab.cli import _record_line, _root_record_obj, dispatch
 from cyclolab.complexroots import (
     _attains_sqrt2,
-    _digits,
     _disks_disjoint,
     _sqrt2_quadratic_roots,
     complex_roots,
@@ -308,23 +307,22 @@ def bisection_oracle(p, iv, digits):
     cs = list(p.coeffs)
     lo, hi, den = _gaussian_scale(iv.lo, iv.hi)
     lead = abs(cs[-1])
-    prec = max(24, int(digits * 3.33) + 16)
     tested = False
     while True:
         if not tested and (hi - lo) * lead < den:
             tested = True
             c = -(-lo * lead // den)
             if lo * lead < c * den < hi * lead and _eval_int_scaled(cs, c, lead) == 0:
-                return BigFloat(Fraction(c, lead), prec, ZERO)
+                return BigFloat(Fraction(c, lead))
         if tested and (hi - lo) * 10 ** digits < den:
             a, b = Fraction(lo, den), Fraction(hi, den)
             if decimal_in_interval(a, b, digits) is not None:
-                return from_interval(a, b, prec)
+                return from_interval(a, b)
         mid = lo + hi
         lo, hi, den = 2 * lo, 2 * hi, 2 * den
         sm = _eval_int_scaled(cs, mid, den)
         if sm == 0:
-            return BigFloat(Fraction(mid, den), prec, ZERO)
+            return BigFloat(Fraction(mid, den))
         if (sm > 0) == (iv.sign_lo > 0):
             lo = mid
         else:
@@ -383,7 +381,7 @@ def bracket_of(p, iv):
 
 
 def _refined(v):
-    return v.value, v.error_bound, v.precision_bits
+    return v.value, v.error_bound
 
 
 class TestRefineMatchesBisection:
@@ -624,7 +622,7 @@ def real_record_oracle(p, iv, digits):
     alo, ahi = (lo, hi) if lo >= 0 else (-hi, -lo) if hi <= 0 else (ZERO, max(-lo, hi))
     ends = [val.value] if val.error_bound == 0 else [lo, hi]
     res = max(abs(eval_rational(p, x)) for x in ends)
-    return from_interval(alo, ahi, val.precision_bits), BigFloat(res, val.precision_bits, ZERO)
+    return from_interval(alo, ahi), BigFloat(res)
 
 
 # x^3 + 10^8 x - 1 has one real root, near 1e-8; refined from (-1, 2) at one
@@ -638,13 +636,13 @@ class TestRealRecordIntegers:
         cases = _small_difference_brackets() + [STRADDLE]
         signs = set()
         for p, iv in cases:
-            rec = roots_mod._real_root_record(None, *bracket_of(p, iv), digits, 1)
+            rec = roots_mod._real_root_record(*bracket_of(p, iv), digits, 1)
             assert (rec.modulus, rec.residual) == real_record_oracle(p, iv, digits), (p, iv)
             signs.add((rec.value.lo > 0) - (rec.value.hi < 0))
         assert signs == {-1, 0, 1}  # negative, straddling (or exact 0) and positive values
 
     def test_straddling_bracket(self):
-        rec = roots_mod._real_root_record(None, *bracket_of(*STRADDLE), 1, 1)
+        rec = roots_mod._real_root_record(*bracket_of(*STRADDLE), 1, 1)
         assert (rec.value.lo, rec.value.hi) == (Fraction(-1, 64), Fraction(1, 32))
         assert (rec.modulus.lo, rec.modulus.hi) == (0, Fraction(1, 32))
 
@@ -931,15 +929,23 @@ class TestComplexRoots:
             parts = [r.value] if r.kind == "real" else list(r.value)
             rad = parts[0].error_bound
             mlo, mhi = sqrt_interval(sum(c.value * c.value for c in parts), 256)
-            assert r.modulus == from_interval(max(ZERO, mlo - rad), mhi + rad, 256)
+            assert r.modulus == from_interval(max(ZERO, mlo - rad), mhi + rad)
 
 
 GOLDEN = json.loads((Path(__file__).with_name("complex_roots_golden.json")).read_text())
 
 
+def _complex_exact(r) -> tuple:
+    # every stored rational of a complex-roots record, in field order
+    parts = (r.value,) if r.kind == "real" else r.value
+    pairs = tuple((v.value, v.error_bound) for v in parts)
+    modulus, residual = (r.modulus.value, r.modulus.error_bound), (r.residual.value, r.residual.error_bound)
+    return r.kind, pairs, modulus, residual, r.multiplicity
+
+
 class TestComplexGolden:
     # rendered records (as the CLI prints them at 15 digits) and a digest of
-    # the exact centres, radii, moduli, residuals and digits.  The first four
+    # the exact centres, radii, moduli and residuals.  The first four
     # were captured before the integer certification kernel replaced the
     # Fraction one; (3, 7) (a linear factor and the +-i/0 tie) and (25, 49)
     # (a squarefree factor of degree 37) before the sweeps left mpc objects
@@ -947,7 +953,7 @@ class TestComplexGolden:
     def test_records_unchanged(self, case):
         rs = complex_roots(difference(case["m"], case["n"]), case["bits"])
         assert [json.dumps(_root_record_obj(r, 15)) for r in rs] == case["records"]
-        exact = repr([(r.kind, r.value, r.modulus, r.digits, r.residual, r.multiplicity) for r in rs])
+        exact = repr([_complex_exact(r) for r in rs])
         assert hashlib.sha256(exact.encode()).hexdigest() == case["exact_sha256"]
 
 
@@ -1037,33 +1043,6 @@ class TestDisksDisjoint:
         assert _disks_disjoint([a, (Fraction(3, 4) + Fraction(1, 1 << 40), Fraction(0), Fraction(5, 12), None)])
 
 
-def digits_loop(rad, precision_bits):
-    # the loop _digits replaced: one more power of ten per digit
-    dg = 0
-    width, scale = 2 * rad.numerator, 10
-    while width * scale < rad.denominator and dg < precision_bits:
-        dg += 1
-        scale *= 10
-    return dg
-
-
-class TestDigits:
-    @given(
-        st.one_of(
-            RADIUS,
-            st.builds(Fraction, st.integers(0, 10 ** 6), st.integers(1, 1 << 1200)),
-            # 2 * rad at and beside 10^-k, where the strict bound flips
-            st.builds(lambda k, d: Fraction(1, 2 * 10 ** k + d), st.integers(0, 300), st.integers(-1, 1)),
-        ),
-        st.integers(1, 400),
-    )
-    def test_matches_loop(self, rad, precision_bits):
-        assert _digits(rad, precision_bits) == digits_loop(rad, precision_bits)
-
-    def test_zero_radius_takes_every_digit(self):
-        assert _digits(Fraction(0), 256) == 256
-
-
 class TestSqrt2Proof:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_pairs_with_one_attain(self, n):
@@ -1084,8 +1063,8 @@ class TestSqrt2Proof:
             re, im = r.value
             assert re.error_bound > 0 and _attains_sqrt2(r, quads)
             shift = 3 * re.error_bound
-            moved_re = BigFloat(re.value + shift, re.precision_bits, re.error_bound)
-            moved = RootRecord(r.poly_id, r.kind, (moved_re, im), r.modulus, r.digits, r.residual, r.multiplicity)
+            moved_re = BigFloat(re.value + shift, re.error_bound)
+            moved = RootRecord(r.kind, (moved_re, im), r.modulus, r.residual, r.multiplicity)
             assert not _attains_sqrt2(moved, quads)
 
     def test_multiplicity_mismatch_refused(self):
@@ -1093,7 +1072,7 @@ class TestSqrt2Proof:
         quads = _sqrt2_quadratic_roots(d)
         for r in complex_roots(d, 256):
             assert _attains_sqrt2(r, quads)
-            doubled = RootRecord(r.poly_id, r.kind, r.value, r.modulus, r.digits, r.residual, multiplicity=2)
+            doubled = RootRecord(r.kind, r.value, r.modulus, r.residual, multiplicity=2)
             assert not _attains_sqrt2(doubled, quads)
 
     def test_repeated_factor(self):
@@ -1130,7 +1109,7 @@ def unsplit_real_roots(m, n):
     records = []
     for f, mult in unsplit_factors(_primitive(list(d.coeffs))):
         factor, brackets = roots_mod._isolate_chain(roots_mod._sturm_chain(list(f.coeffs)))
-        records += [roots_mod._real_root_record((m, n), factor, br, 15, mult) for br in brackets]
+        records += [roots_mod._real_root_record(factor, br, 15, mult) for br in brackets]
     return tuple(sorted(records, key=lambda r: r.value.value))
 
 
