@@ -37,7 +37,6 @@ from .ordering import (
 )
 from .roots import (
     CoincidenceRecord,
-    IsolatingInterval,
     RootRecord,
     isolate_real_roots,
     real_coincidence_roots,

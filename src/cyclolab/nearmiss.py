@@ -1,5 +1,6 @@
 """Near-miss machinery: coincidence roots approaching 2 from prime triples,
-and root families converging just above 1/2 in absolute value.
+and root families converging just above 1/2 in absolute value, whose
+roots ``roots.refine_root`` proves and refines in fixed brackets.
 
 For primes p < q with r = pq - p - q also prime, Phi_pq - Phi_r has its
 largest real root just below 2.  As q grows (p fixed) that root converges
@@ -18,7 +19,7 @@ from .arith import is_prime, primes_up_to, primorial, profile
 from .certified import BigFloat, from_interval
 from .polycore import IntPoly, _descartes_in, _eval_int_scaled, difference
 from .record import Record
-from .roots import _count_on_chain, _isolate_chain, _refine, _roots_in, _squarefree_of, _sturm_chain
+from .roots import _count_on_chain, _isolate_chain, _refine, _sturm_chain, refine_root
 
 
 def psi(k: int) -> IntPoly:
@@ -192,28 +193,10 @@ def table1(rows: list[tuple[int, int]] | None = None, digits: int = 15) -> list[
 
 def limit_constants(digits: int = 13) -> tuple[BigFloat, BigFloat]:
     """(rho, sigma): the negative root of x^3 + x^2 + 2x + 1 and the (0,1)
-    root of Phi_30 - Phi_4."""
-    rho, _ = _root_in_bracket(IntPoly([1, 2, 1, 1]), Fraction(-1), Fraction(0), digits)
-    sigma, _ = _root_in_bracket(difference(30, 4), Fraction(1, 4), Fraction(3, 4), digits)
+    root of Phi_30 - Phi_4, each proved and refined by ``refine_root``."""
+    rho = refine_root(IntPoly([1, 2, 1, 1]), (-1, 0), digits)
+    sigma = refine_root(difference(30, 4), (Fraction(1, 4), Fraction(3, 4)), digits)
     return rho, sigma
-
-
-def _root_in_bracket(poly: IntPoly, lo: Fraction, hi: Fraction, digits: int) -> tuple[BigFloat, bool]:
-    # the one root of poly in (lo, hi), refined, and whether it fell back:
-    # one Descartes variation certifies the bracket for poly itself, and
-    # otherwise the Sturm chain that counts the root gives the squarefree
-    # part it is refined on
-    cs = list(poly.coeffs)
-    ends = [_eval_int_scaled(cs, x.numerator, x.denominator) for x in (lo, hi)]
-    if not all(ends):
-        raise ValueError("bracket endpoints must not be roots")
-    count, chain = _roots_in(cs, lo, hi)
-    if count != 1:
-        raise ValueError(f"bracket ({float(lo)}, {float(hi)}) holds {count} roots, need exactly 1")
-    sf = _squarefree_of(chain) if chain else cs
-    if sf != cs:
-        cs, ends = sf, [_eval_int_scaled(sf, x.numerator, x.denominator) for x in (lo, hi)]
-    return _refine(cs, (lo, hi, *ends), digits)[0], chain is not None
 
 
 LIMIT_FAMILIES = ("three_p", "six_p", "thirty_p", "primorial")
@@ -234,10 +217,10 @@ def limit_family_root(family: str, param: int, digits: int = 14) -> BigFloat:
     Raises if the parameter is invalid or the family root has not yet
     entered the standard bracket around the limit.
     """
-    return _root_in_bracket(*_family_bracket(family, param), digits)[0]
+    return refine_root(*_family_bracket(family, param), digits)
 
 
-def _family_bracket(family: str, param: int) -> tuple[IntPoly, Fraction, Fraction]:
+def _family_bracket(family: str, param: int) -> tuple[IntPoly, tuple[Fraction, Fraction]]:
     # the family member's polynomial and the standard bracket around its limit
     if family not in LIMIT_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -245,11 +228,11 @@ def _family_bracket(family: str, param: int) -> tuple[IntPoly, Fraction, Fractio
         if param < 3:
             raise ValueError("primorial family requires k >= 3")
         m = primorial(param)
-        return difference(m, 2 * m // 15), *_SIGMA_BRACKET
+        return difference(m, 2 * m // 15), _SIGMA_BRACKET
     if not is_prime(param):
         raise ValueError("family parameter must be prime")
     if family == "three_p":
-        return difference(3 * param, 4), *_RHO_BRACKET
+        return difference(3 * param, 4), _RHO_BRACKET
     if family == "six_p":
-        return difference(6 * param, 4), -_RHO_BRACKET[1], -_RHO_BRACKET[0]
-    return difference(30 * param, 4 * param), *_SIGMA_BRACKET
+        return difference(6 * param, 4), (-_RHO_BRACKET[1], -_RHO_BRACKET[0])
+    return difference(30 * param, 4 * param), _SIGMA_BRACKET

@@ -4,9 +4,9 @@ A record names its fields once, in ``__slots__``.  A record that only
 stores its fields gets a generated ``__init__`` taking them in slot order,
 with defaults for trailing fields from the class's ``_defaults`` mapping;
 it sets each field once with ``object.__setattr__``, as ``namedtuple``
-builds its ``__new__``.  The records that check or transform their input
-(``BigFloat``, ``Factorization``, ``IntPoly``, ``IsolatingInterval`` and
-``PpdResult``) write their own ``__init__``, and a subclass with empty
+builds its ``__new__``.  The four records that check or transform their
+input (``BigFloat``, ``Factorization``, ``IntPoly`` and ``PpdResult``)
+write their own ``__init__``, and a subclass with empty
 ``__slots__`` inherits its parent's.  The base gives each record value
 equality within its own class, a hash and a ``repr`` over the fields in
 order, immutability and pickling, as frozen dataclasses would, without

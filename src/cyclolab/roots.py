@@ -17,18 +17,19 @@ end values.  At -B and B it takes the chain's signs at
 -+infinity from the leading terms, and at 0 the constant terms.
 No real verdict, and no real bracket, depends on floating point.
 One rule counts the roots in an interval (``_roots_in``) for the
-window's exact path and the near-miss brackets: 0 or 1 Descartes sign
+window's exact path and ``refine_root(p, (lo, hi), digits)``, the one
+door to a certified real root in a given interval: 0 or 1 Descartes sign
 variation (``polycore._descartes_in``) settles the count, and any other
 is read off a Sturm chain built at most once per polynomial.
 A real bracket is one tuple (lo, hi, vlo, vhi) from where it is proved
-(isolation, the near-miss search) to refinement, which starts from p's
-scaled values vlo and vhi at its ends.  Refinement walks the bisection
-grid on integers by quadratic interval refinement, returns the bracket
-bisection would, and recovers rational roots exactly; past the
-rational-root test a float Newton estimate only chooses the grid point
-of its next step.  A real record's residual is |p| at the final cell's
-ends, which refinement holds, and a Fraction is formed only for a field
-a BigFloat stores.
+(isolation, the near-miss search, ``refine_root``) to refinement, which
+starts from p's scaled values vlo and vhi at its ends.  Refinement walks
+the bisection grid on integers by quadratic interval refinement, returns
+the bracket bisection would, and recovers rational roots exactly; past
+the rational-root test a float Newton estimate only chooses the grid
+point of its next step.  A real record's residual is |p| at the final
+cell's ends, which refinement holds, and a Fraction is formed only for a
+field a BigFloat stores.
 This module also holds what the window and the complex path share: the
 window's regions and its known exception, the root records and the
 worker pool.  The root-window certificate lives in ``window``, and complex
@@ -333,40 +334,24 @@ def sturm_count(p: IntPoly, lo: Fraction | None, hi: Fraction | None) -> int:
 # isolation
 
 
-class IsolatingInterval(Record):
-    """Open interval certified to contain exactly one root, with endpoint signs."""
+def isolate_real_roots(p: IntPoly) -> list[tuple[Fraction, Fraction]]:
+    """Ascending disjoint intervals (lo, hi), one per distinct real root of p.
 
-    __slots__ = ("lo", "hi", "sign_lo", "sign_hi")
-
-    def __init__(self, lo: Fraction, hi: Fraction, sign_lo: int, sign_hi: int):
-        if not lo < hi:
-            raise ValueError("isolating interval must have lo < hi")
-        if sign_lo == 0 or sign_hi == 0:
-            raise ValueError("endpoint signs must be nonzero")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "sign_lo", sign_lo)
-        object.__setattr__(self, "sign_hi", sign_hi)
-
-
-def isolate_real_roots(p: IntPoly) -> list[IsolatingInterval]:
-    """Disjoint sign-change intervals, one per distinct real root of p.
-
-    One Sturm chain of p serves twice: its last element is gcd(p, p'),
-    so one exact division gives the squarefree part, and its variation
-    counts at non-roots are distinct-root counts whether or not p is
-    squarefree.  The endpoint signs recorded are those of the squarefree
-    part: they are p's own only when p is squarefree (up to a positive
-    constant).  Every degree takes the same exact route: bisection of the
-    Cauchy bound [-B, B] of that part, each piece counted by the chain.
+    Each open interval holds exactly one root of p and has no root at
+    either end, so ``refine_root`` takes it as it is.  One Sturm chain of
+    p serves twice: its last element is gcd(p, p'), so one exact division
+    gives the squarefree part, which changes sign on each interval, and
+    its variation counts at non-roots are distinct-root counts whether or
+    not p is squarefree.  Every degree takes the same exact route:
+    bisection of the Cauchy bound [-B, B] of that part, each piece counted
+    by the chain.
     """
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
     cs = _primitive(list(p.coeffs))
     if len(cs) <= 1:
         return []
-    brackets = _isolate_chain(_sturm_chain(cs))[1]
-    return [IsolatingInterval(lo, hi, _sign(vlo), _sign(vhi)) for lo, hi, vlo, vhi in brackets]
+    return [(lo, hi) for lo, hi, _, _ in _isolate_chain(_sturm_chain(cs))[1]]
 
 
 def _isolate_chain(chain) -> tuple[list[int], list[tuple]]:
@@ -505,24 +490,26 @@ def _qir_cell(cs, lo: int, w: int, den: int, cell: tuple, K: int, guess: tuple |
     return k, j, flo, fhi, g
 
 
-def refine_root(p: IntPoly, iv: IsolatingInterval, digits: int) -> BigFloat:
-    """Narrow a certified interval below 10^-digits on the bisection grid.
+def refine_root(p: IntPoly, interval: tuple, digits: int) -> BigFloat:
+    """The one root of p in the open interval (lo, hi), below 10^-digits.
 
-    ``digits`` must be positive, and then ``iv`` must carry p's own signs
-    at its endpoints (ValueError otherwise).  The result is the one plain
-    bisection of ``iv`` returns, reached in far fewer exact evaluations,
-    and it rounds stably at ``digits`` fractional digits.  A rational root
-    is recovered exactly (error bound 0): each rational root of p is a
-    multiple of 1/L, L = |lc(p)|, so once bisection's bracket is narrower
-    than 1/L its one candidate multiple is tested exactly, and no
-    interval is returned before that test.
+    ``interval`` is a pair (lo, hi) of ints or Fractions.  ValueError
+    refuses ``digits < 1``, ``lo >= hi``, an end that is a root of p, and
+    any count of distinct roots in (lo, hi) but 1 (``_roots_in``'s; a
+    Sturm chain it builds gives the squarefree part refined instead of p).
+    The result is the one plain bisection of (lo, hi) returns, reached in
+    far fewer exact evaluations, and it rounds stably at ``digits``
+    fractional digits.  A rational root is recovered exactly (error bound
+    0): each rational root of p is a multiple of 1/L, L = |lc(p)|, so once
+    bisection's bracket is narrower than 1/L its one candidate multiple is
+    tested exactly, and no interval is returned before that test.
 
-    The cells of bisection from ``iv`` form a dyadic grid, and the levels
+    The cells of bisection from (lo, hi) form a dyadic grid, and the levels
     where bisection tests the candidate (kt, narrower than 1/L) and first
     checks the rounding (K, narrower than 10^-digits too) are known up
     front.  Quadratic interval refinement (``_qir_cell``) walks the grid
     to kt and then to K, each cell it accepts proved by exact integer
-    signs at its ends.  The root is unique in ``iv`` and lies strictly
+    signs at its ends.  The root is unique in (lo, hi) and lies strictly
     inside the cell reached at a level, which is therefore bisection's
     cell there, and no grid point of that level or above, so no earlier
     midpoint, is a root.  Past K, as bisection does, the walk goes down
@@ -542,11 +529,20 @@ def refine_root(p: IntPoly, iv: IsolatingInterval, digits: int) -> BigFloat:
     """
     if digits < 1:
         raise ValueError("digits must be positive")
+    lo, hi = map(Fraction, interval)
+    if not lo < hi:
+        raise ValueError(f"interval ({lo}, {hi}) must have lo < hi")
     cs = list(p.coeffs)
-    vlo, vhi = (_eval_int_scaled(cs, x.numerator, x.denominator) for x in (iv.lo, iv.hi))
-    if _sign(vlo) != iv.sign_lo or _sign(vhi) != iv.sign_hi:
-        raise ValueError("interval endpoint signs are not those of p")
-    return _refine(cs, (iv.lo, iv.hi, vlo, vhi), digits)[0]
+    ends = [_eval_int_scaled(cs, x.numerator, x.denominator) for x in (lo, hi)]
+    if not all(ends):
+        raise ValueError(f"the ends of interval ({lo}, {hi}) must not be roots of p")
+    count, chain = _roots_in(cs, lo, hi)
+    if count != 1:
+        raise ValueError(f"interval ({lo}, {hi}) holds {count} roots of p, need exactly 1")
+    sf = _squarefree_of(chain) if chain else cs
+    if sf != cs:
+        cs, ends = sf, [_eval_int_scaled(sf, x.numerator, x.denominator) for x in (lo, hi)]
+    return _refine(cs, (lo, hi, *ends), digits)[0]
 
 
 def _refine(cs, bracket: tuple, digits: int) -> tuple[BigFloat, Fraction]:

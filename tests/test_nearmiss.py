@@ -8,7 +8,6 @@ from cyclolab.nearmiss import (
     TABLE_ROWS,
     _family_bracket,
     _largest_real_root,
-    _root_in_bracket,
     _top_bracket,
     alpha_root,
     delta_decompose,
@@ -21,6 +20,7 @@ from cyclolab.nearmiss import (
     table1,
 )
 from cyclolab.polycore import IntPoly, _eval_int_scaled, cyclotomic, difference
+from cyclolab.roots import refine_root
 from test_acceptance import NEAR_MISS_LIST
 
 
@@ -212,15 +212,15 @@ class TestLimitFamilies:
         prs = roots_mod._prs
         monkeypatch.setattr(roots_mod, "_prs", lambda a, b: calls.append(1) or prs(a, b))
         with pytest.raises(ValueError, match="must not be roots"):
-            _root_in_bracket(IntPoly([-1, 2]) * IntPoly([-3, 0, 1]), Fraction(1, 2), Fraction(1), 10)
+            refine_root(IntPoly([-1, 2]) * IntPoly([-3, 0, 1]), (Fraction(1, 2), Fraction(1)), 10)
         with pytest.raises(ValueError, match="must not be roots"):
-            _root_in_bracket(IntPoly([-1, 2]) * IntPoly([-3, 0, 1]), Fraction(0), Fraction(1, 2), 10)
+            refine_root(IntPoly([-1, 2]) * IntPoly([-3, 0, 1]), (Fraction(0), Fraction(1, 2)), 10)
         assert calls == []
         with pytest.raises(ValueError, match="holds 0 roots"):
-            _root_in_bracket(*_family_bracket("three_p", 3), 10)
+            refine_root(*_family_bracket("three_p", 3), 10)
         assert calls == []
         with pytest.raises(ValueError, match="holds 2 roots"):
-            _root_in_bracket(IntPoly([-1, 3]) * IntPoly([-2, 3]), Fraction(0), Fraction(1), 10)
+            refine_root(IntPoly([-1, 3]) * IntPoly([-2, 3]), (Fraction(0), Fraction(1)), 10)
         assert len(calls) == 1
 
     def test_termwise_series_limit(self):
@@ -298,10 +298,26 @@ class TestTopBracket:
         assert _top_bracket(list(poly.coeffs)) is None
 
 
+@pytest.fixture
+def chains_built(monkeypatch):
+    # counts the Sturm chains (pseudo-remainder sequences) one call builds
+    calls = []
+    prs = roots_mod._prs
+    monkeypatch.setattr(roots_mod, "_prs", lambda a, b: calls.append(1) or prs(a, b))
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    return count
+
+
 class TestDescartesRoute:
-    # the second value each helper returns says whether it fell back from
-    # Descartes brackets to isolation and Sturm counts; digits=1 keeps the
-    # refinement short
+    # the second value _largest_real_root returns says whether it fell back
+    # from Descartes brackets to isolation and Sturm counts, and refine_root
+    # builds a Sturm chain only when Descartes cannot settle its count;
+    # digits=1 keeps the refinement short
 
     def test_table_rows_and_references(self):
         for p, q in TABLE_ROWS:
@@ -316,18 +332,20 @@ class TestDescartesRoute:
         for k in range(2, 13):
             assert _largest_real_root(psi(k), 1)[1] is False, k
 
-    def test_limit_families(self):
+    def test_limit_families(self, chains_built):
         for family, param in BENCH_FAMILIES:
-            assert _root_in_bracket(*_family_bracket(family, param), 1)[1] is False, (family, param)
-        assert _root_in_bracket(IntPoly([1, 2, 1, 1]), Fraction(-1), Fraction(0), 1)[1] is False
-        assert _root_in_bracket(difference(30, 4), Fraction(1, 4), Fraction(3, 4), 1)[1] is False
+            assert chains_built(refine_root, *_family_bracket(family, param), 1) == 0, (family, param)
+        assert chains_built(refine_root, IntPoly([1, 2, 1, 1]), (-1, 0), 1) == 0
+        assert chains_built(refine_root, difference(30, 4), (Fraction(1, 4), Fraction(3, 4)), 1) == 0
+        assert chains_built(limit_constants, 1) == 0
 
-    def test_bracket_fallback(self):
+    def test_bracket_fallback(self, chains_built):
         # the real root sqrt(3/10) next to the complex pair 11/20 +- i/20:
         # (2/5, 3/5) shows 3 variations, and the Sturm count decides
         p = IntPoly([-3, 0, 10]) * IntPoly([122, -440, 400])
-        v, fell_back = _root_in_bracket(p, Fraction(2, 5), Fraction(3, 5), 14)
-        assert fell_back and v.decimal(14) == "0.54772255750517"
+        iv = (Fraction(2, 5), Fraction(3, 5))
+        assert refine_root(p, iv, 14).decimal(14) == "0.54772255750517"
+        assert chains_built(refine_root, p, iv, 14) == 1
 
     def test_largest_of_several(self):
         # roots 1/2 and +-sqrt(3): the rightmost-first bisection ends on sqrt(3)

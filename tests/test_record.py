@@ -18,7 +18,7 @@ from cyclolab.ordering import ConsecutiveCertificate
 from cyclolab.polycore import IntPoly
 from cyclolab.rationalcheck import IntegerCoincidenceReport, PpdResult, RationalCoincidenceReport
 from cyclolab.record import Record
-from cyclolab.roots import CoincidenceRecord, IsolatingInterval, RootRecord
+from cyclolab.roots import CoincidenceRecord, RootRecord
 from cyclolab.window import WindowReport
 
 BF = BigFloat(Fraction(3, 2), Fraction(1, 2 ** 64))
@@ -95,12 +95,6 @@ CASES = [
         "height, max_index, points_checked, coincidences",
     ),
     (
-        IsolatingInterval,
-        (Fraction(1), Fraction(5, 2), -1, 1),
-        "IsolatingInterval(lo=Fraction(1, 1), hi=Fraction(5, 2), sign_lo=-1, sign_hi=1)",
-        "lo, hi, sign_lo, sign_hi",
-    ),
-    (
         RootRecord,
         ("real", BF, BF, EXACT, 1),
         ROOT_REPR,
@@ -170,9 +164,6 @@ class TestRecord:
     "build, message",
     [
         (lambda: BigFloat(Fraction(1), Fraction(-1, 8)), "error_bound must be nonnegative"),
-        (lambda: IsolatingInterval(Fraction(2), Fraction(1), -1, 1), "lo < hi"),
-        (lambda: IsolatingInterval(Fraction(1), Fraction(1), -1, 1), "lo < hi"),
-        (lambda: IsolatingInterval(Fraction(1), Fraction(2), 0, 1), "signs must be nonzero"),
         (lambda: Factorization(12, ((3, 1), (2, 2))), "ascending primes"),
         (lambda: Factorization(12, ((2, 0), (3, 1))), "ascending primes"),
         (lambda: Factorization(12, ((2, 1), (3, 1))), "does not multiply to n"),
@@ -194,7 +185,7 @@ RECORDS = sorted(
     (cls for cls in Record.__subclasses__() if cls.__module__.startswith("cyclolab.")), key=lambda cls: cls.__name__
 )
 ARGS = {case[0]: case[1] for case in CASES}
-WRITTEN_INITS = {"BigFloat", "Factorization", "IntPoly", "IsolatingInterval", "PpdResult"}
+WRITTEN_INITS = {"BigFloat", "Factorization", "IntPoly", "PpdResult"}
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)

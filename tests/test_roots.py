@@ -33,14 +33,12 @@ from cyclolab.polycore import (
     eval_rational,
 )
 from cyclolab.roots import (
-    IsolatingInterval,
     RootRecord,
     _cauchy_bound,
     _gcd_list,
     _primitive,
     _pseudo_rem_even,
     _descartes_in,
-    _sign,
     isolate_real_roots,
     real_coincidence_roots,
     refine_root,
@@ -231,15 +229,12 @@ def repeated_factor_cases(draw):
 
 class TestIsolation:
     def test_quadratic_roots(self):
-        ivs = isolate_real_roots(difference(2, 6))
-        assert len(ivs) == 2
-        assert ivs[0].lo < 0 < ivs[0].hi or ivs[0].lo <= 0 <= ivs[0].hi
-        assert ivs[1].lo < 2 < ivs[1].hi or ivs[1].lo <= 2 <= ivs[1].hi
+        (lo0, hi0), (lo1, hi1) = isolate_real_roots(difference(2, 6))
+        assert lo0 < 0 < hi0 and lo1 < 2 < hi1
 
     def test_cubic_single_root(self):
-        ivs = isolate_real_roots(IntPoly([1, 2, 1, 1]))
-        assert len(ivs) == 1
-        assert ivs[0].lo < Fraction(-56, 100) < ivs[0].hi
+        ((lo, hi),) = isolate_real_roots(IntPoly([1, 2, 1, 1]))
+        assert lo < Fraction(-56, 100) < hi
 
     def test_golden_pair(self):
         ivs = isolate_real_roots(IntPoly([-1, -1, 1]))
@@ -251,8 +246,15 @@ class TestIsolation:
             isolate_real_roots(IntPoly([]))
 
     def test_signs_recorded(self):
-        for iv in isolate_real_roots(difference(15, 7)):
-            assert iv.sign_lo != iv.sign_hi
+        # the squarefree part changes sign on each interval; the intervals
+        # are pairs of Fractions, ascending and disjoint
+        for p in (difference(15, 7), difference(4, 8), IntPoly([4, 0, -4, 0, 1])):
+            ivs = isolate_real_roots(p)
+            sf = squarefree_part(p)
+            for lo, hi in ivs:
+                assert type(lo) is type(hi) is Fraction and lo < hi
+                assert eval_rational(sf, lo) * eval_rational(sf, hi) < 0
+            assert all(a[1] <= b[0] for a, b in zip(ivs, ivs[1:]))
 
     @given(st.lists(st.integers(min_value=-5, max_value=5), min_size=2, max_size=10))
     def test_isolation_complete(self, coeffs):
@@ -261,16 +263,16 @@ class TestIsolation:
             return
         ivs = isolate_real_roots(p)
         assert len(ivs) == sturm_count(p, None, None)
-        for iv in ivs:
-            assert sturm_count(p, iv.lo, iv.hi) == 1
+        for lo, hi in ivs:
+            assert sturm_count(p, lo, hi) == 1
 
     def test_high_degree_bisection(self):
         # degree 180: isolation is the same exact bisection as at low degree
         d = difference(209, 179)
         ivs = isolate_real_roots(d)
         assert len(ivs) == 4 == sturm_count(d, None, None)
-        for iv in ivs:
-            assert sturm_count(d, iv.lo, iv.hi) == 1
+        for lo, hi in ivs:
+            assert sturm_count(d, lo, hi) == 1
         sq = squarefree_part(d)
         assert [refine_root(sq, iv, 15).decimal(15) for iv in ivs] == [
             "-1.000000000000000",
@@ -302,10 +304,11 @@ class TestIsolation:
 
 
 def bisection_oracle(p, iv, digits):
-    # refinement by plain bisection, one exact evaluation per level: the
-    # brackets refine_root must reproduce
+    # refinement by plain bisection of iv = (lo, hi), where p changes sign,
+    # one exact evaluation per level: the brackets refine_root must reproduce
     cs = list(p.coeffs)
-    lo, hi, den = _gaussian_scale(iv.lo, iv.hi)
+    lo, hi, den = _gaussian_scale(*map(Fraction, iv))
+    up = _eval_int_scaled(cs, lo, den) > 0  # p's sign at lo
     lead = abs(cs[-1])
     tested = False
     while True:
@@ -323,7 +326,7 @@ def bisection_oracle(p, iv, digits):
         sm = _eval_int_scaled(cs, mid, den)
         if sm == 0:
             return BigFloat(Fraction(mid, den))
-        if (sm > 0) == (iv.sign_lo > 0):
+        if (sm > 0) == up:
             lo = mid
         else:
             hi = mid
@@ -369,15 +372,15 @@ def _near_miss_brackets():
         for q, r in nearmiss.find_triples(p, 200):
             if 128 < (p - 1) * (q - 1) <= 200:
                 cs = list(difference(p * q, r).coeffs)
-                lo, hi, vlo, vhi = nearmiss._top_bracket(cs)
-                out.append((IntPoly(cs), IsolatingInterval(lo, hi, _sign(vlo), _sign(vhi))))
+                out.append((IntPoly(cs), nearmiss._top_bracket(cs)[:2]))
     return out
 
 
 def bracket_of(p, iv):
-    # p's coefficients and the bracket (lo, hi, vlo, vhi) _refine takes for iv
+    # p's coefficients and the bracket (lo, hi, vlo, vhi) _refine takes for
+    # iv = (lo, hi)
     cs = list(p.coeffs)
-    return cs, (iv.lo, iv.hi, *(_eval_int_scaled(cs, x.numerator, x.denominator) for x in (iv.lo, iv.hi)))
+    return cs, (*iv, *(_eval_int_scaled(cs, x.numerator, x.denominator) for x in iv))
 
 
 def _refined(v):
@@ -416,9 +419,8 @@ class TestRefineMatchesBisection:
         ],
     )
     def test_rational_roots(self, poly, lo, hi, root, digits):
-        signs = [1 if eval_rational(poly, x) > 0 else -1 for x in (lo, hi)]
-        assert signs[0] != signs[1]
-        iv = IsolatingInterval(Fraction(lo), Fraction(hi), *signs)
+        assert eval_rational(poly, lo) * eval_rational(poly, hi) < 0
+        iv = (lo, hi)  # int ends
         v = refine_root(poly, iv, digits)
         assert _refined(v) == _refined(bisection_oracle(poly, iv, digits))
         assert v.error_bound == 0 and v.value == root
@@ -442,23 +444,62 @@ class TestRefine:
 
     def test_exact_rational_root_detected(self):
         p = IntPoly([-2, 0, 1]) * IntPoly([-3, 2])  # roots +-sqrt(2), 3/2
-        for iv in isolate_real_roots(p):
-            v = refine_root(p, iv, 12)
-            if iv.lo < Fraction(3, 2) < iv.hi:
+        for lo, hi in isolate_real_roots(p):
+            v = refine_root(p, (lo, hi), 12)
+            if lo < Fraction(3, 2) < hi:
                 assert v.error_bound == 0 and v.value == Fraction(3, 2)
 
 
     def test_rejects_signs_of_another_polynomial(self):
-        # (x^2 - 2)^2 does not change sign; the intervals carry the signs
-        # of its squarefree part x^2 - 2, which refinement must refuse
+        # the interval carries no signs: (x^2 - 2)^2 does not change sign at
+        # its roots, and refinement runs on the squarefree part x^2 - 2 that
+        # the counting chain gives; the simple root -3 of (x - 1)^2 (x + 3)
+        # is refined on p itself
         p = IntPoly([4, 0, -4, 0, 1])
         ivs = isolate_real_roots(p)
         assert len(ivs) == 2
-        for iv in ivs:
-            with pytest.raises(ValueError, match="interval endpoint signs are not those of p"):
-                refine_root(p, iv, 10)
-        got = [refine_root(squarefree_part(p), iv, 10).decimal(10) for iv in ivs]
+        got = [refine_root(p, iv, 10).decimal(10) for iv in ivs]
         assert got == ["-1.4142135624", "1.4142135624"]
+        assert got == [refine_root(squarefree_part(p), iv, 10).decimal(10) for iv in ivs]
+        p = IntPoly([-1, 1]) * IntPoly([-1, 1]) * IntPoly([3, 1])
+        got = [refine_root(p, iv, 10) for iv in isolate_real_roots(p)]
+        assert got == [BigFloat(Fraction(-3)), BigFloat(Fraction(1))]
+
+    @pytest.mark.parametrize(
+        "poly,iv,message",
+        [
+            (IntPoly([1, 2, 1, 1]), (Fraction(0), Fraction(-1)), r"interval \(0, -1\) must have lo < hi"),
+            (IntPoly([1, 2, 1, 1]), (-1, -1), r"interval \(-1, -1\) must have lo < hi"),
+            (IntPoly([-1, 2]) * IntPoly([-2, 0, 1]), (Fraction(1, 2), 1),
+             r"ends of interval \(1/2, 1\) must not be roots"),
+            (IntPoly([-2, 0, 1]), (0, 1), r"interval \(0, 1\) holds 0 roots of p, need exactly 1"),
+            (IntPoly([-2, 0, 1]), (-2, 2), r"interval \(-2, 2\) holds 2 roots of p, need exactly 1"),
+        ],
+        ids=["reversed", "empty", "end-root", "no-root", "two-roots"],
+    )
+    def test_refuses_bad_intervals(self, poly, iv, message):
+        with pytest.raises(ValueError, match=message) as err:
+            refine_root(poly, iv, 10)
+        assert "\n" not in str(err.value)
+
+    def test_int_and_fraction_ends(self):
+        want = refine_root(IntPoly([-2, 0, 1]), (Fraction(1), Fraction(2)), 12)
+        assert refine_root(IntPoly([-2, 0, 1]), (1, 2), 12) == want
+        assert refine_root(IntPoly([-2, 0, 1]), (1, Fraction(2)), 12) == want
+
+    def test_every_difference_to_24(self):
+        # every interval isolate_real_roots gives for Phi_m - Phi_n, m < n <=
+        # 24, is refined on the difference itself, squarefree or not, to the
+        # values real_coincidence_roots renders
+        total = 0
+        for n in range(2, 25):
+            for m in range(1, n):
+                d = difference(m, n)
+                ivs = isolate_real_roots(d)
+                total += len(ivs)
+                want = [r.value.decimal(15) for r in real_coincidence_roots(m, n, 15).roots]
+                assert [refine_root(d, iv, 15).decimal(15) for iv in ivs] == want, (m, n)
+        assert total == 595
 
     @pytest.mark.parametrize(
         "poly,root",
@@ -470,38 +511,39 @@ class TestRefine:
         ],
     )
     def test_rational_roots_exact(self, poly, root):
-        (iv,) = [iv for iv in isolate_real_roots(poly) if iv.lo < root < iv.hi]
+        (iv,) = [(lo, hi) for lo, hi in isolate_real_roots(poly) if lo < root < hi]
         v = refine_root(poly, iv, 10)
         assert v.error_bound == 0 and v.value == root
 
     def test_rational_root_from_wide_bracket(self):
         # (0, 1) for 3x - 1: the candidate 1/3 is tested once the bracket
         # (1/4, 1/2) is narrower than 1/3
-        v = refine_root(IntPoly([-1, 3]), roots_mod.IsolatingInterval(Fraction(0), Fraction(1), -1, 1), 12)
+        v = refine_root(IntPoly([-1, 3]), (0, 1), 12)
         assert v.error_bound == 0 and v.value == Fraction(1, 3)
 
     def test_rejects_nonpositive_digits(self):
-        # refused before the signs are read: these signs are not p's either
+        # refused before the interval is read: a reversed one included
         p = IntPoly([4, 0, -4, 0, 1])
         for iv in isolate_real_roots(p):
             with pytest.raises(ValueError, match="digits must be positive"):
                 refine_root(p, iv, 0)
         with pytest.raises(ValueError, match="digits must be positive"):
-            refine_root(IntPoly([-2, 0, 1]), roots_mod.IsolatingInterval(Fraction(1), Fraction(2), -1, 1), 0)
+            refine_root(IntPoly([-2, 0, 1]), (1, 2), 0)
+        with pytest.raises(ValueError, match="digits must be positive"):
+            refine_root(IntPoly([-2, 0, 1]), (2, 1), -1)
 
     def test_candidate_on_lo(self):
         # (1, 2) for x^2 - 2 halves to (1, 3/2), narrower than 1/L = 1: the
         # candidate ceil(lo * L) / L is lo itself, no root, and bisection
         # goes on to the irrational root
-        iv = roots_mod.IsolatingInterval(Fraction(1), Fraction(2), -1, 1)
-        v = refine_root(IntPoly([-2, 0, 1]), iv, 12)
+        v = refine_root(IntPoly([-2, 0, 1]), (Fraction(1), Fraction(2)), 12)
         assert v.error_bound > 0 and v.decimal(12) == "1.414213562373"
 
 
 class TestRefineGivenEnds:
     # _refine from a bracket (lo, hi, vlo, vhi), its end values each over its
     # own end's denominator, gives what refine_root gives from the interval
-    # with p's signs and what plain bisection gives, and its residual is |p|
+    # (lo, hi) and what plain bisection gives, and its residual is |p|
     # at the final cell's ends: non-dyadic ends are rescaled to the grid's
     @pytest.mark.parametrize("digits", [1, 15, 40])
     @pytest.mark.parametrize(
@@ -526,7 +568,7 @@ class TestRefineGivenEnds:
     def test_same_as_evaluated_ends(self, poly, lo, hi, digits):
         cs = list(poly.coeffs)
         va, vb = (_eval_int_scaled(cs, x.numerator, x.denominator) for x in (lo, hi))
-        iv = IsolatingInterval(lo, hi, _sign(va), _sign(vb))
+        iv = (lo, hi)
         got, residual = roots_mod._refine(cs, (lo, hi, va, vb), digits)
         assert got == refine_root(poly, iv, digits)
         assert _refined(got) == _refined(bisection_oracle(poly, iv, digits))
@@ -627,7 +669,7 @@ def real_record_oracle(p, iv, digits):
 
 # x^3 + 10^8 x - 1 has one real root, near 1e-8; refined from (-1, 2) at one
 # digit its bracket is (-1/64, 1/32), which straddles 0
-STRADDLE = (IntPoly([-1, 10 ** 8, 0, 1]), IsolatingInterval(Fraction(-1), Fraction(2), -1, 1))
+STRADDLE = (IntPoly([-1, 10 ** 8, 0, 1]), (Fraction(-1), Fraction(2)))
 
 
 class TestRealRecordIntegers:
@@ -1209,13 +1251,12 @@ class TestPRS:
         assert count(sturm_count, d, Fraction(1), Fraction(2)) == 1
         # a squarefree difference is isolated on the chain Yun starts from
         assert count(real_coincidence_roots, 15, 7) == 1
-        # the double root sqrt(3) of (x^2 - 3)^2 defeats both Descartes
-        # routes of nearmiss; each fallback runs one chain
+        # the double root sqrt(3) of (x^2 - 3)^2 defeats Descartes in the
+        # near-miss search and in refine_root's count; each runs one chain
         sq = IntPoly([-3, 0, 1]) * IntPoly([-3, 0, 1])
         assert nearmiss._largest_real_root(sq, 1)[1] is True
         assert count(nearmiss._largest_real_root, sq, 1) == 1
-        assert nearmiss._root_in_bracket(sq, Fraction(1), Fraction(2), 1)[1] is True
-        assert count(nearmiss._root_in_bracket, sq, Fraction(1), Fraction(2), 1) == 1
+        assert count(refine_root, sq, (1, 2), 1) == 1
         # the pair 3 +- i shows two variations on (2, inf), which sends the
         # call to the fallback and its one chain
         pair = IntPoly([10, -6, 1]) * IntPoly([-3, 0, 1])
