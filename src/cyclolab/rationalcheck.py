@@ -39,7 +39,11 @@ class PpdResult(Record):
 
 def primitive_prime_divisor(a: int, b: int, n: int) -> PpdResult:
     """A prime dividing a^n - b^n but no earlier a^k - b^k, or the tagged
-    exceptional case.  Requires a > b >= 1, gcd(a, b) = 1, n >= 2."""
+    exceptional case.  Requires a > b >= 1, gcd(a, b) = 1, n >= 2.
+
+    The primes come from ``factorize``, whose primality test is a
+    Baillie-PSW probable-prime test above about 3.3e24: a prime above that
+    bound, and a ``bang`` result that names one, is a probable prime."""
     if not a > b >= 1:
         raise ValueError("requires a > b >= 1")
     if gcd(a, b) != 1:

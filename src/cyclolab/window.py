@@ -4,10 +4,12 @@ The window is certified region by region with Descartes' rule of signs
 on Taylor-shifted polynomials.  Shifts are linear, so for a pair (m, n)
 each region's shifted polynomial, packed into one integer, is a
 difference of values cached once per index, and one sign-byte scan of it
-(``polycore._packed_root_free``) decides the region.  The integers that
-depend only on the digit width and the degree (the padding powers, 3^D
-and the digit bias) are cached once per process too.  A pair those values
-do not clear takes the exact path: endpoint roots divided out, and each
+(``polycore._packed_root_free``) decides the region.  The padding is
+per index, not per pair: a pair's degree is rounded up a short ladder,
+and each index's inner values are padded to each degree of the ladder
+once (``_index_padded``), so a region costs no product.  3^D and the
+digit bias are cached once per process too.  A pair those values do not
+clear takes the exact path: endpoint roots divided out, and each
 region counted by ``roots._roots_in``, by Descartes when it shows 0 or 1
 variation and otherwise on the Sturm chain of what is left, built at most
 once per pair.
@@ -95,34 +97,44 @@ def _power_of_three(D: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _padding_power(nb: int, e: int) -> int:
-    # y^e at y = 2^(8 nb) + 2: the packed value of (2+t)^e
-    return ((1 << 8 * nb) + 2) ** e
+def _index_padded(n: int, nb: int, D: int) -> tuple[int, ...]:
+    # _index_packed(n, nb) with the inner two values times y^(D - phi(n)):
+    # the region maps of Phi_n as polynomials of degree D, the inner ones
+    # times (2+t)^(D - phi), which is positive at every t >= 0
+    neg, neg_inv, pos_inv, pos = _index_packed(n, nb)
+    w = ((1 << 8 * nb) + 2) ** (D - _index_norms(n)[0])
+    return neg, neg_inv * w, pos_inv * w, pos
 
 
 def _window_clear(m: int, n: int) -> bool:
     """Whether cached per-index values prove Phi_m - Phi_n root-free on
     every window region, endpoints included.
 
-    Taylor shifts are linear, so with d = Phi_m - Phi_n and D = max phi the
-    shifted region polynomials d(-(2+t)), d(2+t) and (2+t)^D d(+-1/(2+t))
-    are differences of per-index ones, the inner ones padded to degree D
-    by a factor (2+t)^(D - phi), which is positive at every t >= 0 and so
-    changes no root there.  Their coefficients are at most
-    (||Phi_m||_1 + ||Phi_n||_1) * 3^D in absolute value, so at
+    Taylor shifts are linear, so with d = Phi_m - Phi_n and Db >= max phi
+    the shifted region polynomials d(-(2+t)), d(2+t) and
+    (2+t)^Db d(+-1/(2+t)) are differences of per-index ones, the inner
+    ones padded to degree Db by a factor (2+t)^(Db - phi), which is
+    positive at every t >= 0 and so changes no root there.  Db is
+    D = max phi rounded up a ladder, to a multiple of
+    2^max(3, bitlen(D) - 3): steps of 8 below degree 64, of 16 below 128,
+    and so on.  Each index is thus padded to few degrees, once per
+    process (``_index_padded``), and a pair multiplies nothing.  Padding
+    past D multiplies the inner region polynomials by (2+t)^(Db - D), and
+    a polynomial with no sign variation keeps none, so rounding up clears
+    every pair that D would.  The coefficients are at most
+    (||Phi_m||_1 + ||Phi_n||_1) * 3^Db in absolute value, so at
     y = 2^(8 nb) + 2, with nb bytes above that bound, each region's packed
     value is one subtraction of cached ones, and ``_packed_root_free``
-    reads its verdict off that value.  Every integer that depends only on
-    nb and the degrees is cached once per process: 3^D, the padding
-    powers y^(D - phi) and the digit bias of ``_packed_root_free``.
+    reads its verdict off that value.  3^Db and the digit bias of
+    ``_packed_root_free`` are cached once per process too.
     """
     (fm, lm), (fn, ln) = _index_norms(m), _index_norms(n)
     D = max(fm, fn)
+    D += -D % (1 << max(3, D.bit_length() - 3))  # up the ladder, to Db
     nb = _digit_bytes((lm + ln) * _power_of_three(D))
     nb += -nb % _DIGIT_BUCKET  # shares the cached values among pairs
-    pm, pn = _padding_power(nb, D - fm), _padding_power(nb, D - fn)
-    for a, b, wm, wn in zip(_index_packed(m, nb), _index_packed(n, nb), (1, pm, pm, 1), (1, pn, pn, 1)):
-        if not _packed_root_free(a * wm - b * wn, nb, D + 1):
+    for a, b in zip(_index_padded(m, nb, D), _index_padded(n, nb, D)):
+        if not _packed_root_free(a - b, nb, D + 1):
             return False
     return True
 

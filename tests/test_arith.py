@@ -3,7 +3,10 @@ from math import isqrt
 import pytest
 from hypothesis import given, strategies as st
 
+from cyclolab import arith as arith_mod
 from cyclolab.arith import (
+    _MR_VALID_BELOW,
+    _strong_lucas_prp,
     divisors,
     factorize,
     inverse_phi,
@@ -186,6 +189,29 @@ class TestIsPrime:
                 sieve[i * i :: i] = bytearray((limit - i * i) // i + 1)
         mismatches = [n for n in range(limit + 1) if is_prime(n) != bool(sieve[n])]
         assert mismatches == []
+
+    MERSENNE = {k: (1 << k) - 1 for k in (61, 89, 107, 127)}
+
+    def test_baillie_psw_above_the_deterministic_range(self, monkeypatch):
+        # above ~3.3e24 is_prime is Miller-Rabin to base 2 and then the
+        # strong Lucas test, a Baillie-PSW probable-prime verdict
+        lucas = []
+        monkeypatch.setattr(arith_mod, "_strong_lucas_prp", lambda n: lucas.append(n) or _strong_lucas_prp(n))
+        primes = [self.MERSENNE[k] for k in (89, 107, 127)]
+        assert all(p > _MR_VALID_BELOW for p in primes)
+        assert all(is_prime(p) for p in primes)
+        assert lucas == primes
+        m89 = self.MERSENNE[89]
+        assert not is_prime(m89 * self.MERSENNE[61])
+        assert not is_prime(m89 * m89)
+
+    def test_strong_lucas_pseudoprimes_below_60000(self):
+        # the odd composites the strong Lucas test (Selfridge parameters)
+        # accepts below 60000 are exactly OEIS A217255's
+        a217255 = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519]
+        accepted = [n for n in range(1, 60000, 2) if _strong_lucas_prp(n)]
+        assert [n for n in accepted if not is_prime(n)] == a217255
+        assert [n for n in range(3, 60000, 2) if is_prime(n) and not _strong_lucas_prp(n)] == []
 
 
 class TestInversePhi:

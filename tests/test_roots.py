@@ -28,6 +28,7 @@ from cyclolab.polycore import (
     _packed_shift,
     _trim,
     _unpack,
+    _variations,
     cyclotomic,
     difference,
     eval_rational,
@@ -50,7 +51,7 @@ from cyclolab.window import (
     WindowReport,
     _index_norms,
     _index_packed,
-    _padding_power,
+    _index_padded,
     _power_of_three,
     _pair_window,
     _region_maps,
@@ -91,6 +92,13 @@ def unpack_signed_digits(v, nb, k):
         v = (v - d) // base
     assert v == 0
     return out
+
+
+def times_linear(cs, c, j):
+    # coefficients of (t + c)^j p(t), lowest first, by plain convolution
+    for _ in range(j):
+        cs = [c * a + b for a, b in zip(cs + [0], [0] + cs)]
+    return cs
 
 
 def from_roots(*factors):
@@ -714,13 +722,18 @@ class TestWindow:
         assert report.holds and report.exception_found
         assert report.sturm_fallbacks == 0
 
-    WINDOW_CACHES = (_index_norms, _index_packed, _power_of_three, _padding_power, _digit_bias)
+    WINDOW_CACHES = (_index_norms, _index_packed, _index_padded, _power_of_three, _digit_bias)
 
     def test_cached_integers_match_formulas(self):
         for nb in (1, 2, 8, 16, 24):
             y = (1 << 8 * nb) + 2
-            for e in range(60):
-                assert _padding_power(nb, e) == y**e, (nb, e)
+            for n in range(1, 61):
+                phi = cyclotomic(n).degree
+                maps = _region_maps(list(cyclotomic(n).coeffs))
+                for D in (phi, phi + 1, phi + 8, 2 * phi + 3):
+                    # the inner two maps of Phi_n times (2+t)^(D - phi), at t = y - 2
+                    want = tuple(_packed(ts, y) * (y ** (D - phi) if i in (1, 2) else 1) for i, ts in enumerate(maps))
+                    assert _index_padded(n, nb, D) == want, (n, nb, D)
             for n in range(1, 60):
                 want = sum(1 << (8 * nb * i + 8 * nb - 1) for i in range(n))
                 assert _digit_bias(nb, n) == want, (nb, n)
@@ -783,9 +796,15 @@ class TestWindow:
             assert vals == tuple(_packed(ts, y) for ts in _region_maps(list(cyclotomic(n).coeffs))), n
             assert (vals[0] is vals[1] and vals[2] is vals[3]) == (n >= 3), n
 
+    # the padded degrees up to 224, the top one of the pairs up to 200:
+    # steps of 8 below 64, of 16 below 128 and of 32 below 256
+    LADDER = (*range(8, 65, 8), 80, 96, 112, 128, 160, 192, 224)
+
     def test_region_values_are_shifted_differences(self, monkeypatch):
         # each packed region value, unpacked digit by digit, is the Taylor
-        # shift by 2 of the region map of Phi_m - Phi_n padded to degree D
+        # shift by 2 of the region map of Phi_m - Phi_n padded to degree D,
+        # times (2+t)^(Db - D) for the inner two, Db being D up the ladder;
+        # the outer two are zero-extended to Db + 1 digits
         seen = []
         monkeypatch.setattr(window_mod, "_packed_root_free", lambda v, nb, k: seen.append((v, nb, k)) or True)
         for n in range(2, 41):
@@ -793,10 +812,45 @@ class TestWindow:
                 seen.clear()
                 assert _window_clear(m, n)
                 D = max(cyclotomic(m).degree, cyclotomic(n).degree)
+                Db = min(r for r in self.LADDER if r >= D)
                 cs = list(difference(m, n).coeffs)
                 cs += [0] * (D + 1 - len(cs))
                 want = [_unpack(*_packed_shift(ts, 2), len(ts)) for ts in _region_maps(cs)]
+                want = [w + [0] * (Db - D) if i in (0, 3) else times_linear(w, 2, Db - D) for i, w in enumerate(want)]
+                assert all(k == Db + 1 for _, _, k in seen), (m, n)
                 assert [unpack_signed_digits(*args) for args in seen] == want, (m, n)
+
+    def test_every_pair_to_200_cleared_from_few_padded_degrees(self, monkeypatch):
+        # every pair but {2, 6} is cleared, each pair pads to the lowest rung
+        # of the ladder at or above its degree, and so each index needs one
+        # width and one padded value per rung at or above its own degree,
+        # whatever its partners
+        calls, keys = [], {}
+        padded = window_mod._index_padded
+        monkeypatch.setattr(window_mod, "_index_padded", lambda n, nb, D: calls.append((n, nb, D)) or padded(n, nb, D))
+        for n in range(2, 201):
+            for m in range(1, n):
+                calls.clear()
+                assert _window_clear(m, n) == ((m, n) != (2, 6)), (m, n)
+                D = max(cyclotomic(m).degree, cyclotomic(n).degree)
+                assert [c[0] for c in calls] == [m, n] and calls[0][1:] == calls[1][1:], (m, n)
+                assert calls[0][2] == min(r for r in self.LADDER if r >= D), (m, n)
+                for k, nb, Db in calls:
+                    keys.setdefault(k, {}).setdefault(Db, set()).add(nb)
+        for k, rungs in keys.items():
+            assert all(len(widths) == 1 for widths in rungs.values()), k
+            assert set(rungs) <= {r for r in self.LADDER if r >= cyclotomic(k).degree}, k
+        assert max(map(len, keys.values())) == len(self.LADDER)
+
+    @given(
+        st.lists(st.integers(-50, 50), min_size=1, max_size=12).filter(lambda cs: cs[0]),
+        st.sampled_from([1, 2, 3]),
+        st.integers(0, 20),
+    )
+    def test_positive_linear_factor_adds_no_variation(self, cs, c, j):
+        # the lemma the ladder's speed rests on (Polya and Szego, Part V):
+        # multiplying by t + c with c > 0 never adds a sign variation
+        assert _variations(times_linear(cs, c, j)) <= _variations(cs)
 
     def test_exception_pair_takes_exact_path(self, monkeypatch):
         calls = []
